@@ -1,7 +1,13 @@
-"""Event-triggered cooperative route planning over journey-time matrices.
+"""Event-triggered cooperative route planning over journey-time rows.
 
-Planning always happens on a matrix that already has event closures masked in:
-columns into flagged nodes and flagged links are +inf, so returned routes
+The planner reads `rows[u][v]`, the journey time of link u->v, only along
+`out_neighbors[u]`. `journey_rows` builds those rows from one link-indexed
+journey-time vector, one small mapping per node. The dense (M+1, M+1)
+matrices of `build_journey_matrix` and `mask_events` index the same way and
+remain the reference the tests compare against.
+
+Planning always happens on rows that already have event closures masked in:
+links into flagged nodes and flagged links are +inf, so returned routes
 cannot enter a flagged node (they may depart from one) or use a flagged link.
 """
 
@@ -15,6 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError, DegenerateRouteRequest
+from .network import TrafficNetwork, link_journey_times
 
 INF = math.inf
 
@@ -64,10 +71,10 @@ class PathResult:
 
 @dataclass
 class PlanningInput:
-    """Snapshot handed to the planner: an event-masked journey-time matrix and
-    the users waiting for an initial route."""
+    """Snapshot handed to the planner: event-masked journey-time rows and the
+    users waiting for an initial route."""
 
-    matrix: object  # (M+1, M+1) array or nested sequence, id-indexed
+    matrix: object  # rows[u][v], id-indexed: journey_rows() or a dense matrix
     new_users: dict = field(default_factory=dict)  # vid -> (position, destination)
     out_neighbors: Sequence[Sequence[int]] | None = None
 
@@ -78,23 +85,12 @@ class PlanOutcome:
     unreachable: set = field(default_factory=set)
 
 
-def dijkstra_fastest(
-    matrix,
-    start: int,
-    end: int,
-    out_neighbors: Sequence[Sequence[int]] | None = None,
-) -> PathResult | None:
-    """Minimum-total-weight node sequence from start to end, or None when every
-    path is +inf. Ties break deterministically: the frontier pops by
-    (cost, node id) and equal-cost predecessors prefer the lower node id.
-    """
-    if start == end:
-        raise DegenerateRouteRequest(f"start and destination are both {start}")
-    rows = matrix
+def _search(rows, start: int, out_neighbors, target: int | None = None):
+    """Dijkstra from `start` over rows[u][v], stopping once `target` is
+    settled (never when it is None). Returns (dist, pred) indexed by node id.
+    The frontier pops by (cost, node id) and equal-cost predecessors prefer
+    the lower node id."""
     n_ids = len(rows) - 1
-    if not (1 <= start <= n_ids and 1 <= end <= n_ids):
-        raise ContractError(f"node ids must be in 1..{n_ids}")
-
     dist = [INF] * (n_ids + 1)
     pred = [0] * (n_ids + 1)
     done = [False] * (n_ids + 1)
@@ -105,51 +101,8 @@ def dijkstra_fastest(
         if done[u]:
             continue
         done[u] = True
-        if u == end:
+        if u == target:
             break
-        row = rows[u]
-        neighbors = out_neighbors[u] if out_neighbors is not None else range(1, n_ids + 1)
-        for v in neighbors:
-            if done[v]:
-                continue
-            w = row[v]
-            if w == INF:
-                continue
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heappush(heap, (nd, v))
-            elif nd == dist[v] and u < pred[v]:
-                pred[v] = u
-    if dist[end] == INF:
-        return None
-    path = [end]
-    while path[-1] != start:
-        path.append(pred[path[-1]])
-    path.reverse()
-    return PathResult(nodes=tuple(path), cost=dist[end])
-
-
-def shortest_path_tree(
-    matrix,
-    origin: int,
-    out_neighbors: Sequence[Sequence[int]] | None = None,
-) -> tuple[list[float], list[int]]:
-    """Single-source distances and predecessors, same tie-breaking as
-    dijkstra_fastest; useful for caching routes from a common origin."""
-    rows = matrix
-    n_ids = len(rows) - 1
-    dist = [INF] * (n_ids + 1)
-    pred = [0] * (n_ids + 1)
-    done = [False] * (n_ids + 1)
-    dist[origin] = 0.0
-    heap = [(0.0, origin)]
-    while heap:
-        d, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
         row = rows[u]
         neighbors = out_neighbors[u] if out_neighbors is not None else range(1, n_ids + 1)
         for v in neighbors:
@@ -168,6 +121,38 @@ def shortest_path_tree(
     return dist, pred
 
 
+def dijkstra_fastest(
+    matrix,
+    start: int,
+    end: int,
+    out_neighbors: Sequence[Sequence[int]] | None = None,
+) -> PathResult | None:
+    """Minimum-total-weight node sequence from start to end, or None when every
+    path is +inf. Ties break deterministically: the frontier pops by
+    (cost, node id) and equal-cost predecessors prefer the lower node id.
+    Without `out_neighbors`, every node id is scanned as a neighbor.
+    """
+    if start == end:
+        raise DegenerateRouteRequest(f"start and destination are both {start}")
+    n_ids = len(matrix) - 1
+    if not (1 <= start <= n_ids and 1 <= end <= n_ids):
+        raise ContractError(f"node ids must be in 1..{n_ids}")
+    dist, pred = _search(matrix, start, out_neighbors, end)
+    if dist[end] == INF:
+        return None
+    return PathResult(nodes=tuple(tree_path(pred, start, end)), cost=dist[end])
+
+
+def shortest_path_tree(
+    matrix,
+    origin: int,
+    out_neighbors: Sequence[Sequence[int]] | None = None,
+) -> tuple[list[float], list[int]]:
+    """Single-source distances and predecessors, same tie-breaking as
+    dijkstra_fastest; useful for caching routes from a common origin."""
+    return _search(matrix, origin, out_neighbors)
+
+
 def tree_path(pred: list[int], origin: int, dest: int) -> list[int]:
     """Node sequence origin..dest out of a predecessor array."""
     path = [dest]
@@ -175,6 +160,24 @@ def tree_path(pred: list[int], origin: int, dest: int) -> list[int]:
         path.append(pred[path[-1]])
     path.reverse()
     return path
+
+
+def journey_rows(
+    net: TrafficNetwork,
+    volumes: np.ndarray,
+    event_nodes: set[int],
+    event_links: set[int],
+) -> list[dict[int, float]]:
+    """Event-masked journey-time rows for the planner: rows[u][v] is the time
+    of link u->v under `volumes` (one count per link), +inf when the link is
+    jammed, flagged (`event_links` holds link indices) or leads into a
+    flagged node. Equal, entry for entry on every link, to
+    mask_events(build_journey_matrix(net, volumes), ...)."""
+    times = link_journey_times(net, volumes)
+    times[list(event_links)] = INF
+    for n in event_nodes:
+        times[net.in_links[n]] = INF
+    return net.link_rows(times)
 
 
 def mask_events(

@@ -1,9 +1,15 @@
-"""Road network model: directed links, density/speed/journey-time laws, journey matrix.
+"""Road network model: directed links and the density/speed/journey-time laws.
 
-Node ids are dense integers 1..M. Journey matrices are (M+1, M+1) float arrays
-indexed directly by node id (row/column 0 unused, kept at +inf); entry (i, j)
-is the traversal time in seconds of link i->j, or +inf when there is no such
-link or the link is effectively closed.
+Node ids are dense integers 1..M; links are indexed 0..L-1 in file order, and
+per-link quantities (lengths, volumes, speeds, journey times) are arrays in
+that order. The speed-density law has one implementation, `_speed_law`,
+elementwise on arrays; `link_speeds` and the scalar `journey_speed` call it.
+The planner reads per-node rows (`TrafficNetwork.link_rows`): rows[u][v] is
+the value of link u->v, one small mapping per node, so planning costs O(L)
+per snapshot instead of O(M^2).
+Journey times are in seconds, +inf when a link is jammed or closed.
+`build_journey_matrix` keeps the dense (M+1, M+1) form, indexed by node id
+with +inf wherever no traversable link exists, as a reference.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ class TrafficNetwork:
         self.link_index: dict[tuple[int, int], int] = {
             l.pair: i for i, l in enumerate(links)
         }
+        self.pairs = list(self.link_index)  # link order; pairs are unique
         self.out_links: list[list[int]] = [[] for _ in range(self.node_count + 1)]
         self.in_links: list[list[int]] = [[] for _ in range(self.node_count + 1)]
         for i, l in enumerate(links):
@@ -73,6 +80,14 @@ class TrafficNetwork:
             sorted(links[i].to_node for i in outs) for outs in self.out_links
         ]
         self._reach_cache: dict[int, frozenset[int]] = {}
+
+    def link_rows(self, values: np.ndarray) -> list[dict[int, float]]:
+        """Per-node rows of a link-indexed vector: rows[u][v] = values[i] for
+        link i = u->v, in a list indexed by node id (entry 0 unused)."""
+        rows: list[dict[int, float]] = [{} for _ in range(self.node_count + 1)]
+        for (u, v), x in zip(self.pairs, values.tolist()):
+            rows[u][v] = x
+        return rows
 
     def link_between(self, from_node: int, to_node: int) -> Link | None:
         idx = self.link_index.get((from_node, to_node))
@@ -138,9 +153,20 @@ def traffic_density(volume: float, length_m: float) -> float:
     return volume / length_m
 
 
+def _speed_law(density, v_free_mps, k_max):
+    """Greenshields' linear density-speed law, clamped at 0 beyond jam
+    density; elementwise on arrays. NaN density reads as speed 0."""
+    return np.fmax(0.0, v_free_mps * (1.0 - density / k_max))
+
+
 def journey_speed(density: float, v_free_mps: float, k_max: float) -> float:
     """Linear density-speed law, clamped at 0 beyond jam density."""
-    return max(0.0, v_free_mps * (1.0 - density / k_max))
+    return float(_speed_law(density, v_free_mps, k_max))
+
+
+def link_speeds(net: TrafficNetwork, counts: np.ndarray) -> np.ndarray:
+    """Speed of every link carrying `counts` vehicles (one per link)."""
+    return _speed_law(counts / net.lengths, net.v_free, net.k_max)
 
 
 def link_journey_time(
@@ -159,6 +185,16 @@ def journey_time(link: Link, volume: float) -> float:
     )
 
 
+def link_journey_times(net: TrafficNetwork, volumes: np.ndarray) -> np.ndarray:
+    """Seconds to traverse every link under `volumes` (one count per link),
+    +inf where the speed is at or below SPEED_FLOOR_MPS. A fresh array."""
+    speed = link_speeds(net, volumes)
+    return np.divide(
+        net.lengths, speed, out=np.full(net.link_count, INF),
+        where=speed > SPEED_FLOOR_MPS,
+    )
+
+
 def build_journey_matrix(net: TrafficNetwork, volumes) -> np.ndarray:
     """Journey-time matrix indexed by node id; +inf where no traversable link.
 
@@ -170,23 +206,9 @@ def build_journey_matrix(net: TrafficNetwork, volumes) -> np.ndarray:
             f"volumes must have one entry per link "
             f"({net.link_count}), got shape {vols.shape}"
         )
-    density = vols / net.lengths
-    speed = np.maximum(0.0, net.v_free * (1.0 - density / net.k_max))
-    times = np.full(net.link_count, INF)
-    open_mask = speed > SPEED_FLOOR_MPS
-    times[open_mask] = net.lengths[open_mask] / speed[open_mask]
-
     m = net.node_count
     mat = np.full((m + 1, m + 1), INF)
-    mat[net.from_ids, net.to_ids] = times
-    return mat
-
-
-def static_length_matrix(net: TrafficNetwork) -> np.ndarray:
-    """Link lengths in matrix form, for shortest-distance routing."""
-    m = net.node_count
-    mat = np.full((m + 1, m + 1), INF)
-    mat[net.from_ids, net.to_ids] = net.lengths
+    mat[net.from_ids, net.to_ids] = link_journey_times(net, vols)
     return mat
 
 

@@ -27,10 +27,6 @@ class EventSpec:
     end_s: float | None = None  # None: never clears within the run
     density: float = DEFAULT_GATHERING_DENSITY
 
-    @property
-    def location(self):
-        return self.link if self.kind == "accident" else self.node
-
 
 @dataclass(frozen=True)
 class RandomEvents:

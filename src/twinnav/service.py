@@ -16,27 +16,34 @@ route_request gets exactly one route_response or error. Unknown types answer
 {"type": "error", "code": "unknown_type"}; unparsable lines answer
 {"type": "error", "code": "parse"} and keep the connection open.
 
+A reading's volume, speed_mps and density must be finite and non-negative,
+`occupied` a JSON boolean and `time_s`, when given, a finite JSON number;
+anything else answers `bad_request` and leaves the twin unchanged.
+
 Sensor updates feed a live twin (a source's coverage is exactly what it
-reports); each update advances the service clock and re-runs event detection,
-and route requests plan over the current event-masked journey matrix.
+reports); each update advances the service clock, re-runs event detection and
+clears every flag whose latest reading no longer meets its criterion (the
+service has no scheduled causes). Route requests plan over event-masked
+journey-time rows built from the twin's current volumes.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import socketserver
 import threading
 
 from . import nav
 from .errors import ContractError, DegenerateRouteRequest
-from .network import build_journey_matrix
 from .scenario import Scenario
 from .twin import (
     LinkReading,
     Observation,
     SensingSource,
     TwinState,
+    clear_resolved_events,
     detect_accident,
     detect_pedestrian_gathering,
     ingest_observation,
@@ -73,19 +80,30 @@ class ServiceState:
             raise ServiceError("bad_request", f"unknown source kind {kind!r}")
         try:
             source_id = int(source_doc.get("id", 0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ServiceError("bad_request", "source id must be an integer")
+        time_s = msg.get("time_s")
+        try:
+            bad_time = time_s is not None and (
+                isinstance(time_s, bool) or not math.isfinite(time_s))
+        except (TypeError, OverflowError):  # not a number, or an int past float range
+            bad_time = True
+        if bad_time:
+            raise ServiceError("bad_request", f"time_s must be a finite number, got {time_s!r}")
 
         links: dict[tuple[int, int], LinkReading] = {}
         for item in msg.get("links", []):
             try:
                 pair = (int(item["from"]), int(item["to"]))
+                occupied = item["occupied"]
+                if occupied is not True and occupied is not False:
+                    raise ValueError(f"occupied must be true or false, got {occupied!r}")
                 links[pair] = LinkReading(
                     volume=float(item["volume"]),
                     speed_mps=float(item["speed_mps"]),
-                    occupied=bool(item["occupied"]),
+                    occupied=occupied,
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ServiceError(
                     "bad_request",
                     f"link readings need from, to, volume, speed_mps, occupied ({exc})",
@@ -94,7 +112,7 @@ class ServiceState:
         for item in msg.get("nodes", []):
             try:
                 nodes[int(item["id"])] = float(item["density"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ServiceError(
                     "bad_request", f"node readings need id and density ({exc})"
                 )
@@ -107,34 +125,39 @@ class ServiceState:
         )
         observation = Observation(links=links, node_densities=nodes)
         with self.lock:
-            now = float(msg.get("time_s", self.clock_s + self.dt_s))
-            self.clock_s = max(self.clock_s, now)
+            now = self.clock_s + self.dt_s if time_s is None else float(time_s)
             try:
                 ingest_observation(self.twin, source, observation, True, now)
             except ContractError as exc:
                 raise ServiceError("bad_request", str(exc))
+            self.clock_s = max(self.clock_s, now)
             detect_pedestrian_gathering(self.twin, self.thresholds)
             detect_accident(self.twin, self.thresholds, self.clock_s)
+            # No scheduled causes here, so any flag may clear on recovery
+            # evidence. Only what this update covered can have recovered: every
+            # other flag already failed the test after its last reading.
+            clear_resolved_events(self.twin, self.thresholds, source.covered_nodes,
+                                  source.covered_links)
 
     def plan_route(self, msg: dict) -> dict:
         try:
             vehicle = msg["vehicle"]
             position = int(msg["position"])
             destination = int(msg["destination"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ServiceError(
                 "bad_request", f"route_request needs vehicle, position, destination ({exc})"
             )
         if position not in self.net.node_by_id or destination not in self.net.node_by_id:
             raise ServiceError("bad_request", "position or destination is not a node")
         with self.lock:
-            matrix = build_journey_matrix(self.net, self.twin.volumes())
-            masked = nav.mask_events(
-                matrix, self.twin.event_nodes, self.twin.event_link_pairs()
+            rows = nav.journey_rows(
+                self.net, self.twin.link_volume, self.twin.event_nodes,
+                self.twin.event_links,
             )
             try:
                 found = nav.dijkstra_fastest(
-                    masked, position, destination, self.net.out_neighbors
+                    rows, position, destination, self.net.out_neighbors
                 )
             except DegenerateRouteRequest as exc:
                 raise ServiceError("degenerate_request", str(exc))

@@ -4,7 +4,7 @@ Vehicles move link by link at the speed implied by their current link's true
 vehicle count (linear density-speed law); links hosting an active event force
 speed 0. Transfers between links are FIFO and capacity-gated, so a link never
 holds more than k_max * length vehicles. Connected vehicles are routed by the
-cloud loop (twin -> detection -> masked journey matrix -> planner) while
+cloud loop (twin -> detection -> masked journey-time rows -> planner) while
 unconnected vehicles follow their static shortest-distance route.
 
 Step phases, in fixed order: spawn, event schedule, sensing and twin ingest,
@@ -25,7 +25,7 @@ import numpy as np
 from . import nav
 from .comms import FlowStreams, check_deadline, deliver, sample_service_latency
 from .errors import ConfigError
-from .network import TrafficNetwork, build_journey_matrix, static_length_matrix
+from .network import TrafficNetwork, link_speeds
 from .scenario import Scenario, EventSpec
 from .twin import TwinState, clear_resolved_events, detect_accident, \
     detect_pedestrian_gathering
@@ -112,18 +112,23 @@ class MetricsSummary:
         return ",".join(f"{getattr(self, f):.6f}" for f in self.CSV_FIELDS)
 
 
+# Largest rate drawn in one product loop: exp(-lam) underflows near 745.
+_POISSON_CHUNK = 500.0
+
+
 def poisson_draw(rng: random.Random, lam: float) -> int:
-    """Knuth's product method; exact and stable for the small rates used here."""
-    if lam <= 0:
-        return 0
-    threshold = math.exp(-lam)
+    """Knuth's product method, over chunks of rate at most _POISSON_CHUNK
+    whose draws add up (a sum of Poisson variates is Poisson)."""
     k = 0
-    p = 1.0
-    while True:
-        p *= rng.random()
-        if p <= threshold:
-            return k
-        k += 1
+    while lam > 0:
+        chunk = min(lam, _POISSON_CHUNK)
+        threshold = math.exp(-chunk)
+        p = rng.random()
+        while p > threshold:
+            k += 1
+            p *= rng.random()
+        lam -= chunk
+    return k
 
 
 def shortest_distance_route(
@@ -132,7 +137,7 @@ def shortest_distance_route(
     """Static route minimizing total length in meters; ties break exactly like
     the journey-time planner."""
     found = nav.dijkstra_fastest(
-        static_length_matrix(net).tolist(), start, end, net.out_neighbors
+        net.link_rows(net.lengths), start, end, net.out_neighbors
     )
     if found is None:
         return None
@@ -206,7 +211,7 @@ class Engine:
             node_idx = np.array(sorted(src.covered_nodes), dtype=int)
             self._rsu_cov.append((src.source_id, link_idx, node_idx))
 
-        self._length_rows = static_length_matrix(net).tolist()
+        self._length_rows = net.link_rows(net.lengths)
         self._static_trees: dict[int, tuple[list[float], list[int]]] = {}
 
         self.step = -1
@@ -347,9 +352,7 @@ class Engine:
                 self._events_at_node.setdefault(ev.node, []).append(ev.index)
 
     def _compute_speeds(self) -> None:
-        net = self.net
-        density = self.link_counts / net.lengths
-        v = np.maximum(0.0, net.v_free * (1.0 - density / net.k_max))
+        v = link_speeds(self.net, self.link_counts)
         v[self.closed] = 0.0
         self.speeds = v
 
@@ -418,11 +421,9 @@ class Engine:
 
     def _plan(self, step: int) -> None:
         net = self.net
-        matrix = build_journey_matrix(net, self.twin.volumes())
-        masked = nav.mask_events(
-            matrix, self.twin.event_nodes, self.twin.event_link_pairs()
+        rows = nav.journey_rows(
+            net, self.twin.link_volume, self.twin.event_nodes, self.twin.event_links
         )
-        rows = masked.tolist()
         inp = nav.PlanningInput(
             matrix=rows,
             new_users={

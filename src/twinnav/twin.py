@@ -10,12 +10,15 @@ started), so a TwinState is bound to the thresholds it was created with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError
 from .network import TrafficNetwork
+
+INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -45,11 +48,6 @@ class SensingSource:
     @property
     def key(self) -> tuple[str, int]:
         return (self.kind, self.source_id)
-
-    @property
-    def order_key(self) -> tuple[int, int]:
-        # RSUs ingest before CAVs, ascending id: last writer wins.
-        return (0 if self.kind == "rsu" else 1, self.source_id)
 
 
 @dataclass(frozen=True)
@@ -154,8 +152,14 @@ def ingest_observation(
         idx = link_index.get(pair)
         if idx is None:
             raise ContractError(f"observation references unknown link {pair}")
-        if reading.volume < 0:
-            raise ContractError(f"negative volume for link {pair}")
+        # Chained comparisons are False for NaN: one test rejects NaN, negative
+        # and infinite readings.
+        if not 0 <= reading.volume < INF:
+            raise ContractError(f"volume for link {pair} must be finite and >= 0, "
+                                f"got {reading.volume}")
+        if not 0 <= reading.speed_mps < INF:
+            raise ContractError(f"speed for link {pair} must be finite and >= 0, "
+                                f"got {reading.speed_mps}")
         link_idx.append(idx)
         vols.append(reading.volume)
         speeds.append(reading.speed_mps)
@@ -164,8 +168,9 @@ def ingest_observation(
     for node, d in observation.node_densities.items():
         if node not in state.net.node_by_id:
             raise ContractError(f"observation references unknown node {node}")
-        if d < 0:
-            raise ContractError(f"negative pedestrian density at node {node}")
+        if not 0 <= d < INF:
+            raise ContractError(f"pedestrian density at node {node} must be finite "
+                                f"and >= 0, got {d}")
         node_idx.append(node)
         dens.append(d)
 
@@ -226,7 +231,7 @@ def clear_resolved_events(
             state.event_nodes.discard(n)
     links = state.net.links
     for i in list(state.event_links):
-        if links[i].pair in clearable_links and np.isnan(state.low_speed_since[i]):
+        if links[i].pair in clearable_links and math.isnan(state.low_speed_since[i]):
             state.event_links.discard(i)
 
 

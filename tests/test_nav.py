@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinnav.errors import ContractError, DegenerateRouteRequest
 from twinnav.nav import (
@@ -9,12 +10,15 @@ from twinnav.nav import (
     PlanningInput,
     Route,
     dijkstra_fastest,
+    journey_rows,
     mask_events,
     plan_new_users,
     replan_affected,
     request_distance,
     spliced_route,
 )
+from twinnav.netgen import generate_grid_network
+from twinnav.network import build_journey_matrix, network_from_dict
 
 
 def matrix_from_edges(n, edges):
@@ -235,6 +239,49 @@ def test_replan_minimality_random():
         }
         out = replan_affected(PlanningInput(matrix=masked), all_routes)
         assert set(out.routes) | out.unreachable == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_journey_rows_plan_like_the_dense_matrix(data):
+    """Sparse rows against the dense reference on random grids, with volumes
+    from empty to past jam density, flagged nodes and flagged links."""
+    rows, cols = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+    ortho = rows * (cols - 1) + cols * (rows - 1)
+    extra = data.draw(st.integers(0, 2 * (rows - 1) * (cols - 1)))
+    net = network_from_dict(generate_grid_network(
+        rows=rows, cols=cols, n_links=2 * (ortho + extra),
+        seed=data.draw(st.integers(0, 10_000)),
+    ))
+    m, n_links = net.node_count, net.link_count
+    volumes = np.array(data.draw(st.lists(
+        st.floats(0.0, 32.0), min_size=n_links, max_size=n_links)))
+    event_nodes = set(data.draw(st.lists(st.integers(1, m), max_size=3)))
+    event_links = set(data.draw(st.lists(st.integers(0, n_links - 1), max_size=4)))
+
+    sparse = journey_rows(net, volumes, event_nodes, event_links)
+    dense = mask_events(
+        build_journey_matrix(net, volumes), event_nodes,
+        {net.links[i].pair for i in event_links},
+    )
+    assert all(sparse[u][v] == dense[u, v] for u, v in net.pairs)
+    for start in range(1, m + 1):
+        for end in range(1, m + 1):
+            if start != end:
+                assert dijkstra_fastest(sparse, start, end, net.out_neighbors) == \
+                    dijkstra_fastest(dense, start, end)
+
+    free_flow = journey_rows(net, np.zeros(n_links), set(), set())
+    routes = {}
+    for vid in range(data.draw(st.integers(1, 6))):
+        start, end = data.draw(st.sampled_from(
+            [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]))
+        nodes = list(dijkstra_fastest(free_flow, start, end, net.out_neighbors).nodes)
+        cursor = data.draw(st.integers(1, len(nodes) - 1))
+        routes[vid] = Route(nodes=nodes, vehicle_id=vid, cursor=cursor)
+    assert replan_affected(PlanningInput(matrix=sparse, out_neighbors=net.out_neighbors),
+                           routes) == \
+        replan_affected(PlanningInput(matrix=dense), routes)
 
 
 def test_spliced_route_keeps_history():

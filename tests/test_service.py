@@ -1,11 +1,12 @@
 import json
+import math
 import socket
 import threading
 import time
 
 import pytest
 
-from twinnav.service import RouteService
+from twinnav.service import RouteService, ServiceState
 
 from conftest import diamond_doc, make_scenario
 
@@ -145,6 +146,13 @@ def test_bad_requests(server):
     )
     assert (
         c.request(
+            {"type": "route_request", "vehicle": "x", "position": math.inf,
+             "destination": 4}
+        )["code"]
+        == "bad_request"
+    )
+    assert (
+        c.request(
             {"type": "sensor_update", "source": {"kind": "rsu", "id": 0},
              "links": [{"from": 9, "to": 1, "volume": 1, "speed_mps": 1,
                         "occupied": True}]}
@@ -175,4 +183,96 @@ def test_response_latency_p50(server):
         times.append(time.perf_counter() - t0)
     times.sort()
     assert times[len(times) // 2] < 0.050
+    c.close()
+
+
+# ------------------------------------------------- flag clearing, bad readings
+
+
+def free_link_update(time_s, pair=(2, 4)):
+    return slow_link_update(time_s, pair, speed=9.0)
+
+
+def node_update(time_s, node, density):
+    return {
+        "type": "sensor_update",
+        "source": {"kind": "rsu", "id": 1},
+        "time_s": time_s,
+        "nodes": [{"id": node, "density": density}],
+    }
+
+
+def diamond_state():
+    return ServiceState(make_scenario(diamond_doc(), traffic={"n_vel": 0, "p_user": 0.0}))
+
+
+def test_flagged_link_clears_on_free_flow_readings():
+    state = diamond_state()
+    for t in (0.0, 5.0, 10.0):
+        state.apply_sensor_update(slow_link_update(t, (2, 4)))
+    assert state.twin.event_link_pairs() == {(2, 4)}
+    for t in range(11, 201):
+        state.apply_sensor_update(free_link_update(float(t)))
+    assert state.twin.event_link_pairs() == set()
+
+
+def test_flagged_node_clears_at_or_below_threshold():
+    state = diamond_state()
+    state.apply_sensor_update(node_update(1.0, 3, 1.5))
+    assert state.twin.event_nodes == {3}
+    state.apply_sensor_update(node_update(2.0, 3, state.thresholds.density_threshold))
+    assert state.twin.event_nodes == set()
+
+
+def twin_view(state):
+    twin = state.twin
+    return (
+        json.dumps(twin.snapshot_dict(), sort_keys=True),
+        state.clock_s,
+        twin.low_speed_since.tobytes(),
+        dict(twin.last_update),
+    )
+
+
+def reading(**overrides):
+    item = {"from": 1, "to": 2, "volume": 2, "speed_mps": 0.1, "occupied": True}
+    item.update(overrides)
+    return item
+
+
+BAD_UPDATES = {
+    "occupied as a string": {"links": [reading(occupied="false")]},
+    "occupied as a number": {"links": [reading(occupied=1)]},
+    "infinite time": {"time_s": math.inf, "links": [reading()]},
+    "NaN time": {"time_s": math.nan, "links": [reading()]},
+    "time as a string": {"time_s": "12", "links": [reading()]},
+    "time past float range": {"time_s": 10**400, "links": [reading()]},
+    "NaN volume": {"links": [reading(volume=math.nan)]},
+    "infinite volume": {"links": [reading(volume=math.inf)]},
+    "negative volume": {"links": [reading(volume=-1)]},
+    "NaN speed": {"links": [reading(speed_mps=math.nan)]},
+    "negative speed": {"links": [reading(speed_mps=-0.5)]},
+    "infinite speed": {"links": [reading(speed_mps=math.inf)]},
+    "NaN density": {"nodes": [{"id": 3, "density": math.nan}]},
+    "negative density": {"nodes": [{"id": 3, "density": -0.1}]},
+    "infinite density": {"nodes": [{"id": 3, "density": math.inf}]},
+    "infinite link endpoint": {"links": [reading(to=math.inf)]},
+    "infinite source id": {"source": {"kind": "rsu", "id": math.inf}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_UPDATES))
+def test_bad_reading_rejected_and_twin_unchanged(server, case):
+    c = Client(server.port)
+    route = {"type": "route_request", "vehicle": "x", "position": 1, "destination": 4}
+    c.send(slow_link_update(5.0))
+    assert c.request(route)["type"] == "route_response"  # the update is applied
+    before = twin_view(server.state)
+    msg = {"type": "sensor_update", "source": {"kind": "rsu", "id": 0}, "time_s": 7.0}
+    msg.update(BAD_UPDATES[case])
+    c.send(msg)  # json.dumps writes NaN and Infinity as Python's json reads them
+    c.send(route)
+    assert c.recv()["code"] == "bad_request"
+    assert c.recv()["type"] == "route_response"
+    assert twin_view(server.state) == before
     c.close()

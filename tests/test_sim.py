@@ -1,13 +1,48 @@
 import math
+import random
 
 import pytest
 
 from twinnav.network import network_from_dict
-from twinnav.sim import Engine, MetricsSummary, Vehicle, record_encounter, run, \
-    shortest_distance_route
+from twinnav.sim import Engine, MetricsSummary, Vehicle, poisson_draw, \
+    record_encounter, run, shortest_distance_route
 from twinnav.nav import Route
 
 from conftest import corridor_doc, diamond_doc, grid_nodes, link, make_scenario
+
+
+# ------------------------------------------------------------- spawn counts
+
+
+def knuth_single_loop(rng, lam):
+    """Knuth's product method in one loop, as the engine drew before rates
+    were split into chunks: the reference for every rate up to 500."""
+    if lam <= 0:
+        return 0
+    threshold = math.exp(-lam)
+    k = 0
+    p = 1.0
+    while True:
+        p *= rng.random()
+        if p <= threshold:
+            return k
+        k += 1
+
+
+def test_poisson_draw_unchanged_up_to_rate_500():
+    for lam in (0.0, 0.3, 1.0, 7.5, 120.0, 499.9, 500.0):
+        a, b = random.Random(f"p/{lam}"), random.Random(f"p/{lam}")
+        assert [poisson_draw(a, lam) for _ in range(50)] == \
+            [knuth_single_loop(b, lam) for _ in range(50)]
+        assert a.random() == b.random()  # the same stream consumed
+
+
+def test_poisson_draw_mean_at_large_rate():
+    # exp(-2000) underflows to 0, which would stop a single loop near 745.
+    rng = random.Random(2000)
+    lam, n = 2000.0, 200
+    mean = sum(poisson_draw(rng, lam) for _ in range(n)) / n
+    assert abs(mean - lam) < 5 * math.sqrt(lam / n)
 
 
 # --------------------------------------------------------- static route choice
