@@ -23,6 +23,9 @@ import numpy as np
 from .errors import ConfigError, ContractError
 
 INF = math.inf
+# A vehicle this close to a link's end counts as at the end. Every link must be
+# longer, so that a vehicle that has just entered a link is never at its end.
+END_TOLERANCE_M = 1e-9
 
 # Links whose journey speed falls at or below this floor behave as closed:
 # avoids division by ~0 and makes jammed links look like +inf to the planner.
@@ -127,6 +130,9 @@ def _validate_topology(nodes: list[Node], links: list[Link]) -> None:
             if len(ids) > 5
             else f"node ids must be dense 1..{len(nodes)}, got {ids}"
         )
+    for n in nodes:
+        if not (abs(n.x_m) < INF and abs(n.y_m) < INF):
+            raise ConfigError(f"node {n.node_id}: x_m and y_m must be finite")
     id_set = set(ids)
     seen_pairs: set[tuple[int, int]] = set()
     for k, l in enumerate(links):
@@ -138,12 +144,15 @@ def _validate_topology(nodes: list[Node], links: list[Link]) -> None:
         if l.pair in seen_pairs:
             raise ConfigError(f"{where}: duplicate link for this ordered pair")
         seen_pairs.add(l.pair)
-        if l.length_m <= 0:
-            raise ConfigError(f"{where}: length_m must be > 0")
-        if l.v_free_mps <= 0:
-            raise ConfigError(f"{where}: free-flow speed must be > 0")
-        if l.k_max_veh_per_m <= 0:
-            raise ConfigError(f"{where}: k_max_veh_per_m must be > 0")
+        # Chained comparisons are False for NaN: one test per value rejects
+        # NaN, infinite and non-positive numbers.
+        if not END_TOLERANCE_M < l.length_m < INF:
+            raise ConfigError(
+                f"{where}: length_m must be finite and > {END_TOLERANCE_M}")
+        if not 0 < l.v_free_mps < INF:
+            raise ConfigError(f"{where}: free-flow speed must be finite and > 0")
+        if not 0 < l.k_max_veh_per_m < INF:
+            raise ConfigError(f"{where}: k_max_veh_per_m must be finite and > 0")
 
 
 def traffic_density(volume: float, length_m: float) -> float:
@@ -233,7 +242,7 @@ def network_from_dict(doc: dict, source: str = "network") -> TrafficNetwork:
                     y_m=float(item["y_m"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: expected {{id, x_m, y_m}} ({exc})") from exc
 
     links = []
@@ -257,7 +266,7 @@ def network_from_dict(doc: dict, source: str = "network") -> TrafficNetwork:
                     k_max_veh_per_m=float(item["k_max_veh_per_m"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
                 f"{where}: expected {{from, to, length_m, v_free_mps|v_free_kmh, "
                 f"k_max_veh_per_m}} ({exc})"

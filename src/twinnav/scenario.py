@@ -6,6 +6,7 @@ relative to the file's directory.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -115,6 +116,18 @@ class Scenario:
         return out
 
 
+def _finite(value) -> float:
+    """float(value) for a scenario field. NaN, the infinities and integers past
+    float range, all of which a JSON reader hands over, raise ValueError."""
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"number out of float range: {value}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x}")
+    return x
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -126,21 +139,30 @@ def _parse_event(item: dict, k: int, net: TrafficNetwork, where: str) -> EventSp
     kind = _require(item, "kind", w)
     if kind not in EVENT_KINDS:
         raise ConfigError(f"{w}: kind must be one of {EVENT_KINDS}, got {kind!r}")
-    onset = float(item.get("onset_s", 0.0))
-    end = item.get("end_s")
-    end_s = None if end is None else float(end)
+    try:
+        onset = _finite(item.get("onset_s", 0.0))
+        end = item.get("end_s")
+        end_s = None if end is None else _finite(end)
+        density = _finite(item.get("density", DEFAULT_GATHERING_DENSITY))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{w}: onset_s, end_s and density must be numbers ({exc})") from exc
     if end_s is not None and end_s < onset:
         raise ConfigError(f"{w}: end_s precedes onset_s")
-    density = float(item.get("density", DEFAULT_GATHERING_DENSITY))
     if kind == "gathering":
-        node = int(_require(item, "node", w))
+        try:
+            node = int(_require(item, "node", w))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{w}: node must be a node id ({exc})") from exc
         if node not in net.node_by_id:
             raise ConfigError(f"{w}: unknown node {node}")
         return EventSpec(kind=kind, node=node, onset_s=onset, end_s=end_s, density=density)
     raw = _require(item, "link", w)
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
         raise ConfigError(f"{w}: link must be a [from, to] pair")
-    pair = (int(raw[0]), int(raw[1]))
+    try:
+        pair = (int(raw[0]), int(raw[1]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{w}: link must be a [from, to] pair ({exc})") from exc
     if net.link_between(*pair) is None:
         raise ConfigError(f"{w}: no link {pair[0]}->{pair[1]} in the network")
     return EventSpec(kind=kind, link=pair, onset_s=onset, end_s=end_s, density=density)
@@ -160,24 +182,24 @@ def _parse_latency(doc: dict, where: str) -> LatencyModel:
                 raise ConfigError(f"{w}: expected an object")
             try:
                 flows[name] = FlowLatency(
-                    min_ms=float(spec["min_ms"]),
-                    max_ms=float(spec["max_ms"]),
+                    min_ms=_finite(spec["min_ms"]),
+                    max_ms=_finite(spec["max_ms"]),
                     dist=spec.get("dist", "uniform"),
                     mean_ms=(
-                        float(spec["mean_ms"]) if "mean_ms" in spec else None
+                        _finite(spec["mean_ms"]) if "mean_ms" in spec else None
                     ),
                 )
             except KeyError as exc:
                 raise ConfigError(f"{w}: missing {exc}") from exc
-            except ConfigError as exc:
+            except (ConfigError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{w}: {exc}") from exc
     try:
         return LatencyModel(
             flows=flows,
-            pdr_ssms=float(doc.get("pdr_ssms", 0.9953)),
-            pdr_info=float(doc.get("pdr_info", 1.0)),
+            pdr_ssms=_finite(doc.get("pdr_ssms", 0.9953)),
+            pdr_info=_finite(doc.get("pdr_info", 1.0)),
         )
-    except ConfigError as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -196,11 +218,11 @@ def scenario_from_dict(
     sim_doc = _require(doc, "sim", source)
     try:
         sim = SimParams(
-            dt_s=float(sim_doc["dt_s"]),
-            t_sim_s=float(sim_doc["t_sim_s"]),
+            dt_s=_finite(sim_doc["dt_s"]),
+            t_sim_s=_finite(sim_doc["t_sim_s"]),
             seed=int(sim_doc.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{source}: sim block needs dt_s and t_sim_s ({exc})") from exc
     if sim.dt_s <= 0:
         raise ConfigError(f"{source}: sim.dt_s must be > 0")
@@ -213,12 +235,12 @@ def scenario_from_dict(
     try:
         traffic = TrafficParams(
             n_vel=int(tr_doc["n_vel"]),
-            p_user=float(tr_doc["p_user"]),
-            spawn_window_frac=float(
+            p_user=_finite(tr_doc["p_user"]),
+            spawn_window_frac=_finite(
                 tr_doc.get("spawn", {}).get("window_frac", 0.8)
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{source}: traffic block needs n_vel and p_user ({exc})") from exc
     if traffic.n_vel < 0:
         raise ConfigError(f"{source}: traffic.n_vel must be >= 0")
@@ -245,17 +267,18 @@ def scenario_from_dict(
                 count=int(er["count"]),
                 kinds=kinds,
                 onset_min_s=(
-                    float(er["onset_min_s"]) if "onset_min_s" in er else None
+                    _finite(er["onset_min_s"]) if "onset_min_s" in er else None
                 ),
                 onset_max_s=(
-                    float(er["onset_max_s"]) if "onset_max_s" in er else None
+                    _finite(er["onset_max_s"]) if "onset_max_s" in er else None
                 ),
                 duration_s=(
-                    float(er["duration_s"]) if er.get("duration_s") is not None else None
+                    _finite(er["duration_s"])
+                    if er.get("duration_s") is not None else None
                 ),
-                density=float(er.get("density", DEFAULT_GATHERING_DENSITY)),
+                density=_finite(er.get("density", DEFAULT_GATHERING_DENSITY)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{source}: events_random needs count ({exc})") from exc
         bad = set(events_random.kinds) - set(EVENT_KINDS)
         if bad or not events_random.kinds:
@@ -269,8 +292,8 @@ def scenario_from_dict(
     for k, item in enumerate(doc.get("sensing", {}).get("rsus", [])):
         w = f"{source}: sensing.rsus[{k}]"
         try:
-            rsu = RsuSpec(node=int(item["node"]), radius_m=float(item["radius_m"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            rsu = RsuSpec(node=int(item["node"]), radius_m=_finite(item["radius_m"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{w}: expected {{node, radius_m}} ({exc})") from exc
         if rsu.node not in net.node_by_id:
             raise ConfigError(f"{w}: unknown node {rsu.node}")
@@ -281,9 +304,9 @@ def scenario_from_dict(
     th_doc = doc.get("thresholds", {})
     try:
         thresholds = EventThresholds(
-            density_threshold=float(th_doc.get("density_threshold", 0.5)),
-            speed_threshold=float(th_doc.get("speed_threshold", 0.5)),
-            accident_window_s=float(th_doc.get("accident_window_s", 10.0)),
+            density_threshold=_finite(th_doc.get("density_threshold", 0.5)),
+            speed_threshold=_finite(th_doc.get("speed_threshold", 0.5)),
+            accident_window_s=_finite(th_doc.get("accident_window_s", 10.0)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: bad thresholds block ({exc})") from exc

@@ -14,11 +14,15 @@ One UTF-8 JSON message per line over a plain TCP stream. Incoming types:
 A sensor_update gets no reply on success (errors are reported); a
 route_request gets exactly one route_response or error. Unknown types answer
 {"type": "error", "code": "unknown_type"}; unparsable lines answer
-{"type": "error", "code": "parse"} and keep the connection open.
+{"type": "error", "code": "parse"} and keep the connection open. A line longer
+than MAX_LINE_BYTES, its newline included, is discarded unread up to its
+newline and answers {"type": "error", "code": "line_too_long"}; the connection
+stays open.
 
 A reading's volume, speed_mps and density must be finite and non-negative,
-`occupied` a JSON boolean and `time_s`, when given, a finite JSON number;
-anything else answers `bad_request` and leaves the twin unchanged.
+`occupied` a JSON boolean, `time_s`, when given, a finite JSON number, and
+`links` and `nodes`, when given, JSON arrays; anything else answers
+`bad_request` and leaves the twin unchanged.
 
 Sensor updates feed a live twin (a source's coverage is exactly what it
 reports); each update advances the service clock, re-runs event detection and
@@ -50,6 +54,10 @@ from .twin import (
 )
 
 log = logging.getLogger(__name__)
+
+# Longest line read, newline included. A sensor update of a large RSU (about
+# 100 links) is ~10 KB.
+MAX_LINE_BYTES = 1 << 20
 
 
 class ServiceError(Exception):
@@ -91,8 +99,12 @@ class ServiceState:
         if bad_time:
             raise ServiceError("bad_request", f"time_s must be a finite number, got {time_s!r}")
 
+        link_items = msg.get("links", [])
+        node_items = msg.get("nodes", [])
+        if not isinstance(link_items, list) or not isinstance(node_items, list):
+            raise ServiceError("bad_request", "links and nodes must be JSON arrays")
         links: dict[tuple[int, int], LinkReading] = {}
-        for item in msg.get("links", []):
+        for item in link_items:
             try:
                 pair = (int(item["from"]), int(item["to"]))
                 occupied = item["occupied"]
@@ -109,7 +121,7 @@ class ServiceState:
                     f"link readings need from, to, volume, speed_mps, occupied ({exc})",
                 )
         nodes: dict[int, float] = {}
-        for item in msg.get("nodes", []):
+        for item in node_items:
             try:
                 nodes[int(item["id"])] = float(item["density"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -179,12 +191,21 @@ class ServiceState:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         state: ServiceState = self.server.state
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
+        while True:
+            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if not raw:
+                break
             reply = None
             try:
+                if len(raw) > MAX_LINE_BYTES:
+                    while raw and not raw.endswith(b"\n"):  # discard the rest
+                        raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+                    raise ServiceError(
+                        "line_too_long", f"lines are limited to {MAX_LINE_BYTES} bytes"
+                    )
+                line = raw.strip()
+                if not line:
+                    continue
                 try:
                     msg = json.loads(line.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:

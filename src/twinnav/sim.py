@@ -10,6 +10,14 @@ unconnected vehicles follow their static shortest-distance route.
 Step phases, in fixed order: spawn, event schedule, sensing and twin ingest,
 event detection, route planning and delivery, movement, bookkeeping. One run
 is single-threaded and fully determined by (scenario, seed).
+
+No step phase loops over the vehicles ever spawned: the per-vehicle loops walk
+the live list (spawned, not yet arrived, in vid order), movement's vehicle
+loops visit only the links that hold vehicles, and the connected vehicles'
+delivered readings reach the twin in one batched ingest after the RSUs'. A step
+still does O(links) work: link speeds and the occupied-link scan in
+numpy, the speed and closure lists the vehicle loops read, and the planner's
+journey-time rows.
 """
 
 from __future__ import annotations
@@ -25,14 +33,14 @@ import numpy as np
 from . import nav
 from .comms import FlowStreams, check_deadline, deliver, sample_service_latency
 from .errors import ConfigError
-from .network import TrafficNetwork, link_speeds
+from .network import END_TOLERANCE_M, TrafficNetwork, link_speeds
 from .scenario import Scenario, EventSpec
 from .twin import TwinState, clear_resolved_events, detect_accident, \
     detect_pedestrian_gathering
 
 CAV = "cav"
 UNCONNECTED = "unconnected"
-_END_EPS = 1e-9
+_END_EPS = END_TOLERANCE_M  # every link is longer (the loader checks)
 _CAP_EPS = 1e-9
 
 
@@ -54,10 +62,6 @@ class Vehicle:
     @property
     def arrived(self) -> bool:
         return self.arrival_step is not None
-
-    @property
-    def entered(self) -> bool:
-        return self.link_idx is not None or self.arrived
 
 
 @dataclass(frozen=True)
@@ -195,12 +199,16 @@ class Engine:
         self.events = self._materialize_events()
         self.twin = TwinState(net, scenario.thresholds)
 
-        self.vehicles: list[Vehicle] = []
+        self.vehicles: list[Vehicle] = []  # every spawned vehicle; vid - 1 = index
+        self._active: list[Vehicle] = []  # spawned and not yet arrived, vid order
         self.link_counts = np.zeros(net.link_count, dtype=np.int64)
         self.link_queues: list[deque[Vehicle]] = [
             deque() for _ in range(net.link_count)
         ]
         self.link_capacity = net.k_max * net.lengths
+        # Python floats for the per-vehicle loops (float64 -> float is exact).
+        self._lengths = net.lengths.tolist()
+        self._capacity = self.link_capacity.tolist()
 
         # RSU coverage is static: precompute index arrays per source.
         self._rsu_cov: list[tuple[int, np.ndarray, np.ndarray]] = []
@@ -329,6 +337,7 @@ class Engine:
                     nodes=nav.tree_path(pred, origin, dest), vehicle_id=vid
                 )
             self.vehicles.append(veh)
+            self._active.append(veh)
             self._spawned += 1
 
     def _update_events(self, step: int) -> None:
@@ -370,7 +379,7 @@ class Engine:
             if not delivered:
                 continue
             self.twin.ingest_arrays(
-                ("rsu", rsu_id),
+                ("rsu", [rsu_id]),
                 link_idx,
                 self.link_counts[link_idx],
                 self.speeds[link_idx],
@@ -379,15 +388,20 @@ class Engine:
                 self.truth_density[node_idx],
                 now,
             )
-        for veh in self.vehicles:
+        # One batch for every delivered vehicle reading. Readers of one link
+        # report its same true state, so duplicate indices write equal values.
+        cav_ids: list[int] = []
+        cav_links: list[int] = []
+        for veh in self._active:
             if veh.klass != CAV or veh.link_idx is None:
                 continue
-            delivered = deliver(model.pdr_info, info_rng)
-            if not delivered:
-                continue
-            li = np.array([veh.link_idx], dtype=int)
+            if deliver(model.pdr_info, info_rng):
+                cav_ids.append(veh.vid)
+                cav_links.append(veh.link_idx)
+        if cav_ids:
+            li = np.array(cav_links, dtype=int)
             self.twin.ingest_arrays(
-                ("cav", veh.vid),
+                ("cav", cav_ids),
                 li,
                 self.link_counts[li],
                 self.speeds[li],
@@ -428,16 +442,16 @@ class Engine:
             matrix=rows,
             new_users={
                 v.vid: (v.origin, v.destination)
-                for v in self.vehicles
-                if v.klass == CAV and not v.entered
+                for v in self._active
+                if v.klass == CAV and v.link_idx is None
             },
             out_neighbors=net.out_neighbors,
         )
-        by_vid = {v.vid: v for v in self.vehicles}
+        vehicles = self.vehicles  # vids are 1-based spawn order
         fresh = nav.plan_new_users(inp)
         for vid in sorted(fresh.routes):
             route = fresh.routes[vid]
-            veh = by_vid[vid]
+            veh = vehicles[vid - 1]
             t_svc = sample_service_latency(
                 self.scenario.latency, self.streams, self.single_v2c
             )
@@ -451,12 +465,12 @@ class Engine:
 
         current = {
             v.vid: v.route
-            for v in self.vehicles
+            for v in self._active
             if v.klass == CAV and v.link_idx is not None and v.route is not None
         }
         replanned = nav.replan_affected(inp, current)
         for vid in sorted(replanned.routes):
-            veh = by_vid[vid]
+            veh = vehicles[vid - 1]
             t_svc = sample_service_latency(
                 self.scenario.latency, self.streams, self.single_v2c
             )
@@ -475,21 +489,27 @@ class Engine:
     def _move(self, step: int) -> None:
         net = self.net
         dt = self.dt
-        lengths = net.lengths
-        for li in range(net.link_count):
-            dq = self.link_queues[li]
-            if not dq:
-                continue
-            v = self.speeds[li]
+        lengths = self._lengths
+        capacity = self._capacity
+        queues = self.link_queues
+        counts = self.link_counts
+        speeds = self.speeds.tolist()
+        closed = self.closed.tolist()
+        # Only occupied links can advance or release anyone: a link empty
+        # before the transfer pass gains vehicles at pos_m = 0 only, and every
+        # link is longer than _END_EPS, so none of them is at its end.
+        occupied = np.flatnonzero(counts).tolist()
+        for li in occupied:
+            v = speeds[li]
             if v > 0.0:
                 length = lengths[li]
                 adv = v * dt
-                for veh in dq:
+                for veh in queues[li]:
                     veh.pos_m = min(veh.pos_m + adv, length)
         # FIFO head transfers; a closed link releases nobody.
-        for li in range(net.link_count):
-            dq = self.link_queues[li]
-            if not dq or self.closed[li]:
+        for li in occupied:
+            dq = queues[li]
+            if not dq or closed[li]:
                 continue
             length = lengths[li] - _END_EPS
             while dq and dq[0].pos_m >= length:
@@ -497,7 +517,7 @@ class Engine:
                 route = veh.route
                 if route.cursor == len(route.nodes) - 1:
                     dq.popleft()
-                    self.link_counts[li] -= 1
+                    counts[li] -= 1
                     veh.link_idx = None
                     veh.arrival_step = step
                     veh.state = "arrived"
@@ -507,49 +527,56 @@ class Engine:
                 ]
                 # Strict gate: occupancy stays below jam capacity, so an open
                 # link always keeps a positive speed and can drain.
-                if self.link_counts[nxt] + 1 > self.link_capacity[nxt] - _CAP_EPS:
+                if counts[nxt] + 1 > capacity[nxt] - _CAP_EPS:
                     break  # no room downstream; the whole queue waits
                 dq.popleft()
-                self.link_counts[li] -= 1
-                self.link_counts[nxt] += 1
+                counts[li] -= 1
+                counts[nxt] += 1
                 route.cursor += 1
                 veh.link_idx = nxt
                 veh.pos_m = 0.0
-                self.link_queues[nxt].append(veh)
-        # Routed vehicles still outside the network enter their first link.
-        for veh in self.vehicles:
-            if veh.entered or veh.route is None:
+                queues[nxt].append(veh)
+        # Routed vehicles still outside the network enter their first link;
+        # those that arrived in this step are still live until bookkeeping.
+        for veh in self._active:
+            if veh.link_idx is not None or veh.arrival_step is not None \
+                    or veh.route is None:
                 continue
             first = net.link_index[(veh.route.nodes[0], veh.route.nodes[1])]
-            if self.link_counts[first] + 1 > self.link_capacity[first] - _CAP_EPS:
+            if counts[first] + 1 > capacity[first] - _CAP_EPS:
                 continue
-            self.link_counts[first] += 1
+            counts[first] += 1
             veh.link_idx = first
             veh.pos_m = 0.0
-            self.link_queues[first].append(veh)
+            queues[first].append(veh)
 
     def _bookkeep(self, step: int) -> None:
         net = self.net
-        for veh in self.vehicles:
-            if veh.arrived:
-                continue
+        lengths = self._lengths
+        speeds = self.speeds.tolist()
+        closed = self.closed.tolist()
+        live: list[Vehicle] = []
+        for veh in self._active:
+            if veh.arrival_step is not None:
+                continue  # leaves the live list
+            live.append(veh)
             li = veh.link_idx
             if li is None:
                 veh.state = "queued"  # waiting to enter at its origin
                 continue
-            at_end = veh.pos_m >= net.lengths[li] - _END_EPS
-            v = self.speeds[li]
-            veh.state = "queued" if (v <= 0.0 or at_end) else "moving"
-            blocked_now = bool(self.closed[li])
+            at_end = veh.pos_m >= lengths[li] - _END_EPS
+            veh.state = "queued" if (speeds[li] <= 0.0 or at_end) else "moving"
+            blocked_now = closed[li]
             if not blocked_now and at_end and veh.route.cursor < len(veh.route.nodes) - 1:
                 nxt = net.link_index[
                     (veh.route.nodes[veh.route.cursor],
                      veh.route.nodes[veh.route.cursor + 1])
                 ]
-                blocked_now = bool(self.closed[nxt])
+                blocked_now = closed[nxt]
             record_encounter(
                 veh, self._events_on_link, self._events_at_node, blocked_now
             )
+        self._active = live
 
     # ---------------------------------------------------------------- journals
 

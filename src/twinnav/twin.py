@@ -45,10 +45,6 @@ class SensingSource:
     covered_nodes: frozenset[int] = frozenset()
     covered_links: frozenset[tuple[int, int]] = frozenset()
 
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.kind, self.source_id)
-
 
 @dataclass(frozen=True)
 class LinkReading:
@@ -88,7 +84,7 @@ class TwinState:
 
     def ingest_arrays(
         self,
-        source_key: tuple[str, int],
+        sources: tuple[str, list[int]],
         link_idx: np.ndarray,
         volumes: np.ndarray,
         speeds: np.ndarray,
@@ -97,7 +93,12 @@ class TwinState:
         densities: np.ndarray,
         now: float,
     ) -> None:
-        """Vectorized ingest of an already-delivered observation."""
+        """Vectorized ingest of an already-delivered observation.
+
+        `sources` is (kind, [id, ...]): one or more same-kind sources whose
+        readings are concatenated; each source's last update is stamped `now`.
+        A link listed more than once must carry equal readings each time; the
+        batch then leaves the state that one call per source would."""
         if link_idx.size:
             self.link_volume[link_idx] = volumes
             low = occupied & (speeds < self.thresholds.speed_threshold)
@@ -108,7 +109,9 @@ class TwinState:
         if node_idx.size:
             self.node_density[node_idx] = densities
             self.node_observed[node_idx] = True
-        self.last_update[source_key] = now
+        kind, source_ids = sources
+        for sid in source_ids:
+            self.last_update[(kind, sid)] = now
 
     def snapshot_dict(self) -> dict:
         """Compact JSON-ready view (nonzero volumes, observed densities)."""
@@ -175,7 +178,7 @@ def ingest_observation(
         dens.append(d)
 
     state.ingest_arrays(
-        source.key,
+        (source.kind, [source.source_id]),
         np.asarray(link_idx, dtype=int),
         np.asarray(vols, dtype=float),
         np.asarray(speeds, dtype=float),

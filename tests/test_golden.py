@@ -1,10 +1,15 @@
-"""metrics.csv of two fixed runs, byte for byte against committed files.
+"""Outputs of fixed runs, byte for byte against committed files: metrics.csv
+of two runs, the SHA-256 of both journals of one, and the criterion-7 sweep.csv.
 
-The files under tests/data were written by the dense journey-matrix planner;
-a planner change that alters a route, or a float along the way, shows here.
+The metrics files under tests/data were written by the dense journey-matrix
+planner, the journal digests and the sweep by the engine that scanned every
+spawned vehicle and ingested one vehicle reading per call. A change that alters
+a route, a float, an RNG draw or the order of bookkeeping or ingest shows here.
 Regenerate them only with a change that states why behaviour moved.
 """
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -41,3 +46,36 @@ def test_metrics_csv_matches_golden(tmp_path, capsys, name):
     assert main(["run", "--scenario", scenario, "--out", str(out)]) == 0
     with open(os.path.join(DATA, f"{name}_metrics.csv"), "rb") as fh:
         assert (out / "metrics.csv").read_bytes() == fh.read()
+
+
+def criterion7_doc():
+    """The criterion-7 scenario of tests/test_acceptance.py."""
+    return {
+        "network": generate_grid_network(seed=3, n_links=504),
+        "sim": {"dt_s": 1.0, "t_sim_s": 600.0, "seed": 42},
+        "traffic": {"n_vel": 300, "p_user": 0.167},
+        "events_random": {"count": 5, "duration_s": 250.0},
+        "sensing": {"rsus": [{"node": 45, "radius_m": 2000.0}]},
+    }
+
+
+def test_journals_match_golden_digests(tmp_path, capsys):
+    scenario = write_json(tmp_path / "scenario.json", grid_with_events_doc())
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scenario, "--out", str(out),
+                 "--twin-journal", "--routes-journal"]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("twin_journal.jsonl", "routes_journal.jsonl")
+    }
+    with open(os.path.join(DATA, "grid_events_journals.json"), encoding="utf-8") as fh:
+        assert digests == json.load(fh)
+
+
+def test_criterion7_sweep_csv_matches_golden(tmp_path, capsys):
+    scenario = write_json(tmp_path / "scenario.json", criterion7_doc())
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", scenario, "--param", "events",
+                 "--values", "0,3", "--seeds", "2", "--out", str(out)]) == 0
+    with open(os.path.join(DATA, "criterion7_sweep.csv"), "rb") as fh:
+        assert (out / "sweep.csv").read_bytes() == fh.read()

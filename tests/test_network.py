@@ -1,11 +1,14 @@
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 
+from twinnav.cli import main
 from twinnav.errors import ConfigError, ContractError
 from twinnav.network import (
+    END_TOLERANCE_M,
     INF,
     SPEED_FLOOR_MPS,
     Link,
@@ -20,7 +23,7 @@ from twinnav.network import (
     traffic_density,
 )
 
-from conftest import diamond_doc, link
+from conftest import diamond_doc, link, write_json
 
 
 def test_traffic_density():
@@ -154,6 +157,45 @@ def test_loader_reports_element_position():
     doc["links"][3]["length_m"] = -1
     with pytest.raises(ConfigError, match=r"links\[3\]"):
         network_from_dict(doc)
+
+
+# Each sets one network number to a value JSON readers accept (NaN or
+# Infinity) but no network can have.
+NON_FINITE = {
+    "NaN k_max": lambda d: d["links"][0].update(k_max_veh_per_m=math.nan),
+    "infinite length_m": lambda d: d["links"][1].update(length_m=math.inf),
+    "NaN v_free_mps": lambda d: d["links"][2].update(v_free_mps=math.nan),
+    "infinite v_free_kmh": lambda d: d["links"].__setitem__(2, {
+        "from": 1, "to": 3, "length_m": 100.0, "v_free_kmh": math.inf,
+        "k_max_veh_per_m": 0.2}),
+    "infinite link endpoint": lambda d: d["links"][0].update(to=math.inf),
+    "NaN node x_m": lambda d: d["nodes"][0].update(x_m=math.nan),
+    "infinite node y_m": lambda d: d["nodes"][3].update(y_m=-math.inf),
+    "infinite node id": lambda d: d["nodes"][0].update(id=math.inf),
+}
+
+
+def test_loader_rejects_link_within_end_tolerance():
+    # A vehicle entering such a link would already be at its end.
+    doc = diamond_doc()
+    doc["links"][1]["length_m"] = END_TOLERANCE_M
+    with pytest.raises(ConfigError, match=r"links\[1\].*length_m"):
+        network_from_dict(doc)
+    doc["links"][1]["length_m"] = 2 * END_TOLERANCE_M
+    network_from_dict(doc)
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_run_exits_2_on_non_finite_network_number(tmp_path, capsys, case):
+    net = diamond_doc()
+    NON_FINITE[case](net)
+    write_json(tmp_path / "net.json", net)
+    sc = write_json(tmp_path / "scenario.json", {
+        "network_file": "net.json",
+        "sim": {"dt_s": 1.0, "t_sim_s": 60.0, "seed": 3},
+        "traffic": {"n_vel": 5, "p_user": 0.5},
+    })
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_loader_syntax_error_has_line(tmp_path):

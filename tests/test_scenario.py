@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from twinnav.cli import main
 from twinnav.errors import ConfigError
 from twinnav.scenario import load_scenario, scenario_from_dict
 
@@ -66,6 +68,45 @@ def test_scenario_validation_errors(mutate, pattern):
     mutate(doc)
     with pytest.raises(ConfigError, match=pattern):
         scenario_from_dict(doc)
+
+
+NAN, INF = math.nan, math.inf
+
+# Each sets one scenario number to a value JSON readers accept (NaN, Infinity,
+# an integer past float range) but no run can use.
+NON_FINITE = {
+    "NaN dt_s": lambda d: d["sim"].update(dt_s=NAN),
+    "infinite t_sim_s": lambda d: d["sim"].update(t_sim_s=INF),
+    "infinite seed": lambda d: d["sim"].update(seed=INF),
+    "infinite n_vel": lambda d: d["traffic"].update(n_vel=INF),
+    "NaN onset_s": lambda d: d.update(
+        events=[{"kind": "gathering", "node": 2, "onset_s": NAN}]),
+    "infinite end_s": lambda d: d.update(
+        events=[{"kind": "gathering", "node": 2, "end_s": INF}]),
+    "NaN event density": lambda d: d.update(
+        events=[{"kind": "gathering", "node": 2, "density": NAN}]),
+    "infinite events_random duration": lambda d: d.update(
+        events_random={"count": 1, "duration_s": INF}),
+    "infinite events_random count": lambda d: d.update(
+        events_random={"count": INF}),
+    "infinite RSU radius": lambda d: d.update(
+        sensing={"rsus": [{"node": 1, "radius_m": INF}]}),
+    "infinite accident_window_s": lambda d: d.update(
+        thresholds={"accident_window_s": INF}),
+    "NaN density_threshold": lambda d: d.update(
+        thresholds={"density_threshold": NAN}),
+    "infinite latency bound": lambda d: d.update(
+        latency={"v2c": {"min_ms": 20.0, "max_ms": INF}}),
+    "out-of-range pdr_ssms": lambda d: d.update(latency={"pdr_ssms": 10**400}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_run_exits_2_on_non_finite_scenario_number(tmp_path, capsys, case):
+    doc = minimal_doc()
+    NON_FINITE[case](doc)
+    sc = write_json(tmp_path / "scenario.json", doc)
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_event_location_must_match_kind():

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from twinnav import service
 from twinnav.service import RouteService, ServiceState
 
 from conftest import diamond_doc, make_scenario
@@ -125,6 +126,25 @@ def test_garbage_line_keeps_connection(server):
          "destination": 4}
     )
     assert reply["type"] == "route_response"
+    c.close()
+
+
+def test_over_long_line_answers_one_error_and_keeps_connection(server):
+    c = Client(server.port)
+    route = {"type": "route_request", "vehicle": "x", "position": 1, "destination": 4}
+    # A well-formed request, but longer than the cap: it is not served.
+    long = dict(route, vehicle="x" * (service.MAX_LINE_BYTES + 10))
+    c.send(long)
+    reply = c.recv()
+    assert reply["type"] == "error" and reply["code"] == "line_too_long"
+    assert c.request(route)["type"] == "route_response"
+    # A line at the cap, its newline included, is still read whole.
+    line = json.dumps(dict(route, vehicle="")).encode("utf-8")
+    pad = service.MAX_LINE_BYTES - len(line) - 1
+    at_cap = json.dumps(dict(route, vehicle="y" * pad)).encode("utf-8")
+    assert len(at_cap) + 1 == service.MAX_LINE_BYTES
+    c.send_raw(at_cap)
+    assert c.recv()["vehicle"] == "y" * pad
     c.close()
 
 
@@ -258,6 +278,8 @@ BAD_UPDATES = {
     "infinite density": {"nodes": [{"id": 3, "density": math.inf}]},
     "infinite link endpoint": {"links": [reading(to=math.inf)]},
     "infinite source id": {"source": {"kind": "rsu", "id": math.inf}},
+    "links not an array": {"links": 5},
+    "nodes not an array": {"nodes": 5},
 }
 
 

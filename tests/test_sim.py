@@ -2,7 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from twinnav.netgen import generate_grid_network
 from twinnav.network import network_from_dict
 from twinnav.sim import Engine, MetricsSummary, Vehicle, poisson_draw, \
     record_encounter, run, shortest_distance_route
@@ -137,6 +139,31 @@ def test_degenerate_class_split():
 # ------------------------------------------------------------------ invariants
 
 
+def check_step_invariants(eng, step):
+    """Conservation, queue bookkeeping, the capacity gate and vehicle states."""
+    vehicles = eng.vehicles
+    assert len(vehicles) == eng._spawned
+    counts = eng.link_counts.tolist()
+    assert counts == [len(q) for q in eng.link_queues]
+    assert (eng.link_counts <= eng.link_capacity).all()
+    on_link = {veh.vid: li for li, q in enumerate(eng.link_queues) for veh in q}
+    assert len(on_link) == sum(counts)  # no vehicle sits in two queues
+    waiting = arrived = 0
+    for veh in vehicles:
+        if veh.arrival_step is not None:
+            arrived += 1
+            assert veh.state == "arrived" and veh.link_idx is None
+            assert veh.arrival_step <= step and veh.vid not in on_link
+        elif veh.link_idx is None:
+            waiting += 1
+            assert veh.state == "queued" and veh.vid not in on_link
+        else:
+            assert veh.state in ("queued", "moving")
+            assert on_link.get(veh.vid) == veh.link_idx
+    assert waiting + len(on_link) + arrived == eng._spawned
+    assert eng._active == [v for v in vehicles if v.arrival_step is None]
+
+
 def test_conservation_and_capacity_every_step():
     doc = corridor_doc(n=5, k_max=0.05)  # tight capacity forces queueing
     sc = make_scenario(
@@ -146,21 +173,48 @@ def test_conservation_and_capacity_every_step():
         sensing={"rsus": [{"node": 1, "radius_m": 10000}]},
         events=[{"kind": "accident", "link": [3, 4], "onset_s": 40, "end_s": 90}],
     )
-
-    def probe(eng, step):
-        states = [v.state for v in eng.vehicles]
-        assert len(states) == eng._spawned
-        assert all(s in ("queued", "moving", "arrived") for s in states)
-        assert (eng.link_counts <= eng.link_capacity + 1e-9).all()
-        assert (eng.link_counts >= 0).all()
-        by_link = sum(len(q) for q in eng.link_queues)
-        arrived = sum(1 for v in eng.vehicles if v.arrived)
-        waiting = sum(1 for v in eng.vehicles if not v.entered)
-        assert by_link + arrived + waiting == eng._spawned
-
-    eng = Engine(sc, on_step=probe)
+    eng = Engine(sc, on_step=check_step_invariants)
     m = eng.run()
     assert m.completed_cav + m.completed_unconnected > 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_engine_invariants_on_random_grids(data):
+    """Random small grids with tight jam capacity, random connected share and
+    demand, timed accidents and gatherings, one RSU and lossy delivery."""
+    rows, cols = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+    ortho = rows * (cols - 1) + cols * (rows - 1)
+    extra = data.draw(st.integers(0, 2 * (rows - 1) * (cols - 1)))
+    net_doc = generate_grid_network(
+        rows=rows, cols=cols, n_links=2 * (ortho + extra),
+        k_max_veh_per_m=data.draw(st.floats(0.02, 0.06)),  # 2 to 8 per link
+        seed=data.draw(st.integers(0, 10_000)),
+    )
+    m = rows * cols
+    pairs = [(l["from"], l["to"]) for l in net_doc["links"]]
+    t_sim = data.draw(st.integers(40, 150))
+    events = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        onset = data.draw(st.integers(0, t_sim))
+        end = data.draw(st.none() | st.integers(onset, t_sim + 20))
+        if data.draw(st.booleans()):
+            where = {"kind": "accident", "link": list(data.draw(st.sampled_from(pairs)))}
+        else:
+            where = {"kind": "gathering", "node": data.draw(st.integers(1, m))}
+        events.append(dict(where, onset_s=float(onset),
+                           end_s=None if end is None else float(end)))
+    sc = make_scenario(
+        net_doc,
+        sim={"dt_s": 1.0, "t_sim_s": float(t_sim), "seed": data.draw(st.integers(0, 99))},
+        traffic={"n_vel": data.draw(st.integers(0, 80)),
+                 "p_user": data.draw(st.floats(0.0, 1.0))},
+        latency={"pdr_ssms": 1.0, "pdr_info": data.draw(st.floats(0.5, 1.0))},
+        sensing={"rsus": [{"node": data.draw(st.integers(1, m)),
+                           "radius_m": data.draw(st.floats(50.0, 400.0))}]},
+        events=events,
+    )
+    Engine(sc, on_step=check_step_invariants).run()
 
 
 def test_blocked_vehicles_resume_after_event_clears():

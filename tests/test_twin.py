@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from twinnav.errors import ContractError
@@ -63,6 +64,28 @@ def test_ingest_last_writer_wins(net):
     ingest_observation(state, rsu, obs_link((1, 2), 4), True, now=1.0)
     ingest_observation(state, cav, obs_link((1, 2), 1), True, now=1.0)
     assert state.link_volume[net.link_index[(1, 2)]] == 1
+
+
+def test_batched_ingest_equals_one_call_per_source(net):
+    """Vehicles 3, 5 and 8 on links 0, 2 and 0 (slow and occupied), then
+    vehicle 5 alone reports link 2 free: batched and one-by-one agree."""
+    ids, links = [3, 5, 8], [0, 2, 0]
+    vols, speeds, occ = [2.0, 1.0, 2.0], [0.1, 0.2, 0.1], [True, True, True]
+    none_i, none_f = np.empty(0, dtype=int), np.empty(0)
+    one, batch = TwinState(net, TH), TwinState(net, TH)
+    for k in range(3):
+        one.ingest_arrays(("cav", [ids[k]]), np.array([links[k]]), np.array([vols[k]]),
+                          np.array([speeds[k]]), np.array([occ[k]]), none_i, none_f, 4.0)
+    batch.ingest_arrays(("cav", ids), np.array(links), np.array(vols),
+                        np.array(speeds), np.array(occ), none_i, none_f, 4.0)
+    for state in (one, batch):
+        state.ingest_arrays(("cav", [5]), np.array([2]), np.array([0.0]),
+                            np.array([9.0]), np.array([False]), none_i, none_f, 5.0)
+    assert one.last_update == batch.last_update == {
+        ("cav", 3): 4.0, ("cav", 5): 5.0, ("cav", 8): 4.0}
+    assert np.array_equal(one.link_volume, batch.link_volume)
+    assert np.array_equal(one.low_speed_since, batch.low_speed_since, equal_nan=True)
+    assert batch.low_speed_since[0] == 4.0
 
 
 def test_ingest_rejects_uncovered_elements(net):
