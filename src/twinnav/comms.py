@@ -14,14 +14,25 @@ two service totals:
 
 All sampling functions return seconds. Every flow owns its own RNG stream
 derived from one seed, so sample streams are reproducible and independent.
+
+One law per distribution turns uniform draws into milliseconds
+(`FlowLatency.ms_from_uniform`), for one draw or for an array of them. The
+per-route draws of the engine take one value at a time; the KPI Monte-Carlo
+(`collect_latency_samples`) takes each stream's draws for a block of
+SAMPLE_BLOCK samples in one pass and composes the totals with array sums. Its
+samples are bit-identical to drawing one value at a time with the same seed,
+and every stream ends in the same state.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, ContractError
 from .nav import REQUEST_COEF
@@ -65,12 +76,25 @@ class FlowLatency:
             raise ConfigError("triangular latency needs mean_ms")
         return 3.0 * self.mean_ms - self.min_ms - self.max_ms
 
+    def ms_from_uniform(self, u):
+        """Milliseconds from uniform draws `u` in [0, 1), one float or an
+        array: the arithmetic of `random.uniform`, or of `random.triangular`
+        at the flow's mode, so each value equals what that method returns
+        for the same draw. Not for a pinned flow (min == max)."""
+        lo, hi = self.min_ms, self.max_ms
+        if self.dist == "uniform":
+            return lo + (hi - lo) * u
+        c = (self._triangular_mode() - lo) / (hi - lo)
+        swap = u > c
+        u = np.where(swap, 1.0 - u, u)
+        c = np.where(swap, 1.0 - c, c)
+        lo, hi = np.where(swap, hi, lo), np.where(swap, lo, hi)
+        return lo + (hi - lo) * np.sqrt(u * c)
+
     def sample_ms(self, rng: random.Random) -> float:
         if self.min_ms == self.max_ms:
             return self.min_ms
-        if self.dist == "triangular":
-            return rng.triangular(self.min_ms, self.max_ms, self._triangular_mode())
-        return rng.uniform(self.min_ms, self.max_ms)
+        return float(self.ms_from_uniform(rng.random()))
 
 
 # Default ranges reflect the measured reference deployment this simulator is
@@ -145,6 +169,37 @@ class FlowStreams:
         return self._rngs[name]
 
 
+# Samples per block of collect_latency_samples. Each stream's draws for a
+# block are held as one float array of at most 4 * SAMPLE_BLOCK values.
+SAMPLE_BLOCK = 1024
+
+# Draws one KPI sample takes from each flow's stream, in the order drawn:
+# i2c for ssms_e2e then twin_total; v2c for info_e2e, the two service_total
+# legs, then service_total_single; rsu_detect for twin_total; the other
+# flows for service_total then service_total_single.
+_KPI_DRAWS = {
+    "i2c": 2,
+    "v2c": 4,
+    "rsu_detect": 1,
+    "localization": 2,
+    "route_load": 2,
+    "cloud_monitor": 2,
+    "cloud_plan": 2,
+}
+
+
+def _draw_block(
+    flow: FlowLatency, rng: random.Random, rows: int, per_row: int
+) -> np.ndarray:
+    """(rows, per_row) milliseconds from the stream's next rows * per_row
+    draws, row by row. A pinned flow draws nothing, as `sample_ms`."""
+    if flow.min_ms == flow.max_ms:
+        return np.full((rows, per_row), flow.min_ms, dtype=float)
+    n = rows * per_row
+    u = np.fromiter(itertools.starmap(rng.random, itertools.repeat((), n)), float, count=n)
+    return flow.ms_from_uniform(u).reshape(rows, per_row)
+
+
 def sample_dt_latency(model: LatencyModel, streams: FlowStreams) -> float:
     """One draw of the twin-modeling latency (detection plus RSU-to-cloud leg),
     in seconds."""
@@ -195,10 +250,6 @@ def collect_latency_samples(
     twin-modeling total, and the service total in both V2C counting modes."""
     if n_samples < 1:
         raise ContractError("n_samples must be >= 1")
-    i2c = model.flow("i2c")
-    v2c = model.flow("v2c")
-    i2c_rng = streams.rng("i2c")
-    v2c_rng = streams.rng("v2c")
     out: dict[str, list[float]] = {
         "ssms_e2e": [],
         "info_e2e": [],
@@ -206,14 +257,22 @@ def collect_latency_samples(
         "service_total": [],
         "service_total_single": [],
     }
-    for _ in range(n_samples):
-        out["ssms_e2e"].append(i2c.sample_ms(i2c_rng) / 1000.0)
-        out["info_e2e"].append(v2c.sample_ms(v2c_rng) / 1000.0)
-        out["twin_total"].append(sample_dt_latency(model, streams))
-        out["service_total"].append(sample_service_latency(model, streams))
-        out["service_total_single"].append(
-            sample_service_latency(model, streams, single_v2c=True)
-        )
+    for start in range(0, n_samples, SAMPLE_BLOCK):
+        rows = min(SAMPLE_BLOCK, n_samples - start)
+        ms = {
+            name: _draw_block(model.flow(name), streams.rng(name), rows, k)
+            for name, k in _KPI_DRAWS.items()
+        }
+        i2c, v2c = ms["i2c"], ms["v2c"]
+        # Column 0 feeds service_total, column 1 service_total_single; the
+        # sums keep the per-draw order, so every float rounds the same way.
+        legs = (ms["localization"] + ms["route_load"] + ms["cloud_monitor"]
+                + ms["cloud_plan"])
+        out["ssms_e2e"] += (i2c[:, 0] / 1000.0).tolist()
+        out["info_e2e"] += (v2c[:, 0] / 1000.0).tolist()
+        out["twin_total"] += ((ms["rsu_detect"][:, 0] + i2c[:, 1]) / 1000.0).tolist()
+        out["service_total"] += ((legs[:, 0] + v2c[:, 1] + v2c[:, 2]) / 1000.0).tolist()
+        out["service_total_single"] += ((legs[:, 1] + v2c[:, 3]) / 1000.0).tolist()
     return out
 
 

@@ -25,10 +25,12 @@ A reading's volume, speed_mps and density must be finite and non-negative,
 `bad_request` and leaves the twin unchanged.
 
 Sensor updates feed a live twin (a source's coverage is exactly what it
-reports); each update advances the service clock, re-runs event detection and
-clears every flag whose latest reading no longer meets its criterion (the
-service has no scheduled causes). Route requests plan over event-masked
-journey-time rows built from the twin's current volumes.
+reports). The service clock follows the largest `time_s` seen; an update
+without `time_s` is taken one step after the clock, and one whose `time_s` is
+older than the clock is taken at the clock. Each update re-runs event
+detection and clears every flag whose latest reading no longer meets its
+criterion (the service has no scheduled causes). Route requests plan over
+event-masked journey-time rows built from the twin's current volumes.
 """
 
 from __future__ import annotations
@@ -137,12 +139,17 @@ class ServiceState:
         )
         observation = Observation(links=links, node_densities=nodes)
         with self.lock:
-            now = self.clock_s + self.dt_s if time_s is None else float(time_s)
+            # A reading older than the clock is taken at the clock, so no slow
+            # run starts before the clock at which its first reading arrived.
+            if time_s is None:
+                now = self.clock_s + self.dt_s
+            else:
+                now = max(self.clock_s, float(time_s))
             try:
                 ingest_observation(self.twin, source, observation, True, now)
             except ContractError as exc:
                 raise ServiceError("bad_request", str(exc))
-            self.clock_s = max(self.clock_s, now)
+            self.clock_s = now
             detect_pedestrian_gathering(self.twin, self.thresholds)
             detect_accident(self.twin, self.thresholds, self.clock_s)
             # No scheduled causes here, so any flag may clear on recovery

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twinnav.comms import (
+    FLOW_NAMES,
+    SAMPLE_BLOCK,
     FlowLatency,
     FlowStreams,
     KpiBudget,
@@ -201,3 +204,78 @@ def test_kpi_report_rejects_empty_samples():
         kpi_report({}, KpiBudget())
     with pytest.raises(ContractError):
         kpi_report({"ssms_e2e": []}, KpiBudget())
+
+
+# ------------------------------------------- block sampling vs per-draw sampling
+
+
+def per_draw_samples(model, streams, n_samples):
+    """The per-draw KPI sampler: one value per `random()` call, appended in
+    the order the block sampler must reproduce."""
+    i2c, v2c = model.flow("i2c"), model.flow("v2c")
+    out = {key: [] for key in ("ssms_e2e", "info_e2e", "twin_total", "service_total",
+                               "service_total_single")}
+    for _ in range(n_samples):
+        out["ssms_e2e"].append(i2c.sample_ms(streams.rng("i2c")) / 1000.0)
+        out["info_e2e"].append(v2c.sample_ms(streams.rng("v2c")) / 1000.0)
+        out["twin_total"].append(sample_dt_latency(model, streams))
+        out["service_total"].append(sample_service_latency(model, streams))
+        out["service_total_single"].append(
+            sample_service_latency(model, streams, single_v2c=True))
+    return out
+
+
+@st.composite
+def flows(draw):
+    """A uniform, triangular (attainable mean, mode possibly at a bound) or
+    pinned flow."""
+    lo = draw(st.floats(0.0, 600.0))
+    kind = draw(st.sampled_from(["uniform", "triangular", "pinned"]))
+    if kind == "pinned":
+        return FlowLatency(lo, lo)
+    hi = lo + draw(st.floats(1e-3, 300.0))
+    assume(hi > lo)
+    if kind == "uniform":
+        return FlowLatency(lo, hi)
+    frac = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    mean = (lo + hi + lo + frac * (hi - lo)) / 3.0
+    try:
+        return FlowLatency(lo, hi, dist="triangular", mean_ms=mean)
+    except ConfigError:  # the mode rounded just outside [lo, hi]
+        assume(False)
+
+
+SEEDS = st.integers(0, 2**64) | st.text(max_size=5)
+SAMPLE_COUNTS = st.sampled_from(
+    [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 1]
+) | st.integers(1, 3000)
+
+
+def stream_states(streams):
+    return [streams.rng(name).getstate() for name in FLOW_NAMES + ("pdr_ssms", "pdr_info")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(FLOW_NAMES), flows()), SEEDS, SAMPLE_COUNTS)
+def test_block_samples_equal_per_draw_samples(overrides, seed, n):
+    model = LatencyModel(flows={**LatencyModel().flows, **overrides})
+    block, reference = FlowStreams(seed), FlowStreams(seed)
+    assert collect_latency_samples(model, block, n) == per_draw_samples(model, reference, n)
+    assert stream_states(block) == stream_states(reference)
+    assert sample_service_latency(model, block) == sample_service_latency(model, reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flows(), st.integers(0, 2**32))
+def test_sample_ms_equals_the_random_method(flow, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = [flow.sample_ms(rng) for _ in range(20)]
+    if flow.min_ms == flow.max_ms:
+        assert got == [flow.min_ms] * 20
+    elif flow.dist == "triangular":
+        mode = 3.0 * flow.mean_ms - flow.min_ms - flow.max_ms
+        assert got == [ref.triangular(flow.min_ms, flow.max_ms, mode) for _ in range(20)]
+    else:
+        assert got == [ref.uniform(flow.min_ms, flow.max_ms) for _ in range(20)]
+    assert all(type(x) is float for x in got)
+    assert rng.getstate() == ref.getstate()

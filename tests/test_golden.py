@@ -1,10 +1,13 @@
 """Outputs of fixed runs, byte for byte against committed files: metrics.csv
-of two runs, the SHA-256 of both journals of one, and the criterion-7 sweep.csv.
+of two runs, the SHA-256 of both journals of one, the criterion-7 sweep.csv,
+the kpi.csv of `twinnav kpi` and the SHA-256 of latency Monte-Carlo series.
 
 The metrics files under tests/data were written by the dense journey-matrix
 planner, the journal digests and the sweep by the engine that scanned every
-spawned vehicle and ingested one vehicle reading per call. A change that alters
-a route, a float, an RNG draw or the order of bookkeeping or ingest shows here.
+spawned vehicle and ingested one vehicle reading per call, the KPI files by
+the sampler that drew one latency value per `random.Random` call. A change
+that alters a route, a float, an RNG draw or the order of bookkeeping or
+ingest shows here.
 Regenerate them only with a change that states why behaviour moved.
 """
 
@@ -15,6 +18,7 @@ import os
 import pytest
 
 from twinnav.cli import main
+from twinnav.comms import FlowLatency, FlowStreams, LatencyModel, collect_latency_samples
 from twinnav.netgen import generate_grid_network
 
 from conftest import write_json
@@ -79,3 +83,37 @@ def test_criterion7_sweep_csv_matches_golden(tmp_path, capsys):
                  "--values", "0,3", "--seeds", "2", "--out", str(out)]) == 0
     with open(os.path.join(DATA, "criterion7_sweep.csv"), "rb") as fh:
         assert (out / "sweep.csv").read_bytes() == fh.read()
+
+
+def test_kpi_csv_matches_golden(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["kpi", "--scenario", DEMO, "--samples", "20000",
+                 "--out", str(out)]) == 0
+    with open(os.path.join(DATA, "demo_kpi.csv"), "rb") as fh:
+        assert (out / "kpi.csv").read_bytes() == fh.read()
+
+
+def mixed_latency_model():
+    """Two triangular flows and one pinned flow among uniform ones."""
+    return (LatencyModel()
+            .with_flow("v2c", FlowLatency(20.16, 42.13, dist="triangular", mean_ms=28.0))
+            .with_flow("cloud_plan", FlowLatency(173.27, 201.07, dist="triangular",
+                                                 mean_ms=190.0))
+            .with_flow("route_load", FlowLatency(500.97, 500.97)))
+
+
+# (model, seed, sample count); neither count is a multiple of comms.SAMPLE_BLOCK.
+LATENCY_CASES = {
+    "default": (LatencyModel, 7, 5000),
+    "mixed": (mixed_latency_model, "abc", 3001),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATENCY_CASES))
+def test_latency_series_match_golden_digests(name):
+    make_model, seed, n = LATENCY_CASES[name]
+    samples = collect_latency_samples(make_model(), FlowStreams(seed), n)
+    digests = {key: hashlib.sha256(repr(series).encode()).hexdigest()
+               for key, series in samples.items()}
+    with open(os.path.join(DATA, "latency_series.json"), encoding="utf-8") as fh:
+        assert digests == json.load(fh)[name]

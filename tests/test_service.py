@@ -5,9 +5,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinnav import service
-from twinnav.service import RouteService, ServiceState
+from twinnav.service import RouteService, ServiceError, ServiceState
 
 from conftest import diamond_doc, make_scenario
 
@@ -244,6 +245,19 @@ def test_flagged_node_clears_at_or_below_threshold():
     assert state.twin.event_nodes == set()
 
 
+def test_late_reading_opens_its_run_at_the_service_clock():
+    state = diamond_state()
+    state.apply_sensor_update(free_link_update(100.0))
+    # Older than the clock: ingested at t = 100, not at t = 1.
+    state.apply_sensor_update(slow_link_update(1.0, (2, 4)))
+    assert state.twin.event_link_pairs() == set()
+    assert state.clock_s == 100.0
+    state.apply_sensor_update(slow_link_update(109.0, (2, 4)))
+    assert state.twin.event_link_pairs() == set()
+    state.apply_sensor_update(slow_link_update(110.0, (2, 4)))
+    assert state.twin.event_link_pairs() == {(2, 4)}
+
+
 def twin_view(state):
     twin = state.twin
     return (
@@ -298,3 +312,126 @@ def test_bad_reading_rejected_and_twin_unchanged(server, case):
     assert c.recv()["type"] == "route_response"
     assert twin_view(server.state) == before
     c.close()
+
+
+# ------------------------------------------------------- fuzzed message stream
+
+DIAMOND_PAIRS = [(1, 2), (2, 4), (1, 3), (3, 4), (2, 3)]
+
+JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+LINK_READINGS = st.fixed_dictionaries({
+    "pair": st.sampled_from(DIAMOND_PAIRS),
+    "volume": st.floats(0.0, 20.0),
+    "speed_mps": st.sampled_from([0.0, 0.1, 0.49, 0.5, 3.0, 9.0]) | st.floats(0.0, 12.0),
+    "occupied": st.booleans(),
+}).map(lambda r: {"from": r["pair"][0], "to": r["pair"][1], "volume": r["volume"],
+                  "speed_mps": r["speed_mps"], "occupied": r["occupied"]})
+
+VALID_UPDATES = st.fixed_dictionaries({
+    "type": st.just("sensor_update"),
+    "source": st.fixed_dictionaries({"kind": st.sampled_from(["rsu", "cav"]),
+                                     "id": st.integers(0, 3)}),
+    "time_s": st.none() | st.sampled_from([0, 5.0, 10, 10.5, 30.0, 100])
+    | st.floats(-20.0, 200.0),
+    "links": st.lists(LINK_READINGS, min_size=1, max_size=4),
+    "nodes": st.lists(st.fixed_dictionaries({"id": st.sampled_from([1, 2, 3, 4]),
+                                             "density": st.floats(0.0, 1.5)}),
+                      max_size=2),
+})
+
+MESSAGE_FIELDS = ["source", "time_s", "links", "nodes"]
+
+
+@st.composite
+def service_messages(draw):
+    """A valid sensor update, one with a known defect, one with a field
+    replaced by arbitrary JSON, or a route request (position and destination
+    sometimes arbitrary)."""
+    kind = draw(st.sampled_from(["valid"] * 4 + ["malformed", "junk", "route"]))
+    if kind == "route":
+        node = st.sampled_from([1, 2, 3, 4])
+        return kind, {"type": "route_request", "vehicle": "car",
+                      "position": draw(node | JSON_JUNK),
+                      "destination": draw(node | JSON_JUNK)}
+    msg = draw(VALID_UPDATES)
+    if kind == "malformed":
+        msg.update(draw(st.sampled_from(sorted(BAD_UPDATES.values(), key=repr)
+                                        + [{"links": [reading(to=9)]},
+                                           {"nodes": [{"id": 99, "density": 0.1}]},
+                                           {"source": {"kind": "bus", "id": 1}},
+                                           {"source": None}])))
+    elif kind == "junk":
+        field = draw(st.sampled_from(MESSAGE_FIELDS))
+        msg[field] = draw(JSON_JUNK)
+    return kind, msg
+
+
+class SlowRunModel:
+    """Per link: whether the latest accepted reading is slow and occupied, and
+    the service clock at which the current slow run's first reading arrived.
+    Per node: the latest accepted density."""
+
+    def __init__(self, state):
+        self.clock = state.clock_s
+        self.dt = state.dt_s
+        self.speed_threshold = state.thresholds.speed_threshold
+        self.run_start = {}  # pair -> clock, present while the latest reading is slow
+        self.density = {}
+
+    def accept(self, msg):
+        time_s = msg.get("time_s")
+        self.clock = self.clock + self.dt if time_s is None else max(self.clock, float(time_s))
+        readings = {}
+        for item in msg.get("links", []):
+            readings[(int(item["from"]), int(item["to"]))] = item
+        for pair, item in readings.items():
+            slow = item["occupied"] is True and float(item["speed_mps"]) < self.speed_threshold
+            if not slow:
+                self.run_start.pop(pair, None)
+            else:
+                self.run_start.setdefault(pair, self.clock)
+        for item in msg.get("nodes", []):
+            self.density[int(item["id"])] = float(item["density"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(service_messages(), min_size=1, max_size=30))
+def test_fuzzed_messages_never_flag_without_slow_evidence(messages):
+    state = diamond_state()
+    model = SlowRunModel(state)
+    window = state.thresholds.accident_window_s
+    for kind, msg in messages:
+        before = twin_view(state)
+        try:
+            if kind == "route":
+                reply = state.plan_route(msg)
+            else:
+                state.apply_sensor_update(msg)
+        except ServiceError as exc:
+            assert kind != "valid", exc.detail
+            assert twin_view(state) == before
+            continue
+        assert kind != "malformed"
+        if kind == "route":
+            assert twin_view(state) == before
+            if reply["status"] == "ok":
+                hops = set(zip(reply["route"], reply["route"][1:]))
+                assert hops <= set(DIAMOND_PAIRS)
+                assert not hops & state.twin.event_link_pairs()
+                assert not set(reply["route"][1:]) & state.twin.event_nodes
+            continue
+        model.accept(msg)
+        assert state.clock_s == model.clock
+        for pair in state.twin.event_link_pairs():
+            assert pair in model.run_start, f"{pair} flagged without a slow latest reading"
+            assert model.clock - model.run_start[pair] >= window, (
+                f"{pair} flagged {model.clock - model.run_start[pair]} s into its slow run")
+        for node in state.twin.event_nodes:
+            assert model.density[node] > state.thresholds.density_threshold
