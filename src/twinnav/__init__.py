@@ -43,6 +43,7 @@ from .twin import (
     detect_accident,
     detect_pedestrian_gathering,
     ingest_observation,
+    ingest_readings,
     twin_volumes,
 )
 

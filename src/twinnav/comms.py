@@ -365,25 +365,23 @@ def _stats_row(
     metric: str,
     samples: Sequence[float],
     budget_s: float | None,
-) -> KpiRow:
+) -> tuple[KpiRow, float, float]:
+    """The flow's row, plus its min and max in seconds."""
     if len(samples) == 0:
         raise ContractError(f"no samples for flow {metric!r}")
-    mx = max(samples)
-    row_ms = {
-        "min_ms": min(samples) * 1000.0,
-        "max_ms": mx * 1000.0,
-        "mean_ms": math.fsum(samples) / len(samples) * 1000.0,
+    mn, mx = min(samples), max(samples)
+    checked = {} if budget_s is None else {
+        "limit": budget_s * 1000.0, "observed": mx * 1000.0, "passed": mx <= budget_s,
     }
-    if budget_s is None:
-        return KpiRow(metric=metric, n=len(samples), **row_ms)
-    return KpiRow(
+    row = KpiRow(
         metric=metric,
         n=len(samples),
-        limit=budget_s * 1000.0,
-        observed=mx * 1000.0,
-        passed=mx <= budget_s,
-        **row_ms,
+        min_ms=mn * 1000.0,
+        max_ms=mx * 1000.0,
+        mean_ms=math.fsum(samples) / len(samples) * 1000.0,
+        **checked,
     )
+    return row, mn, mx
 
 
 def kpi_report(
@@ -415,11 +413,14 @@ def kpi_report(
         if deadline_v_free_mps is not None
         else None
     )
+    extremes: dict[str, tuple[float, float]] = {}  # name -> (min, max) in seconds
     for name in samples:
         b = budgets.get(name)
         if name.startswith("service_total") and deadline_s is not None:
             b = deadline_s
-        rows.append(_stats_row(name, samples[name], b))
+        row, mn, mx = _stats_row(name, samples[name], b)
+        rows.append(row)
+        extremes[name] = (mn, mx)
 
     if pdr_ssms is not None:
         rows.append(
@@ -435,8 +436,8 @@ def kpi_report(
         rows.append(KpiRow(metric="info_reliability", observed=pdr_info))
 
     if "twin_total" in samples and "service_total" in samples:
-        dt_max = max(samples["twin_total"])
-        svc_min = min(samples["service_total"])
+        dt_max = extremes["twin_total"][1]
+        svc_min = extremes["service_total"][0]
         rows.append(
             KpiRow(
                 metric="twin_before_service",

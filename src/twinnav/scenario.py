@@ -134,9 +134,17 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _typed(value, kind: type, where: str):
+    """`value`, checked to be a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise ConfigError(f"{where} must be {name}, got {value!r:.40}")
+    return value
+
+
 def _parse_event(item: dict, k: int, net: TrafficNetwork, where: str) -> EventSpec:
     w = f"{where}: events[{k}]"
-    kind = _require(item, "kind", w)
+    kind = _require(_typed(item, dict, w), "kind", w)
     if kind not in EVENT_KINDS:
         raise ConfigError(f"{w}: kind must be one of {EVENT_KINDS}, got {kind!r}")
     try:
@@ -169,6 +177,7 @@ def _parse_event(item: dict, k: int, net: TrafficNetwork, where: str) -> EventSp
 
 
 def _parse_latency(doc: dict, where: str) -> LatencyModel:
+    doc = _typed(doc, dict, f"{where}: latency")
     flows = dict(DEFAULT_FLOWS)
     known = set(flows) | {"pdr_ssms", "pdr_info"}
     unknown = set(doc) - known
@@ -176,10 +185,8 @@ def _parse_latency(doc: dict, where: str) -> LatencyModel:
         raise ConfigError(f"{where}: unknown latency keys {sorted(unknown)}")
     for name in DEFAULT_FLOWS:
         if name in doc:
-            spec = doc[name]
             w = f"{where}: latency.{name}"
-            if not isinstance(spec, dict):
-                raise ConfigError(f"{w}: expected an object")
+            spec = _typed(doc[name], dict, w)
             try:
                 flows[name] = FlowLatency(
                     min_ms=_finite(spec["min_ms"]),
@@ -215,7 +222,7 @@ def scenario_from_dict(
         rel = _require(doc, "network_file", source)
         net = load_network(os.path.join(base_dir, rel))
 
-    sim_doc = _require(doc, "sim", source)
+    sim_doc = _typed(_require(doc, "sim", source), dict, f"{source}: sim")
     try:
         sim = SimParams(
             dt_s=_finite(sim_doc["dt_s"]),
@@ -231,14 +238,13 @@ def scenario_from_dict(
     if abs(sim.n_steps * sim.dt_s - sim.t_sim_s) > 1e-9:
         raise ConfigError(f"{source}: sim.t_sim_s must be a multiple of sim.dt_s")
 
-    tr_doc = _require(doc, "traffic", source)
+    tr_doc = _typed(_require(doc, "traffic", source), dict, f"{source}: traffic")
+    spawn_doc = _typed(tr_doc.get("spawn", {}), dict, f"{source}: traffic.spawn")
     try:
         traffic = TrafficParams(
             n_vel=int(tr_doc["n_vel"]),
             p_user=_finite(tr_doc["p_user"]),
-            spawn_window_frac=_finite(
-                tr_doc.get("spawn", {}).get("window_frac", 0.8)
-            ),
+            spawn_window_frac=_finite(spawn_doc.get("window_frac", 0.8)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{source}: traffic block needs n_vel and p_user ({exc})") from exc
@@ -254,13 +260,12 @@ def scenario_from_dict(
     events: tuple[EventSpec, ...] = ()
     events_random = None
     if "events" in doc:
-        if not isinstance(doc["events"], list):
-            raise ConfigError(f"{source}: events must be an array")
         events = tuple(
-            _parse_event(item, k, net, source) for k, item in enumerate(doc["events"])
+            _parse_event(item, k, net, source)
+            for k, item in enumerate(_typed(doc["events"], list, f"{source}: events"))
         )
     elif "events_random" in doc:
-        er = doc["events_random"]
+        er = _typed(doc["events_random"], dict, f"{source}: events_random")
         try:
             kinds = tuple(er.get("kinds", list(EVENT_KINDS)))
             events_random = RandomEvents(
@@ -280,16 +285,17 @@ def scenario_from_dict(
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{source}: events_random needs count ({exc})") from exc
-        bad = set(events_random.kinds) - set(EVENT_KINDS)
-        if bad or not events_random.kinds:
+        if not kinds or any(k not in EVENT_KINDS for k in kinds):
             raise ConfigError(
                 f"{source}: events_random.kinds must be a non-empty subset of {EVENT_KINDS}"
             )
         if events_random.count < 0:
             raise ConfigError(f"{source}: events_random.count must be >= 0")
 
+    sensing = _typed(doc.get("sensing", {}), dict, f"{source}: sensing")
+    rsu_docs = _typed(sensing.get("rsus", []), list, f"{source}: sensing.rsus")
     rsus = []
-    for k, item in enumerate(doc.get("sensing", {}).get("rsus", [])):
+    for k, item in enumerate(rsu_docs):
         w = f"{source}: sensing.rsus[{k}]"
         try:
             rsu = RsuSpec(node=int(item["node"]), radius_m=_finite(item["radius_m"]))
@@ -301,7 +307,7 @@ def scenario_from_dict(
             raise ConfigError(f"{w}: radius_m must be > 0")
         rsus.append(rsu)
 
-    th_doc = doc.get("thresholds", {})
+    th_doc = _typed(doc.get("thresholds", {}), dict, f"{source}: thresholds")
     try:
         thresholds = EventThresholds(
             density_threshold=_finite(th_doc.get("density_threshold", 0.5)),

@@ -19,18 +19,19 @@ than MAX_LINE_BYTES, its newline included, is discarded unread up to its
 newline and answers {"type": "error", "code": "line_too_long"}; the connection
 stays open.
 
-A reading's volume, speed_mps and density must be finite and non-negative,
-`occupied` a JSON boolean, `time_s`, when given, a finite JSON number, and
-`links` and `nodes`, when given, JSON arrays; anything else answers
-`bad_request` and leaves the twin unchanged.
+A reading must name a link or node of the network, its volume, speed_mps and
+density must be finite and non-negative, `occupied` a JSON boolean, `time_s`,
+when given, a finite JSON number, and `links` and `nodes`, when given, JSON
+arrays; anything else answers `bad_request` and leaves the twin unchanged.
 
-Sensor updates feed a live twin (a source's coverage is exactly what it
-reports). The service clock follows the largest `time_s` seen; an update
-without `time_s` is taken one step after the clock, and one whose `time_s` is
-older than the clock is taken at the clock. Each update re-runs event
-detection and clears every flag whose latest reading no longer meets its
-criterion (the service has no scheduled causes). Route requests plan over
-event-masked journey-time rows built from the twin's current volumes.
+Sensor updates feed a live twin through `twin.ingest_readings` (a source
+covers exactly what it reports, so no coverage check applies). The service
+clock follows the largest `time_s` seen; an update without `time_s` is taken
+one step after the clock, and one whose `time_s` is older than the clock is
+taken at the clock. Each update re-runs event detection and clears every flag
+whose latest reading no longer meets its criterion (the service has no
+scheduled causes). Route requests plan over event-masked journey-time rows
+built from the twin's current volumes.
 """
 
 from __future__ import annotations
@@ -45,14 +46,11 @@ from . import nav
 from .errors import ContractError, DegenerateRouteRequest
 from .scenario import Scenario
 from .twin import (
-    LinkReading,
-    Observation,
-    SensingSource,
     TwinState,
     clear_resolved_events,
     detect_accident,
     detect_pedestrian_gathering,
-    ingest_observation,
+    ingest_readings,
 )
 
 log = logging.getLogger(__name__)
@@ -105,39 +103,25 @@ class ServiceState:
         node_items = msg.get("nodes", [])
         if not isinstance(link_items, list) or not isinstance(node_items, list):
             raise ServiceError("bad_request", "links and nodes must be JSON arrays")
-        links: dict[tuple[int, int], LinkReading] = {}
+        # (from, to) -> (volume, speed_mps, occupied); a repeated link's last wins.
+        links: dict[tuple[int, int], tuple[float, float, bool]] = {}
         for item in link_items:
             try:
                 pair = (int(item["from"]), int(item["to"]))
                 occupied = item["occupied"]
                 if occupied is not True and occupied is not False:
                     raise ValueError(f"occupied must be true or false, got {occupied!r}")
-                links[pair] = LinkReading(
-                    volume=float(item["volume"]),
-                    speed_mps=float(item["speed_mps"]),
-                    occupied=occupied,
-                )
+                links[pair] = (float(item["volume"]), float(item["speed_mps"]), occupied)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ServiceError(
-                    "bad_request",
-                    f"link readings need from, to, volume, speed_mps, occupied ({exc})",
-                )
+                raise ServiceError("bad_request", "link readings need from, to, volume, "
+                                   f"speed_mps, occupied ({exc})")
         nodes: dict[int, float] = {}
         for item in node_items:
             try:
                 nodes[int(item["id"])] = float(item["density"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ServiceError(
-                    "bad_request", f"node readings need id and density ({exc})"
-                )
+                raise ServiceError("bad_request", f"node readings need id and density ({exc})")
 
-        source = SensingSource(
-            kind=kind,
-            source_id=source_id,
-            covered_nodes=frozenset(nodes),
-            covered_links=frozenset(links),
-        )
-        observation = Observation(links=links, node_densities=nodes)
         with self.lock:
             # A reading older than the clock is taken at the clock, so no slow
             # run starts before the clock at which its first reading arrived.
@@ -146,17 +130,16 @@ class ServiceState:
             else:
                 now = max(self.clock_s, float(time_s))
             try:
-                ingest_observation(self.twin, source, observation, True, now)
+                link_idx = ingest_readings(self.twin, (kind, [source_id]), links, nodes, now)
             except ContractError as exc:
                 raise ServiceError("bad_request", str(exc))
             self.clock_s = now
             detect_pedestrian_gathering(self.twin, self.thresholds)
             detect_accident(self.twin, self.thresholds, self.clock_s)
             # No scheduled causes here, so any flag may clear on recovery
-            # evidence. Only what this update covered can have recovered: every
+            # evidence. Only what this update read can have recovered: every
             # other flag already failed the test after its last reading.
-            clear_resolved_events(self.twin, self.thresholds, source.covered_nodes,
-                                  source.covered_links)
+            clear_resolved_events(self.twin, self.thresholds, nodes.keys(), link_idx)
 
     def plan_route(self, msg: dict) -> dict:
         try:

@@ -417,20 +417,12 @@ class Engine:
         detect_accident(self.twin, thresholds, step * self.dt)
         # Flagged elements stay until their scheduled cause ends; elements with
         # no scheduled cause (emergent jams) may clear on any recovery evidence.
-        active_nodes = set()
-        active_links = set()
-        for ev in self.events:
-            if not ev.active(step):
-                continue
-            if ev.kind == "gathering":
-                active_nodes.add(ev.node)
-            else:
-                active_links.add(self.net.links[ev.link_idx].pair)
+        # _update_events keyed this step's active events by node and link.
         clear_resolved_events(
             self.twin,
             thresholds,
-            self.twin.event_nodes - active_nodes,
-            self.twin.event_link_pairs() - active_links,
+            self.twin.event_nodes.difference(self._events_at_node),
+            self.twin.event_links.difference(self._events_on_link),
         )
 
     def _plan(self, step: int) -> None:

@@ -6,12 +6,21 @@ leave the previous (stale) values in place; links never observed report a
 volume of 0. Speed-threshold comparisons happen as observations arrive (the
 state tracks, per link, when the current uninterrupted slow-and-occupied run
 started), so a TwinState is bound to the thresholds it was created with.
+
+`ingest_readings` is the one validated entry for readings keyed by (from, to)
+pair and node id; the route service calls it, `ingest_observation` wraps it
+with the coverage check and `delivered`, and the engine, whose readings are
+its own truth, calls `TwinState.ingest_arrays` directly. Event sets,
+`detect_accident`'s result and `clear_resolved_events`'s clearable links are
+link indices; pairs appear only in `snapshot_dict` and `event_link_pairs`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +55,7 @@ class SensingSource:
     covered_links: frozenset[tuple[int, int]] = frozenset()
 
 
-@dataclass(frozen=True)
-class LinkReading:
+class LinkReading(NamedTuple):
     volume: float
     speed_mps: float
     occupied: bool
@@ -132,6 +140,47 @@ class TwinState:
         }
 
 
+def ingest_readings(
+    state: TwinState,
+    sources: tuple[str, list[int]],
+    links: Mapping[tuple[int, int], tuple[float, float, bool]],
+    nodes: Mapping[int, float],
+    now: float,
+) -> list[int]:
+    """Validate delivered readings, then apply them in one `ingest_arrays` call.
+    `links` maps (from, to) to (volume, speed_mps, occupied), `nodes` node id
+    to density. An unknown id or a value outside [0, inf) raises ContractError
+    before anything changes. Returns the link indices written, in order."""
+    link_index = state.net.link_index
+    link_idx = []
+    for pair, (volume, speed, _) in links.items():
+        idx = link_index.get(pair)
+        if idx is None:
+            raise ContractError(f"observation references unknown link {pair}")
+        # Chained comparisons are False for NaN: one test rejects NaN, negative
+        # and infinite readings.
+        if not 0 <= volume < INF:
+            raise ContractError(f"volume for link {pair} must be finite and >= 0, "
+                                f"got {volume}")
+        if not 0 <= speed < INF:
+            raise ContractError(f"speed for link {pair} must be finite and >= 0, "
+                                f"got {speed}")
+        link_idx.append(idx)
+    for node, d in nodes.items():
+        if node not in state.net.node_by_id:
+            raise ContractError(f"observation references unknown node {node}")
+        if not 0 <= d < INF:
+            raise ContractError(f"pedestrian density at node {node} must be finite "
+                                f"and >= 0, got {d}")
+
+    values = np.array(list(links.values()), dtype=float).reshape(-1, 3)
+    node_idx = np.fromiter(nodes, dtype=int, count=len(nodes))
+    densities = np.fromiter(nodes.values(), dtype=float, count=len(nodes))
+    state.ingest_arrays(sources, np.array(link_idx, dtype=int), values[:, 0],
+                        values[:, 1], values[:, 2] != 0.0, node_idx, densities, now)
+    return link_idx
+
+
 def ingest_observation(
     state: TwinState,
     source: SensingSource,
@@ -139,54 +188,18 @@ def ingest_observation(
     delivered: bool,
     now: float,
 ) -> TwinState:
-    """Apply one source's observation; a dropped packet changes nothing."""
-    bad_links = set(observation.links) - set(source.covered_links)
+    """Apply one source's observation through `ingest_readings`; a dropped
+    packet changes nothing. Readings outside the source's coverage raise
+    ContractError, delivered or not."""
+    bad_links = observation.links.keys() - source.covered_links
     if bad_links:
         raise ContractError(f"observation outside source coverage: links {sorted(bad_links)}")
-    bad_nodes = set(observation.node_densities) - set(source.covered_nodes)
+    bad_nodes = observation.node_densities.keys() - source.covered_nodes
     if bad_nodes:
         raise ContractError(f"observation outside source coverage: nodes {sorted(bad_nodes)}")
-    if not delivered:
-        return state
-
-    link_index = state.net.link_index
-    link_idx, vols, speeds, occ = [], [], [], []
-    for pair, reading in observation.links.items():
-        idx = link_index.get(pair)
-        if idx is None:
-            raise ContractError(f"observation references unknown link {pair}")
-        # Chained comparisons are False for NaN: one test rejects NaN, negative
-        # and infinite readings.
-        if not 0 <= reading.volume < INF:
-            raise ContractError(f"volume for link {pair} must be finite and >= 0, "
-                                f"got {reading.volume}")
-        if not 0 <= reading.speed_mps < INF:
-            raise ContractError(f"speed for link {pair} must be finite and >= 0, "
-                                f"got {reading.speed_mps}")
-        link_idx.append(idx)
-        vols.append(reading.volume)
-        speeds.append(reading.speed_mps)
-        occ.append(reading.occupied)
-    node_idx, dens = [], []
-    for node, d in observation.node_densities.items():
-        if node not in state.net.node_by_id:
-            raise ContractError(f"observation references unknown node {node}")
-        if not 0 <= d < INF:
-            raise ContractError(f"pedestrian density at node {node} must be finite "
-                                f"and >= 0, got {d}")
-        node_idx.append(node)
-        dens.append(d)
-
-    state.ingest_arrays(
-        (source.kind, [source.source_id]),
-        np.asarray(link_idx, dtype=int),
-        np.asarray(vols, dtype=float),
-        np.asarray(speeds, dtype=float),
-        np.asarray(occ, dtype=bool),
-        np.asarray(node_idx, dtype=int),
-        np.asarray(dens, dtype=float),
-        now,
-    )
+    if delivered:
+        ingest_readings(state, (source.kind, [source.source_id]), observation.links,
+                        observation.node_densities, now)
     return state
 
 
@@ -203,9 +216,9 @@ def detect_pedestrian_gathering(
 
 def detect_accident(
     state: TwinState, thresholds: EventThresholds, now: float
-) -> tuple[set[int], set[tuple[int, int]]]:
-    """Links whose delivered readings stayed slow and occupied for the whole
-    accident window; merged into the state's event-link set.
+) -> tuple[set[int], set[int]]:
+    """Indices of the links whose delivered readings stayed slow and occupied
+    for the whole accident window; merged into the state's event-link set.
 
     Speeds are judged per reading at ingest time, so only the window length
     from `thresholds` applies here. The node set mirrors the event-set shape
@@ -214,27 +227,26 @@ def detect_accident(
     """
     run = state.low_speed_since
     mask = ~np.isnan(run) & (now - run >= thresholds.accident_window_s)
-    flagged_idx = {int(i) for i in np.nonzero(mask)[0]}
-    state.event_links |= flagged_idx
-    links = state.net.links
-    return set(), {links[i].pair for i in flagged_idx}
+    flagged = set(np.flatnonzero(mask).tolist())
+    state.event_links |= flagged
+    return set(), flagged
 
 
 def clear_resolved_events(
     state: TwinState,
     thresholds: EventThresholds,
-    clearable_nodes: set[int],
-    clearable_links: set[tuple[int, int]],
+    clearable_nodes: Iterable[int],
+    clearable_links: Iterable[int],
 ) -> None:
     """Drop flagged elements that are eligible to clear (their scheduled cause
     has ended) and whose latest delivered observation no longer meets the
-    detection criterion. Stale evidence keeps an element flagged."""
-    for n in list(state.event_nodes):
-        if n in clearable_nodes and state.node_density[n] <= thresholds.density_threshold:
+    detection criterion. Stale evidence keeps an element flagged.
+    `clearable_links` holds link indices."""
+    for n in state.event_nodes.intersection(clearable_nodes):
+        if state.node_density[n] <= thresholds.density_threshold:
             state.event_nodes.discard(n)
-    links = state.net.links
-    for i in list(state.event_links):
-        if links[i].pair in clearable_links and math.isnan(state.low_speed_since[i]):
+    for i in state.event_links.intersection(clearable_links):
+        if math.isnan(state.low_speed_since[i]):
             state.event_links.discard(i)
 
 

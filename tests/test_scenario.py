@@ -109,6 +109,27 @@ def test_run_exits_2_on_non_finite_scenario_number(tmp_path, capsys, case):
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
 
 
+MISTYPED = {
+    "events_random a number": lambda d: d.update(events_random=5),
+    "sensing a number": lambda d: d.update(sensing=5),
+    "sensing.rsus a number": lambda d: d.update(sensing={"rsus": 5}),
+    "thresholds a number": lambda d: d.update(thresholds=5),
+    "traffic.spawn a number": lambda d: d["traffic"].update(spawn=5),
+    "latency a number": lambda d: d.update(latency=5),
+    "event not an object": lambda d: d.update(events=[5]),
+    "events_random kind not a string": lambda d: d.update(
+        events_random={"count": 2, "kinds": [{}]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_run_exits_2_on_mistyped_scenario_block(tmp_path, capsys, case):
+    doc = minimal_doc()
+    MISTYPED[case](doc)
+    sc = write_json(tmp_path / "scenario.json", doc)
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+
+
 def test_event_location_must_match_kind():
     with pytest.raises(ConfigError, match="node"):
         scenario_from_dict(

@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinnav import service
+from twinnav.errors import ContractError
 from twinnav.service import RouteService, ServiceError, ServiceState
+from twinnav.twin import (
+    LinkReading,
+    Observation,
+    SensingSource,
+    TwinState,
+    clear_resolved_events,
+    detect_accident,
+    detect_pedestrian_gathering,
+    ingest_observation,
+)
 
 from conftest import diamond_doc, make_scenario
 
@@ -435,3 +446,86 @@ def test_fuzzed_messages_never_flag_without_slow_evidence(messages):
                 f"{pair} flagged {model.clock - model.run_start[pair]} s into its slow run")
         for node in state.twin.event_nodes:
             assert model.density[node] > state.thresholds.density_threshold
+
+
+# ------------------------------------------ one ingest law behind both entries
+
+UNKNOWN_PAIRS = [(4, 1), (9, 1), (2, 1)]
+READING_VALUES = st.floats(0.0, 12.0) | st.sampled_from(
+    [0.0, 0.1, 0.49, 0.5, 3.0, 9.0] * 3 + [math.nan, -1.0, math.inf])
+
+
+@st.composite
+def reading_streams(draw):
+    """Sensor updates with increasing time_s: repeated links with different
+    values, unknown links and nodes, and NaN, negative and infinite values."""
+    reading = st.fixed_dictionaries({
+        "pair": st.sampled_from(DIAMOND_PAIRS * 3 + UNKNOWN_PAIRS),
+        "volume": READING_VALUES,
+        "speed_mps": READING_VALUES,
+        "occupied": st.booleans(),
+    }).map(lambda r: {"from": r["pair"][0], "to": r["pair"][1], "volume": r["volume"],
+                      "speed_mps": r["speed_mps"], "occupied": r["occupied"]})
+    node = st.fixed_dictionaries({"id": st.sampled_from([1, 2, 3, 4] * 3 + [0, 99]),
+                                  "density": READING_VALUES})
+    time_s, stream = 0.0, []
+    for _ in range(draw(st.integers(1, 25))):
+        time_s += draw(st.sampled_from([0.5, 1.0, 2.5, 5.0, 10.0]))
+        stream.append({
+            "type": "sensor_update",
+            "source": {"kind": draw(st.sampled_from(["rsu", "cav"])),
+                       "id": draw(st.integers(0, 3))},
+            "time_s": time_s,
+            "links": draw(st.lists(reading, max_size=4)),
+            "nodes": draw(st.lists(node, max_size=2)),
+        })
+    return stream
+
+
+def ingest_as_observation(twin, clock, msg):
+    """The service's handling of `msg`, through ingest_observation from a
+    source that covers exactly what it reads. Returns the new clock."""
+    links = {(r["from"], r["to"]): LinkReading(r["volume"], r["speed_mps"], r["occupied"])
+             for r in msg["links"]}
+    nodes = {n["id"]: n["density"] for n in msg["nodes"]}
+    source = SensingSource(kind=msg["source"]["kind"], source_id=msg["source"]["id"],
+                           covered_nodes=frozenset(nodes), covered_links=frozenset(links))
+    now = max(clock, msg["time_s"])
+    ingest_observation(twin, source, Observation(links, nodes), True, now)
+    detect_pedestrian_gathering(twin, twin.thresholds)
+    detect_accident(twin, twin.thresholds, now)
+    clear_resolved_events(twin, twin.thresholds, set(nodes),
+                          {twin.net.link_index[p] for p in links})
+    return now
+
+
+def twin_law_view(twin):
+    return (twin.link_volume.tobytes(), twin.low_speed_since.tobytes(),
+            twin.node_density.tobytes(), twin.node_observed.tobytes(),
+            set(twin.event_nodes), set(twin.event_links), dict(twin.last_update))
+
+
+@settings(max_examples=100, deadline=None)
+@given(reading_streams())
+def test_service_update_and_ingest_observation_share_one_law(stream):
+    state = diamond_state()
+    twin = TwinState(state.net, state.thresholds)
+    clock = 0.0
+    for msg in stream:
+        before = twin_law_view(state.twin)
+        try:
+            state.apply_sensor_update(msg)
+            service_ok = True
+        except ServiceError as exc:
+            assert exc.code == "bad_request"
+            service_ok = False
+        try:
+            clock = ingest_as_observation(twin, clock, msg)
+            observation_ok = True
+        except ContractError:
+            observation_ok = False
+        assert service_ok == observation_ok, msg
+        if not service_ok:
+            assert twin_law_view(state.twin) == before
+        assert twin_law_view(state.twin) == twin_law_view(twin)
+        assert state.clock_s == clock

@@ -133,7 +133,8 @@ def test_accident_detection_needs_full_window(net):
     src = rsu_all(net)
     for t in (0.0, 5.0, 10.0):
         ingest_observation(state, src, obs_link((1, 2), 2, speed=0.1), True, now=t)
-        detect_accident(state, TH, now=t)
+        _, flagged = detect_accident(state, TH, now=t)
+    assert flagged == {net.link_index[(1, 2)]}
     assert state.event_link_pairs() == {(1, 2)}
 
 
@@ -216,11 +217,11 @@ def test_link_event_clearing(net):
         detect_accident(state, TH, now=t)
     assert state.event_link_pairs() == {(1, 2)}
 
-    clear_resolved_events(state, TH, set(), {(1, 2)})
+    clear_resolved_events(state, TH, set(), {net.link_index[(1, 2)]})
     assert state.event_link_pairs() == {(1, 2)}  # still slow, stays
 
     ingest_observation(state, src, obs_link((1, 2), 2, speed=4.0), True, now=11.0)
-    clear_resolved_events(state, TH, set(), {(1, 2)})
+    clear_resolved_events(state, TH, set(), {net.link_index[(1, 2)]})
     assert state.event_link_pairs() == set()
 
 
