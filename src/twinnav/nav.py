@@ -2,9 +2,9 @@
 
 The planner reads `rows[u][v]`, the journey time of link u->v, only along
 `out_neighbors[u]`. `journey_rows` builds those rows from one link-indexed
-journey-time vector, one small mapping per node. The dense (M+1, M+1)
-matrices of `build_journey_matrix` and `mask_events` index the same way and
-remain the reference the tests compare against.
+journey-time vector (`masked_journey_times`), one small mapping per node. The
+dense (M+1, M+1) matrices of `build_journey_matrix` and `mask_events` index
+the same way and remain the reference the tests compare against.
 
 Planning always happens on rows that already have event closures masked in:
 links into flagged nodes and flagged links are +inf, so returned routes
@@ -162,21 +162,32 @@ def tree_path(pred: list[int], origin: int, dest: int) -> list[int]:
     return path
 
 
+def masked_journey_times(
+    net: TrafficNetwork,
+    volumes: np.ndarray,
+    event_nodes: set[int],
+    event_links: set[int],
+) -> np.ndarray:
+    """Event-masked journey time of every link under `volumes` (one count per
+    link): +inf when the link is jammed, flagged (`event_links` holds link
+    indices) or leads into a flagged node. A fresh array."""
+    times = link_journey_times(net, volumes)
+    times[list(event_links)] = INF
+    for n in event_nodes:
+        times[net.in_links[n]] = INF
+    return times
+
+
 def journey_rows(
     net: TrafficNetwork,
     volumes: np.ndarray,
     event_nodes: set[int],
     event_links: set[int],
 ) -> list[dict[int, float]]:
-    """Event-masked journey-time rows for the planner: rows[u][v] is the time
-    of link u->v under `volumes` (one count per link), +inf when the link is
-    jammed, flagged (`event_links` holds link indices) or leads into a
-    flagged node. Equal, entry for entry on every link, to
-    mask_events(build_journey_matrix(net, volumes), ...)."""
-    times = link_journey_times(net, volumes)
-    times[list(event_links)] = INF
-    for n in event_nodes:
-        times[net.in_links[n]] = INF
+    """Event-masked journey-time rows for the planner: rows[u][v] is
+    `masked_journey_times` of link u->v. Equal, entry for entry on every
+    link, to mask_events(build_journey_matrix(net, volumes), ...)."""
+    times = masked_journey_times(net, volumes, event_nodes, event_links)
     return net.link_rows(times)
 
 

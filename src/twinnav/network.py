@@ -7,6 +7,11 @@ elementwise on arrays; `link_speeds` and the scalar `journey_speed` call it.
 The planner reads per-node rows (`TrafficNetwork.link_rows`): rows[u][v] is
 the value of link u->v, one small mapping per node, so planning costs O(L)
 per snapshot instead of O(M^2).
+A network never changes, so it caches what only its topology and lengths
+decide, each filled on first use: the node set reachable from an origin
+(`reachable_from`) and, for `static_route`, the rows of link lengths and, per
+origin, the predecessor array of its shortest-distance tree.
+Scenarios derived from one another share their network, and so these caches.
 Journey times are in seconds, +inf when a link is jammed or closed.
 `build_journey_matrix` keeps the dense (M+1, M+1) form, indexed by node id
 with +inf wherever no traversable link exists, as a reference.
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DegenerateRouteRequest
 
 INF = math.inf
 # A vehicle this close to a link's end counts as at the end. Every link must be
@@ -83,6 +88,8 @@ class TrafficNetwork:
             sorted(links[i].to_node for i in outs) for outs in self.out_links
         ]
         self._reach_cache: dict[int, frozenset[int]] = {}
+        self._length_rows: list[dict[int, float]] | None = None
+        self._static_preds: dict[int, list[int]] = {}
 
     def link_rows(self, values: np.ndarray) -> list[dict[int, float]]:
         """Per-node rows of a link-indexed vector: rows[u][v] = values[i] for
@@ -91,6 +98,29 @@ class TrafficNetwork:
         for (u, v), x in zip(self.pairs, values.tolist()):
             rows[u][v] = x
         return rows
+
+    def static_route(self, origin: int, dest: int) -> list[int] | None:
+        """Node sequence origin..dest of least total length, None when dest is
+        unreachable; ties break like the journey-time planner. Each origin's
+        shortest-distance tree is searched once and its predecessors cached.
+        Raises like `nav.dijkstra_fastest` on equal or out-of-range ids."""
+        from . import nav  # nav imports this module
+
+        if origin == dest:
+            raise DegenerateRouteRequest(f"start and destination are both {origin}")
+        if not (1 <= origin <= self.node_count and 1 <= dest <= self.node_count):
+            raise ContractError(f"node ids must be in 1..{self.node_count}")
+        pred = self._static_preds.get(origin)
+        if pred is None:
+            if self._length_rows is None:
+                self._length_rows = self.link_rows(self.lengths)
+            _, pred = nav.shortest_path_tree(
+                self._length_rows, origin, self.out_neighbors
+            )
+            self._static_preds[origin] = pred
+        if not pred[dest]:  # node ids start at 1: no predecessor, no path
+            return None
+        return nav.tree_path(pred, origin, dest)
 
     def link_between(self, from_node: int, to_node: int) -> Link | None:
         idx = self.link_index.get((from_node, to_node))

@@ -19,10 +19,13 @@ than MAX_LINE_BYTES, its newline included, is discarded unread up to its
 newline and answers {"type": "error", "code": "line_too_long"}; the connection
 stays open.
 
-A reading must name a link or node of the network, its volume, speed_mps and
-density must be finite and non-negative, `occupied` a JSON boolean, `time_s`,
-when given, a finite JSON number, and `links` and `nodes`, when given, JSON
-arrays; anything else answers `bad_request` and leaves the twin unchanged.
+Ids are JSON integers: a source `id`, a link's `from` and `to`, a node `id`
+and a route request's `position` and `destination` (a boolean, a float such as
+2.0 or 2.9, or a string is not an id). A reading must name a link or node of
+the network, its volume, speed_mps and density must be finite and
+non-negative, `occupied` a JSON boolean, `time_s`, when given, a finite JSON
+number, and `links` and `nodes`, when given, JSON arrays; anything else
+answers `bad_request` and leaves the twin unchanged.
 
 Sensor updates feed a live twin through `twin.ingest_readings` (a source
 covers exactly what it reports, so no coverage check applies). The service
@@ -60,6 +63,14 @@ log = logging.getLogger(__name__)
 MAX_LINE_BYTES = 1 << 20
 
 
+def _json_int(value) -> int:
+    """`value` if it is a JSON integer; TypeError for anything else, booleans
+    and integral floats included, so no id is truncated or coerced."""
+    if type(value) is not int:
+        raise TypeError(f"ids must be JSON integers, got {value!r}")
+    return value
+
+
 class ServiceError(Exception):
     def __init__(self, code: str, detail: str):
         super().__init__(detail)
@@ -87,8 +98,8 @@ class ServiceState:
         if kind not in ("rsu", "cav"):
             raise ServiceError("bad_request", f"unknown source kind {kind!r}")
         try:
-            source_id = int(source_doc.get("id", 0))
-        except (TypeError, ValueError, OverflowError):
+            source_id = _json_int(source_doc.get("id", 0))
+        except TypeError:
             raise ServiceError("bad_request", "source id must be an integer")
         time_s = msg.get("time_s")
         try:
@@ -107,7 +118,7 @@ class ServiceState:
         links: dict[tuple[int, int], tuple[float, float, bool]] = {}
         for item in link_items:
             try:
-                pair = (int(item["from"]), int(item["to"]))
+                pair = (_json_int(item["from"]), _json_int(item["to"]))
                 occupied = item["occupied"]
                 if occupied is not True and occupied is not False:
                     raise ValueError(f"occupied must be true or false, got {occupied!r}")
@@ -118,7 +129,7 @@ class ServiceState:
         nodes: dict[int, float] = {}
         for item in node_items:
             try:
-                nodes[int(item["id"])] = float(item["density"])
+                nodes[_json_int(item["id"])] = float(item["density"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ServiceError("bad_request", f"node readings need id and density ({exc})")
 
@@ -144,9 +155,9 @@ class ServiceState:
     def plan_route(self, msg: dict) -> dict:
         try:
             vehicle = msg["vehicle"]
-            position = int(msg["position"])
-            destination = int(msg["destination"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            position = _json_int(msg["position"])
+            destination = _json_int(msg["destination"])
+        except (KeyError, TypeError) as exc:
             raise ServiceError(
                 "bad_request", f"route_request needs vehicle, position, destination ({exc})"
             )

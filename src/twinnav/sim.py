@@ -12,12 +12,16 @@ event detection, route planning and delivery, movement, bookkeeping. One run
 is single-threaded and fully determined by (scenario, seed).
 
 No step phase loops over the vehicles ever spawned: the per-vehicle loops walk
-the live list (spawned, not yet arrived, in vid order), movement's vehicle
-loops visit only the links that hold vehicles, and the connected vehicles'
-delivered readings reach the twin in one batched ingest after the RSUs'. A step
-still does O(links) work: link speeds and the occupied-link scan in
-numpy, the speed and closure lists the vehicle loops read, and the planner's
-journey-time rows.
+the live list (spawned, not yet arrived, in vid order), and movement's vehicle
+loops visit only the links that hold vehicles. The delivered RSU readings
+reach the twin in one batched ingest and the connected vehicles' in one more.
+The planner's journey-time rows are built only on steps that search: when a
+connected user waits for a route, or a live route's remaining links cross a
+link the masked journey times put at +inf. Unconnected vehicles' static
+routes come from shortest-distance trees cached on the network, so runs on
+one network (a sweep) search each origin once. A step still does O(links)
+work in numpy (link speeds, masked journey times, the occupied-link scan) and
+builds the speed and closure lists the vehicle loops read.
 """
 
 from __future__ import annotations
@@ -139,13 +143,11 @@ def shortest_distance_route(
     net: TrafficNetwork, start: int, end: int, vehicle_id=None
 ) -> nav.Route | None:
     """Static route minimizing total length in meters; ties break exactly like
-    the journey-time planner."""
-    found = nav.dijkstra_fastest(
-        net.link_rows(net.lengths), start, end, net.out_neighbors
-    )
-    if found is None:
+    the journey-time planner. Read off the network's cached trees."""
+    nodes = net.static_route(start, end)
+    if nodes is None:
         return None
-    return nav.Route(nodes=list(found.nodes), vehicle_id=vehicle_id)
+    return nav.Route(nodes=nodes, vehicle_id=vehicle_id)
 
 
 def record_encounter(
@@ -218,9 +220,6 @@ class Engine:
             )
             node_idx = np.array(sorted(src.covered_nodes), dtype=int)
             self._rsu_cov.append((src.source_id, link_idx, node_idx))
-
-        self._length_rows = net.link_rows(net.lengths)
-        self._static_trees: dict[int, tuple[list[float], list[int]]] = {}
 
         self.step = -1
         self.speeds = np.zeros(net.link_count)
@@ -296,15 +295,6 @@ class Engine:
             )
         return out
 
-    def _static_tree(self, origin: int) -> tuple[list[float], list[int]]:
-        tree = self._static_trees.get(origin)
-        if tree is None:
-            tree = nav.shortest_path_tree(
-                self._length_rows, origin, self.net.out_neighbors
-            )
-            self._static_trees[origin] = tree
-        return tree
-
     # ------------------------------------------------------------- step phases
 
     def _spawn(self, step: int) -> None:
@@ -332,10 +322,7 @@ class Engine:
                 entry_step=step,
             )
             if klass == UNCONNECTED:
-                _, pred = self._static_tree(origin)
-                veh.route = nav.Route(
-                    nodes=nav.tree_path(pred, origin, dest), vehicle_id=vid
-                )
+                veh.route = shortest_distance_route(self.net, origin, dest, vid)
             self.vehicles.append(veh)
             self._active.append(veh)
             self._spawned += 1
@@ -374,22 +361,30 @@ class Engine:
         info_rng = self.streams.rng("pdr_info")
         empty_i = np.empty(0, dtype=int)
         empty_f = np.empty(0)
+        # One batch for the delivered RSUs, then one for the delivered vehicle
+        # readings. Readers of one link or node report its same true state,
+        # so duplicate indices write equal values.
+        rsu_ids: list[int] = []
+        rsu_links: list[np.ndarray] = []
+        rsu_nodes: list[np.ndarray] = []
         for rsu_id, link_idx, node_idx in self._rsu_cov:
-            delivered = deliver(model.pdr_ssms, ssms_rng)
-            if not delivered:
-                continue
+            if deliver(model.pdr_ssms, ssms_rng):
+                rsu_ids.append(rsu_id)
+                rsu_links.append(link_idx)
+                rsu_nodes.append(node_idx)
+        if rsu_ids:
+            li = np.concatenate(rsu_links)
+            ni = np.concatenate(rsu_nodes)
             self.twin.ingest_arrays(
-                ("rsu", [rsu_id]),
-                link_idx,
-                self.link_counts[link_idx],
-                self.speeds[link_idx],
-                occupied[link_idx],
-                node_idx,
-                self.truth_density[node_idx],
+                ("rsu", rsu_ids),
+                li,
+                self.link_counts[li],
+                self.speeds[li],
+                occupied[li],
+                ni,
+                self.truth_density[ni],
                 now,
             )
-        # One batch for every delivered vehicle reading. Readers of one link
-        # report its same true state, so duplicate indices write equal values.
         cav_ids: list[int] = []
         cav_links: list[int] = []
         for veh in self._active:
@@ -427,16 +422,32 @@ class Engine:
 
     def _plan(self, step: int) -> None:
         net = self.net
-        rows = nav.journey_rows(
-            net, self.twin.link_volume, self.twin.event_nodes, self.twin.event_links
+        twin = self.twin
+        times = nav.masked_journey_times(
+            net, twin.link_volume, twin.event_nodes, twin.event_links
         )
+        new_users = {
+            v.vid: (v.origin, v.destination)
+            for v in self._active
+            if v.klass == CAV and v.link_idx is None
+        }
+        # replan_affected's test, read off the +inf links: only these routes
+        # are re-planned, so only they can need the rows.
+        pairs = net.pairs
+        blocked = {pairs[i] for i in np.flatnonzero(np.isinf(times)).tolist()}
+        affected: dict[int, nav.Route] = {}
+        if blocked:
+            for v in self._active:
+                route = v.route
+                if v.klass != CAV or v.link_idx is None or route is None:
+                    continue
+                if not blocked.isdisjoint(route.remaining_links()):
+                    affected[v.vid] = route
+        if not new_users and not affected:
+            return  # no search this step, so no rows
         inp = nav.PlanningInput(
-            matrix=rows,
-            new_users={
-                v.vid: (v.origin, v.destination)
-                for v in self._active
-                if v.klass == CAV and v.link_idx is None
-            },
+            matrix=net.link_rows(times),
+            new_users=new_users,
             out_neighbors=net.out_neighbors,
         )
         vehicles = self.vehicles  # vids are 1-based spawn order
@@ -455,12 +466,7 @@ class Engine:
             veh.route = route
             self._journal_route(step, veh, "new")
 
-        current = {
-            v.vid: v.route
-            for v in self._active
-            if v.klass == CAV and v.link_idx is not None and v.route is not None
-        }
-        replanned = nav.replan_affected(inp, current)
+        replanned = nav.replan_affected(inp, affected)
         for vid in sorted(replanned.routes):
             veh = vehicles[vid - 1]
             t_svc = sample_service_latency(

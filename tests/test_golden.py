@@ -1,11 +1,13 @@
 """Outputs of fixed runs, byte for byte against committed files: metrics.csv
-of two runs, the SHA-256 of both journals of one, the criterion-7 sweep.csv,
+of three runs, the SHA-256 of both journals of two, the criterion-7 sweep.csv,
 the kpi.csv of `twinnav kpi` and the SHA-256 of latency Monte-Carlo series.
 
-The metrics files under tests/data were written by the dense journey-matrix
-planner, the journal digests and the sweep by the engine that scanned every
-spawned vehicle and ingested one vehicle reading per call, the KPI files by
-the sampler that drew one latency value per `random.Random` call. A change
+The demo and grid_events metrics files under tests/data were written by the
+dense journey-matrix planner, the grid_events journal digests and the sweep
+by the engine that scanned every spawned vehicle and ingested one vehicle
+reading per call, the grid_rsus files by the engine that built planner rows
+on every step and ingested each delivered RSU in its own call, the KPI files
+by the sampler that drew one latency value per `random.Random` call. A change
 that alters a route, a float, an RNG draw or the order of bookkeeping or
 ingest shows here.
 Regenerate them only with a change that states why behaviour moved.
@@ -40,12 +42,29 @@ def grid_with_events_doc():
     }
 
 
-@pytest.mark.parametrize("name", ["demo", "grid_events"])
+def grid_with_rsus_doc():
+    """6x6 grid, four overlapping RSUs with lossy delivery (pdr_ssms 0.8) and
+    lossy route responses: pins the order and content of the RSU readings
+    that reach the twin on each step."""
+    return {
+        "network": generate_grid_network(rows=6, cols=6, n_links=160, seed=13),
+        "sim": {"dt_s": 1.0, "t_sim_s": 400.0, "seed": 13},
+        "traffic": {"n_vel": 500, "p_user": 0.6},
+        "events_random": {"count": 8, "onset_max_s": 250.0, "duration_s": 150.0},
+        "sensing": {"rsus": [{"node": n, "radius_m": 250.0} for n in (8, 11, 26, 29)]},
+        "latency": {"pdr_ssms": 0.8, "pdr_info": 0.9},
+    }
+
+
+GRID_DOCS = {"grid_events": grid_with_events_doc, "grid_rsus": grid_with_rsus_doc}
+
+
+@pytest.mark.parametrize("name", ["demo", "grid_events", "grid_rsus"])
 def test_metrics_csv_matches_golden(tmp_path, capsys, name):
     if name == "demo":
         scenario = DEMO
     else:
-        scenario = write_json(tmp_path / "scenario.json", grid_with_events_doc())
+        scenario = write_json(tmp_path / "scenario.json", GRID_DOCS[name]())
     out = tmp_path / "out"
     assert main(["run", "--scenario", scenario, "--out", str(out)]) == 0
     with open(os.path.join(DATA, f"{name}_metrics.csv"), "rb") as fh:
@@ -63,17 +82,30 @@ def criterion7_doc():
     }
 
 
-def test_journals_match_golden_digests(tmp_path, capsys):
-    scenario = write_json(tmp_path / "scenario.json", grid_with_events_doc())
+def journal_digests(tmp_path, doc):
+    scenario = write_json(tmp_path / "scenario.json", doc)
     out = tmp_path / "out"
     assert main(["run", "--scenario", scenario, "--out", str(out),
                  "--twin-journal", "--routes-journal"]) == 0
-    digests = {
+    return {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("twin_journal.jsonl", "routes_journal.jsonl")
     }
-    with open(os.path.join(DATA, "grid_events_journals.json"), encoding="utf-8") as fh:
-        assert digests == json.load(fh)
+
+
+def golden_digests(name):
+    with open(os.path.join(DATA, f"{name}_journals.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_journals_match_golden_digests(tmp_path, capsys):
+    assert journal_digests(tmp_path, grid_with_events_doc()) == \
+        golden_digests("grid_events")
+
+
+def test_multi_rsu_journals_match_golden_digests(tmp_path, capsys):
+    assert journal_digests(tmp_path, grid_with_rsus_doc()) == \
+        golden_digests("grid_rsus")
 
 
 def test_criterion7_sweep_csv_matches_golden(tmp_path, capsys):

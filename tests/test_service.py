@@ -191,6 +191,11 @@ def test_bad_requests(server):
         )["code"]
         == "bad_request"
     )
+    # Node ids are JSON integers: no truncation of floats, no bools.
+    for position, destination in ((1.7, 4), (True, 4), (1, 4.0), (1, "4")):
+        reply = c.request({"type": "route_request", "vehicle": "x",
+                           "position": position, "destination": destination})
+        assert reply["code"] == "bad_request", (position, destination)
     c.close()
 
 
@@ -303,6 +308,16 @@ BAD_UPDATES = {
     "infinite density": {"nodes": [{"id": 3, "density": math.inf}]},
     "infinite link endpoint": {"links": [reading(to=math.inf)]},
     "infinite source id": {"source": {"kind": "rsu", "id": math.inf}},
+    "bool source id": {"source": {"kind": "rsu", "id": True}, "links": [reading()]},
+    "float source id": {"source": {"kind": "rsu", "id": 1.5}, "links": [reading()]},
+    "string source id": {"source": {"kind": "rsu", "id": "1"}, "links": [reading()]},
+    "bool link endpoint": {"links": [reading(**{"from": True})]},
+    "float link endpoint": {"links": [reading(to=2.9)]},
+    "integral float link endpoint": {"links": [reading(to=2.0)]},
+    "string link endpoint": {"links": [reading(to="2")]},
+    "bool node id": {"nodes": [{"id": True, "density": 0.1}]},
+    "float node id": {"nodes": [{"id": 3.5, "density": 0.1}]},
+    "string node id": {"nodes": [{"id": "3", "density": 0.1}]},
     "links not an array": {"links": 5},
     "nodes not an array": {"nodes": 5},
 }

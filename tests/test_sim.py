@@ -1,14 +1,23 @@
 import math
+import os
 import random
+import tempfile
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twinnav import nav
+from twinnav.comms import check_deadline, deliver, sample_service_latency
+from twinnav.errors import ContractError, DegenerateRouteRequest
 from twinnav.netgen import generate_grid_network
-from twinnav.network import network_from_dict
-from twinnav.sim import Engine, MetricsSummary, Vehicle, poisson_draw, \
+from twinnav.network import TrafficNetwork, network_from_dict
+from twinnav.scenario import scenario_from_dict
+from twinnav.sim import CAV, Engine, MetricsSummary, Vehicle, poisson_draw, \
     record_encounter, run, shortest_distance_route
 from twinnav.nav import Route
+from twinnav.twin import TwinState
 
 from conftest import corridor_doc, diamond_doc, grid_nodes, link, make_scenario
 
@@ -84,6 +93,14 @@ def test_shortest_distance_route_tie_prefers_lower_node():
 
 def test_shortest_distance_route_unreachable(corridor_net):
     assert shortest_distance_route(corridor_net, 4, 1) is None
+
+
+def test_shortest_distance_route_rejects_like_the_planner(corridor_net):
+    with pytest.raises(DegenerateRouteRequest):
+        shortest_distance_route(corridor_net, 2, 2)
+    for start, end in ((1, 0), (1, -1), (1, 5), (0, 2)):
+        with pytest.raises(ContractError):
+            shortest_distance_route(corridor_net, start, end)
 
 
 # ------------------------------------------------------------------ encounters
@@ -178,11 +195,10 @@ def test_conservation_and_capacity_every_step():
     assert m.completed_cav + m.completed_unconnected > 0
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_engine_invariants_on_random_grids(data):
-    """Random small grids with tight jam capacity, random connected share and
-    demand, timed accidents and gatherings, one RSU and lossy delivery."""
+def draw_grid_scenario(data, rsu_count, radius_m, pdr_ssms):
+    """A random 2x2 to 4x4 grid with tight jam capacity, random connected
+    share and demand, timed accidents and gatherings, `rsu_count` RSUs and
+    lossy route responses."""
     rows, cols = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
     ortho = rows * (cols - 1) + cols * (rows - 1)
     extra = data.draw(st.integers(0, 2 * (rows - 1) * (cols - 1)))
@@ -204,17 +220,212 @@ def test_engine_invariants_on_random_grids(data):
             where = {"kind": "gathering", "node": data.draw(st.integers(1, m))}
         events.append(dict(where, onset_s=float(onset),
                            end_s=None if end is None else float(end)))
-    sc = make_scenario(
+    return make_scenario(
         net_doc,
         sim={"dt_s": 1.0, "t_sim_s": float(t_sim), "seed": data.draw(st.integers(0, 99))},
         traffic={"n_vel": data.draw(st.integers(0, 80)),
                  "p_user": data.draw(st.floats(0.0, 1.0))},
-        latency={"pdr_ssms": 1.0, "pdr_info": data.draw(st.floats(0.5, 1.0))},
+        latency={"pdr_ssms": data.draw(pdr_ssms),
+                 "pdr_info": data.draw(st.floats(0.5, 1.0))},
         sensing={"rsus": [{"node": data.draw(st.integers(1, m)),
-                           "radius_m": data.draw(st.floats(50.0, 400.0))}]},
+                           "radius_m": data.draw(radius_m)}
+                          for _ in range(data.draw(rsu_count))]},
         events=events,
     )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_engine_invariants_on_random_grids(data):
+    """Random small grids, one RSU, lossy route responses."""
+    sc = draw_grid_scenario(data, rsu_count=st.just(1),
+                            radius_m=st.floats(50.0, 400.0), pdr_ssms=st.just(1.0))
     Engine(sc, on_step=check_step_invariants).run()
+
+
+class ReferenceEngine(Engine):
+    """The engine step before planner rows were built on demand and RSU
+    readings batched: rows on every step, every live route offered to
+    replan_affected, one twin ingest per delivered RSU."""
+
+    def _sense_and_ingest(self, step):
+        now = step * self.dt
+        occupied = self.link_counts > 0
+        self.last_sensed_volumes = self.link_counts.copy()
+        model = self.scenario.latency
+        ssms_rng = self.streams.rng("pdr_ssms")
+        info_rng = self.streams.rng("pdr_info")
+        for rsu_id, link_idx, node_idx in self._rsu_cov:
+            if not deliver(model.pdr_ssms, ssms_rng):
+                continue
+            self.twin.ingest_arrays(
+                ("rsu", [rsu_id]), link_idx, self.link_counts[link_idx],
+                self.speeds[link_idx], occupied[link_idx], node_idx,
+                self.truth_density[node_idx], now,
+            )
+        cav_ids, cav_links = [], []
+        for veh in self._active:
+            if veh.klass != CAV or veh.link_idx is None:
+                continue
+            if deliver(model.pdr_info, info_rng):
+                cav_ids.append(veh.vid)
+                cav_links.append(veh.link_idx)
+        if cav_ids:
+            li = np.array(cav_links, dtype=int)
+            self.twin.ingest_arrays(
+                ("cav", cav_ids), li, self.link_counts[li], self.speeds[li],
+                occupied[li], np.empty(0, dtype=int), np.empty(0), now,
+            )
+
+    def _plan(self, step):
+        net = self.net
+        latency = self.scenario.latency
+        rows = nav.journey_rows(
+            net, self.twin.link_volume, self.twin.event_nodes, self.twin.event_links
+        )
+        inp = nav.PlanningInput(
+            matrix=rows,
+            new_users={v.vid: (v.origin, v.destination) for v in self._active
+                       if v.klass == CAV and v.link_idx is None},
+            out_neighbors=net.out_neighbors,
+        )
+        fresh = nav.plan_new_users(inp)
+        for vid in sorted(fresh.routes):
+            route = fresh.routes[vid]
+            veh = self.vehicles[vid - 1]
+            t_svc = sample_service_latency(latency, self.streams, self.single_v2c)
+            if not deliver(latency.pdr_info, self.streams.rng("pdr_info")):
+                continue
+            first = net.link_between(route.nodes[0], route.nodes[1])
+            if not check_deadline(t_svc, first.v_free_mps):
+                continue
+            veh.route = route
+            self._journal_route(step, veh, "new")
+        current = {v.vid: v.route for v in self._active
+                   if v.klass == CAV and v.link_idx is not None and v.route is not None}
+        replanned = nav.replan_affected(inp, current)
+        for vid in sorted(replanned.routes):
+            veh = self.vehicles[vid - 1]
+            t_svc = sample_service_latency(latency, self.streams, self.single_v2c)
+            if not deliver(latency.pdr_info, self.streams.rng("pdr_info")):
+                continue
+            v_now = self.speeds[veh.link_idx]
+            if v_now > 0:
+                budget = (net.lengths[veh.link_idx] - veh.pos_m) / v_now
+                if t_svc > budget:
+                    continue
+            veh.route = nav.spliced_route(veh.route, replanned.routes[vid])
+            self._journal_route(step, veh, "replan")
+
+
+def run_outputs(engine_cls, scenario, directory):
+    """Everything a run leaves that the step phases decide: the metrics row,
+    both journals and the twin's final arrays and source stamps."""
+    twin_path = os.path.join(directory, f"{engine_cls.__name__}_twin.jsonl")
+    routes_path = os.path.join(directory, f"{engine_cls.__name__}_routes.jsonl")
+    eng = engine_cls(scenario, twin_journal_path=twin_path,
+                     routes_journal_path=routes_path)
+    row = eng.run().csv_row()
+    with open(twin_path, "rb") as fh:
+        twin_journal = fh.read()
+    with open(routes_path, "rb") as fh:
+        routes_journal = fh.read()
+    twin = eng.twin
+    return (row, twin_journal, routes_journal, twin.link_volume.tobytes(),
+            twin.low_speed_since.tobytes(), twin.last_update)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_engine_matches_reference_step(data):
+    """Rows only on steps that search and one RSU ingest per step leave every
+    output as rows on every step and one ingest per RSU did."""
+    sc = draw_grid_scenario(data, rsu_count=st.integers(2, 3),
+                            radius_m=st.floats(150.0, 400.0),
+                            pdr_ssms=st.floats(0.5, 1.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_outputs(Engine, sc, tmp) == run_outputs(ReferenceEngine, sc, tmp)
+
+
+# ------------------------------------------------- caches and per-step counts
+
+
+def lossy_grid_doc(**overrides):
+    """6x6 grid, three overlapping lossy RSUs, six timed random incidents."""
+    doc = {
+        "network": generate_grid_network(rows=6, cols=6, n_links=160, seed=4),
+        "sim": {"dt_s": 1.0, "t_sim_s": 300.0, "seed": 4},
+        "traffic": {"n_vel": 300, "p_user": 0.6},
+        "events_random": {"count": 6, "onset_max_s": 200.0, "duration_s": 120.0},
+        "sensing": {"rsus": [{"node": n, "radius_m": 250.0} for n in (8, 17, 29)]},
+        "latency": {"pdr_ssms": 0.8, "pdr_info": 0.9},
+    }
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_engine_matches_reference_step_on_a_lossy_grid(tmp_path, seed):
+    """Longer routes than the random grids give: a flag several links ahead."""
+    sc = scenario_from_dict(lossy_grid_doc()).with_seed(seed)
+    assert run_outputs(Engine, sc, str(tmp_path)) == \
+        run_outputs(ReferenceEngine, sc, str(tmp_path))
+
+
+def test_cache_warm_network_runs_like_a_fresh_one(tmp_path):
+    warm = scenario_from_dict(lossy_grid_doc())
+    run(warm)  # fills the network's static-route cache
+    assert warm.network._static_preds
+    fresh = scenario_from_dict(lossy_grid_doc())
+    assert not fresh.network._static_preds
+    (tmp_path / "warm").mkdir()
+    (tmp_path / "fresh").mkdir()
+    assert run_outputs(Engine, warm, str(tmp_path / "warm")) == \
+        run_outputs(Engine, fresh, str(tmp_path / "fresh"))
+
+
+def test_second_run_on_a_network_searches_no_static_tree(monkeypatch):
+    searches = []
+    original = nav.shortest_path_tree
+
+    def counted(*args, **kwargs):
+        searches.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nav, "shortest_path_tree", counted)
+    sc = scenario_from_dict(lossy_grid_doc())
+    first = run(sc).csv_row()
+    assert searches and len(searches) == len(set(searches))  # once per origin
+    searches.clear()
+    assert run(sc).csv_row() == first
+    assert searches == []
+
+
+def test_rows_only_on_steps_that_search_and_two_ingests_per_step(monkeypatch):
+    # Few connected users: most steps have no one to route or re-route.
+    sc = scenario_from_dict(lossy_grid_doc(traffic={"n_vel": 60, "p_user": 0.2}))
+    sc.network.static_route(1, 2)  # builds the static-route cache's own rows
+    eng = Engine(sc)
+    rows_steps, search_steps, ingest_steps = [], [], []
+
+    def spy(cls_or_module, name, record):
+        original = getattr(cls_or_module, name)
+
+        def wrapper(*args, **kwargs):
+            record(eng.step)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls_or_module, name, wrapper)
+
+    spy(TrafficNetwork, "link_rows", rows_steps.append)
+    spy(nav, "dijkstra_fastest", search_steps.append)
+    spy(TwinState, "ingest_arrays", ingest_steps.append)
+    eng.run()
+    assert search_steps  # the scenario does route someone
+    assert len(rows_steps) == len(set(rows_steps))  # rows at most once a step
+    assert set(rows_steps) <= set(search_steps)
+    assert len(rows_steps) < sc.sim.n_steps / 2
+    assert ingest_steps and max(Counter(ingest_steps).values()) <= 2
 
 
 def test_blocked_vehicles_resume_after_event_clears():
