@@ -37,14 +37,10 @@ from .scenario import Scenario, load_scenario, scenario_from_dict
 from .sim import Engine, MetricsSummary, Vehicle, run, shortest_distance_route
 from .twin import (
     EventThresholds,
-    Observation,
-    SensingSource,
     TwinState,
     detect_accident,
     detect_pedestrian_gathering,
-    ingest_observation,
     ingest_readings,
-    twin_volumes,
 )
 
 __version__ = "0.1.0"

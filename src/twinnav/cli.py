@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -109,6 +110,8 @@ def cmd_sweep(args) -> int:
 def cmd_kpi(args) -> int:
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
+    if not 0 < args.v_free_kmh < math.inf:  # False for NaN too
+        raise ConfigError(f"--v-free-kmh must be finite and > 0, got {args.v_free_kmh}")
     scenario = _load(args.scenario, args.seed)
     model = scenario.latency
     streams = FlowStreams(scenario.sim.seed)
@@ -176,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="directory for kpi.csv")
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--v-free-kmh", type=float, default=20.0,
-                    help="speed used for the service deadline check")
+                    help="speed used for the service deadline check "
+                         "(finite, > 0)")
     sp.set_defaults(func=cmd_kpi)
 
     sp = sub.add_parser("serve", help="line-delimited JSON route service")

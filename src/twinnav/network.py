@@ -7,11 +7,12 @@ elementwise on arrays; `link_speeds` and the scalar `journey_speed` call it.
 The planner reads per-node rows (`TrafficNetwork.link_rows`): rows[u][v] is
 the value of link u->v, one small mapping per node, so planning costs O(L)
 per snapshot instead of O(M^2).
-A network never changes, so it caches what only its topology and lengths
-decide, each filled on first use: the node set reachable from an origin
-(`reachable_from`) and, for `static_route`, the rows of link lengths and, per
-origin, the predecessor array of its shortest-distance tree.
-Scenarios derived from one another share their network, and so these caches.
+A network never changes, so `static_route` caches what only its topology and
+lengths decide, each filled on first use: the rows of link lengths and, per
+origin, the predecessor array of its shortest-distance tree, which also
+answers which nodes an origin reaches. Scenarios derived from one another
+share their network, and so these caches.
+Node ids and link endpoints in network JSON must be JSON integers.
 Journey times are in seconds, +inf when a link is jammed or closed.
 `build_journey_matrix` keeps the dense (M+1, M+1) form, indexed by node id
 with +inf wherever no traversable link exists, as a reference.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DegenerateRouteRequest
+from .errors import ConfigError, ContractError, DegenerateRouteRequest, json_int
 
 INF = math.inf
 # A vehicle this close to a link's end counts as at the end. Every link must be
@@ -87,7 +88,6 @@ class TrafficNetwork:
         self.out_neighbors: list[list[int]] = [
             sorted(links[i].to_node for i in outs) for outs in self.out_links
         ]
-        self._reach_cache: dict[int, frozenset[int]] = {}
         self._length_rows: list[dict[int, float]] | None = None
         self._static_preds: dict[int, list[int]] = {}
 
@@ -129,25 +129,6 @@ class TrafficNetwork:
     def node_distance_m(self, a: int, b: int) -> float:
         na, nb = self.node_by_id[a], self.node_by_id[b]
         return math.hypot(na.x_m - nb.x_m, na.y_m - nb.y_m)
-
-    def reachable_from(self, origin: int) -> frozenset[int]:
-        """Node ids reachable from origin over any directed path (cached BFS)."""
-        cached = self._reach_cache.get(origin)
-        if cached is not None:
-            return cached
-        seen = {origin}
-        frontier = [origin]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.out_neighbors[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        result = frozenset(seen)
-        self._reach_cache[origin] = result
-        return result
 
 
 def _validate_topology(nodes: list[Node], links: list[Link]) -> None:
@@ -267,7 +248,7 @@ def network_from_dict(doc: dict, source: str = "network") -> TrafficNetwork:
         try:
             nodes.append(
                 Node(
-                    node_id=int(item["id"]),
+                    node_id=json_int(item["id"]),
                     x_m=float(item["x_m"]),
                     y_m=float(item["y_m"]),
                 )
@@ -289,8 +270,8 @@ def network_from_dict(doc: dict, source: str = "network") -> TrafficNetwork:
                 v_free = float(item["v_free_mps"])
             links.append(
                 Link(
-                    from_node=int(item["from"]),
-                    to_node=int(item["to"]),
+                    from_node=json_int(item["from"]),
+                    to_node=json_int(item["to"]),
                     length_m=float(item["length_m"]),
                     v_free_mps=v_free,
                     k_max_veh_per_m=float(item["k_max_veh_per_m"]),

@@ -1,6 +1,11 @@
 """Scenario files: everything one simulation run needs, in a single JSON
 document. See README for the full schema. Paths inside the file resolve
-relative to the file's directory.
+relative to the file's directory. Ids and counts (event nodes and links, RSU
+nodes, sim.seed, traffic.n_vel, events_random.count) must be JSON integers.
+
+The parameter classes check their own ranges, so the loader and the
+`Scenario.with_*` helpers share one check each. `Scenario.rsu_coverage` is the
+one place that decides what an RSU covers.
 """
 
 from __future__ import annotations
@@ -10,10 +15,12 @@ import math
 import os
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .comms import FlowLatency, LatencyModel, DEFAULT_FLOWS
-from .errors import ConfigError
+from .errors import ConfigError, json_int
 from .network import TrafficNetwork, load_network, network_from_dict
-from .twin import EventThresholds, SensingSource
+from .twin import EventThresholds
 
 EVENT_KINDS = ("accident", "gathering")
 DEFAULT_GATHERING_DENSITY = 1.0  # persons/m^2 of an active gathering
@@ -37,6 +44,14 @@ class RandomEvents:
     onset_max_s: float | None = None  # default: half the simulated horizon
     duration_s: float | None = None  # None: events persist to the end of the run
     density: float = DEFAULT_GATHERING_DENSITY
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ConfigError(f"events_random.count must be >= 0, got {self.count}")
+        if not self.kinds or any(k not in EVENT_KINDS for k in self.kinds):
+            raise ConfigError(
+                f"events_random.kinds must be a non-empty subset of {EVENT_KINDS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,14 @@ class TrafficParams:
     p_user: float
     spawn_window_frac: float = 0.8
 
+    def __post_init__(self):
+        if self.n_vel < 0:
+            raise ConfigError(f"traffic.n_vel must be >= 0, got {self.n_vel}")
+        if not 0.0 <= self.p_user <= 1.0:
+            raise ConfigError(f"traffic.p_user must be within [0, 1], got {self.p_user}")
+        if not 0.0 < self.spawn_window_frac <= 1.0:
+            raise ConfigError("spawn.window_frac must be in (0, 1]")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -79,8 +102,6 @@ class Scenario:
         return replace(self, sim=replace(self.sim, seed=seed))
 
     def with_p_user(self, p_user: float) -> "Scenario":
-        if not 0.0 <= p_user <= 1.0:
-            raise ConfigError(f"p_user must be within [0, 1], got {p_user}")
         return replace(self, traffic=replace(self.traffic, p_user=p_user))
 
     def with_event_count(self, count: int) -> "Scenario":
@@ -90,29 +111,20 @@ class Scenario:
             )
         return replace(self, events_random=replace(self.events_random, count=count))
 
-    def rsu_sources(self) -> list[SensingSource]:
-        """Static sensing sources: an RSU covers the nodes within its radius
-        and the links whose both endpoints are within it."""
+    def rsu_coverage(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per RSU in file order, the sorted indices of the links it covers and
+        the sorted ids of the nodes it covers. An RSU covers the nodes within
+        its radius (`node_distance_m`, a node on the radius included) and the
+        links whose both endpoints it covers."""
+        net = self.network
         out = []
-        for idx, rsu in enumerate(self.rsus):
-            covered_nodes = frozenset(
-                n.node_id
-                for n in self.network.nodes
-                if self.network.node_distance_m(rsu.node, n.node_id) <= rsu.radius_m
-            )
-            covered_links = frozenset(
-                l.pair
-                for l in self.network.links
-                if l.from_node in covered_nodes and l.to_node in covered_nodes
-            )
-            out.append(
-                SensingSource(
-                    kind="rsu",
-                    source_id=idx,
-                    covered_nodes=covered_nodes,
-                    covered_links=covered_links,
-                )
-            )
+        for rsu in self.rsus:
+            covered = np.zeros(net.node_count + 1, dtype=bool)
+            for n in net.nodes:
+                covered[n.node_id] = (
+                    net.node_distance_m(rsu.node, n.node_id) <= rsu.radius_m)
+            out.append((np.flatnonzero(covered[net.from_ids] & covered[net.to_ids]),
+                        np.flatnonzero(covered)))
         return out
 
 
@@ -158,7 +170,7 @@ def _parse_event(item: dict, k: int, net: TrafficNetwork, where: str) -> EventSp
         raise ConfigError(f"{w}: end_s precedes onset_s")
     if kind == "gathering":
         try:
-            node = int(_require(item, "node", w))
+            node = json_int(_require(item, "node", w))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{w}: node must be a node id ({exc})") from exc
         if node not in net.node_by_id:
@@ -168,7 +180,7 @@ def _parse_event(item: dict, k: int, net: TrafficNetwork, where: str) -> EventSp
     if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
         raise ConfigError(f"{w}: link must be a [from, to] pair")
     try:
-        pair = (int(raw[0]), int(raw[1]))
+        pair = (json_int(raw[0]), json_int(raw[1]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{w}: link must be a [from, to] pair ({exc})") from exc
     if net.link_between(*pair) is None:
@@ -227,7 +239,7 @@ def scenario_from_dict(
         sim = SimParams(
             dt_s=_finite(sim_doc["dt_s"]),
             t_sim_s=_finite(sim_doc["t_sim_s"]),
-            seed=int(sim_doc.get("seed", 0)),
+            seed=json_int(sim_doc.get("seed", 0)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{source}: sim block needs dt_s and t_sim_s ({exc})") from exc
@@ -242,18 +254,14 @@ def scenario_from_dict(
     spawn_doc = _typed(tr_doc.get("spawn", {}), dict, f"{source}: traffic.spawn")
     try:
         traffic = TrafficParams(
-            n_vel=int(tr_doc["n_vel"]),
+            n_vel=json_int(tr_doc["n_vel"]),
             p_user=_finite(tr_doc["p_user"]),
             spawn_window_frac=_finite(spawn_doc.get("window_frac", 0.8)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{source}: traffic block needs n_vel and p_user ({exc})") from exc
-    if traffic.n_vel < 0:
-        raise ConfigError(f"{source}: traffic.n_vel must be >= 0")
-    if not 0.0 <= traffic.p_user <= 1.0:
-        raise ConfigError(f"{source}: traffic.p_user must be within [0, 1]")
-    if not 0.0 < traffic.spawn_window_frac <= 1.0:
-        raise ConfigError(f"{source}: spawn.window_frac must be in (0, 1]")
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
     if "events" in doc and "events_random" in doc:
         raise ConfigError(f"{source}: give events or events_random, not both")
@@ -267,10 +275,9 @@ def scenario_from_dict(
     elif "events_random" in doc:
         er = _typed(doc["events_random"], dict, f"{source}: events_random")
         try:
-            kinds = tuple(er.get("kinds", list(EVENT_KINDS)))
             events_random = RandomEvents(
-                count=int(er["count"]),
-                kinds=kinds,
+                count=json_int(er["count"]),
+                kinds=tuple(er.get("kinds", EVENT_KINDS)),
                 onset_min_s=(
                     _finite(er["onset_min_s"]) if "onset_min_s" in er else None
                 ),
@@ -285,12 +292,8 @@ def scenario_from_dict(
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{source}: events_random needs count ({exc})") from exc
-        if not kinds or any(k not in EVENT_KINDS for k in kinds):
-            raise ConfigError(
-                f"{source}: events_random.kinds must be a non-empty subset of {EVENT_KINDS}"
-            )
-        if events_random.count < 0:
-            raise ConfigError(f"{source}: events_random.count must be >= 0")
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
 
     sensing = _typed(doc.get("sensing", {}), dict, f"{source}: sensing")
     rsu_docs = _typed(sensing.get("rsus", []), list, f"{source}: sensing.rsus")
@@ -298,7 +301,7 @@ def scenario_from_dict(
     for k, item in enumerate(rsu_docs):
         w = f"{source}: sensing.rsus[{k}]"
         try:
-            rsu = RsuSpec(node=int(item["node"]), radius_m=_finite(item["radius_m"]))
+            rsu = RsuSpec(node=json_int(item["node"]), radius_m=_finite(item["radius_m"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{w}: expected {{node, radius_m}} ({exc})") from exc
         if rsu.node not in net.node_by_id:

@@ -27,11 +27,10 @@ non-negative, `occupied` a JSON boolean, `time_s`, when given, a finite JSON
 number, and `links` and `nodes`, when given, JSON arrays; anything else
 answers `bad_request` and leaves the twin unchanged.
 
-Sensor updates feed a live twin through `twin.ingest_readings` (a source
-covers exactly what it reports, so no coverage check applies). The service
-clock follows the largest `time_s` seen; an update without `time_s` is taken
-one step after the clock, and one whose `time_s` is older than the clock is
-taken at the clock. Each update re-runs event detection and clears every flag
+Sensor updates feed a live twin through `twin.ingest_readings`; a source
+covers exactly what it reports. The service clock follows the largest
+`time_s` seen; an update without `time_s` is taken one step after the clock,
+and one whose `time_s` is older than the clock is taken at the clock. Each update re-runs event detection and clears every flag
 whose latest reading no longer meets its criterion (the service has no
 scheduled causes). Route requests plan over event-masked journey-time rows
 built from the twin's current volumes.
@@ -46,7 +45,7 @@ import socketserver
 import threading
 
 from . import nav
-from .errors import ContractError, DegenerateRouteRequest
+from .errors import ContractError, DegenerateRouteRequest, json_int
 from .scenario import Scenario
 from .twin import (
     TwinState,
@@ -61,14 +60,6 @@ log = logging.getLogger(__name__)
 # Longest line read, newline included. A sensor update of a large RSU (about
 # 100 links) is ~10 KB.
 MAX_LINE_BYTES = 1 << 20
-
-
-def _json_int(value) -> int:
-    """`value` if it is a JSON integer; TypeError for anything else, booleans
-    and integral floats included, so no id is truncated or coerced."""
-    if type(value) is not int:
-        raise TypeError(f"ids must be JSON integers, got {value!r}")
-    return value
 
 
 class ServiceError(Exception):
@@ -98,7 +89,7 @@ class ServiceState:
         if kind not in ("rsu", "cav"):
             raise ServiceError("bad_request", f"unknown source kind {kind!r}")
         try:
-            source_id = _json_int(source_doc.get("id", 0))
+            source_id = json_int(source_doc.get("id", 0))
         except TypeError:
             raise ServiceError("bad_request", "source id must be an integer")
         time_s = msg.get("time_s")
@@ -118,7 +109,7 @@ class ServiceState:
         links: dict[tuple[int, int], tuple[float, float, bool]] = {}
         for item in link_items:
             try:
-                pair = (_json_int(item["from"]), _json_int(item["to"]))
+                pair = (json_int(item["from"]), json_int(item["to"]))
                 occupied = item["occupied"]
                 if occupied is not True and occupied is not False:
                     raise ValueError(f"occupied must be true or false, got {occupied!r}")
@@ -129,7 +120,7 @@ class ServiceState:
         nodes: dict[int, float] = {}
         for item in node_items:
             try:
-                nodes[_json_int(item["id"])] = float(item["density"])
+                nodes[json_int(item["id"])] = float(item["density"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ServiceError("bad_request", f"node readings need id and density ({exc})")
 
@@ -155,8 +146,8 @@ class ServiceState:
     def plan_route(self, msg: dict) -> dict:
         try:
             vehicle = msg["vehicle"]
-            position = _json_int(msg["position"])
-            destination = _json_int(msg["destination"])
+            position = json_int(msg["position"])
+            destination = json_int(msg["destination"])
         except (KeyError, TypeError) as exc:
             raise ServiceError(
                 "bad_request", f"route_request needs vehicle, position, destination ({exc})"

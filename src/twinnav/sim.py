@@ -17,9 +17,11 @@ loops visit only the links that hold vehicles. The delivered RSU readings
 reach the twin in one batched ingest and the connected vehicles' in one more.
 The planner's journey-time rows are built only on steps that search: when a
 connected user waits for a route, or a live route's remaining links cross a
-link the masked journey times put at +inf. Unconnected vehicles' static
-routes come from shortest-distance trees cached on the network, so runs on
-one network (a sweep) search each origin once. A step still does O(links)
+link the masked journey times put at +inf. Shortest-distance trees cached on
+the network decide which destinations a spawn may draw and give unconnected
+vehicles their static routes, so runs on one network (a sweep) search each
+origin once. RSU coverage is decided once per engine, by
+`Scenario.rsu_coverage`. A step still does O(links)
 work in numpy (link speeds, masked journey times, the occupied-link scan) and
 builds the speed and closure lists the vehicle loops read.
 """
@@ -212,14 +214,8 @@ class Engine:
         self._lengths = net.lengths.tolist()
         self._capacity = self.link_capacity.tolist()
 
-        # RSU coverage is static: precompute index arrays per source.
-        self._rsu_cov: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for src in scenario.rsu_sources():
-            link_idx = np.array(
-                sorted(net.link_index[p] for p in src.covered_links), dtype=int
-            )
-            node_idx = np.array(sorted(src.covered_nodes), dtype=int)
-            self._rsu_cov.append((src.source_id, link_idx, node_idx))
+        # RSU coverage is static: (link indices, node ids) per RSU, id = position.
+        self._rsu_cov = scenario.rsu_coverage()
 
         self.step = -1
         self.speeds = np.zeros(net.link_count)
@@ -309,7 +305,8 @@ class Engine:
             for _ in range(1000):
                 origin = self.rng_spawn.randrange(1, m + 1)
                 dest = self.rng_spawn.randrange(1, m + 1)
-                if dest != origin and dest in self.net.reachable_from(origin):
+                nodes = None if dest == origin else self.net.static_route(origin, dest)
+                if nodes is not None:
                     break
             else:
                 raise ConfigError(
@@ -322,7 +319,7 @@ class Engine:
                 entry_step=step,
             )
             if klass == UNCONNECTED:
-                veh.route = shortest_distance_route(self.net, origin, dest, vid)
+                veh.route = nav.Route(nodes=nodes, vehicle_id=vid)
             self.vehicles.append(veh)
             self._active.append(veh)
             self._spawned += 1
@@ -367,7 +364,7 @@ class Engine:
         rsu_ids: list[int] = []
         rsu_links: list[np.ndarray] = []
         rsu_nodes: list[np.ndarray] = []
-        for rsu_id, link_idx, node_idx in self._rsu_cov:
+        for rsu_id, (link_idx, node_idx) in enumerate(self._rsu_cov):
             if deliver(model.pdr_ssms, ssms_rng):
                 rsu_ids.append(rsu_id)
                 rsu_links.append(link_idx)

@@ -73,8 +73,9 @@ def _aggregate(param: str, value, rows: list[SweepRow]) -> SweepRow:
 def run_sweep(spec: SweepSpec, *, single_v2c: bool = False) -> list[SweepRow]:
     rows: list[SweepRow] = []
     base_seed = spec.base.sim.seed
-    for k, value in enumerate(spec.values):
-        scenario = _apply(spec.base, spec.param, value)
+    # Every value is checked before the first run.
+    scenarios = [_apply(spec.base, spec.param, value) for value in spec.values]
+    for k, (value, scenario) in enumerate(zip(spec.values, scenarios)):
         point_rows = []
         for r in range(spec.seeds_per_point):
             seed = derive_seed(base_seed, k, r)

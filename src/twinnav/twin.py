@@ -1,16 +1,18 @@
 """Cloud-side traffic twin: last-known link volumes, pedestrian densities, and
-the event sets produced by threshold detection on incoming sensor observations.
+the event sets produced by threshold detection on incoming sensor readings.
 
-The twin only ever sees what covering sources deliver. Undelivered packets
-leave the previous (stale) values in place; links never observed report a
-volume of 0. Speed-threshold comparisons happen as observations arrive (the
-state tracks, per link, when the current uninterrupted slow-and-occupied run
-started), so a TwinState is bound to the thresholds it was created with.
+The twin only ever sees what its sources deliver: what a source covers and
+whether its packet arrives are decided before the twin is called
+(`Scenario.rsu_coverage`, `comms.deliver`). Undelivered readings leave the
+previous (stale) values in place; links never observed report a volume of 0.
+Speed-threshold comparisons happen as readings arrive (the state tracks, per
+link, when the current uninterrupted slow-and-occupied run started), so a
+TwinState is bound to the thresholds it was created with.
 
-`ingest_readings` is the one validated entry for readings keyed by (from, to)
-pair and node id; the route service calls it, `ingest_observation` wraps it
-with the coverage check and `delivered`, and the engine, whose readings are
-its own truth, calls `TwinState.ingest_arrays` directly. Event sets,
+The twin is entered two ways: the engine, whose readings are its own truth,
+calls `TwinState.ingest_arrays` with link indices and node ids; the route
+service calls `ingest_readings`, which validates readings keyed by (from, to)
+pair and node id and then makes one `ingest_arrays` call. Event sets,
 `detect_accident`'s result and `clear_resolved_events`'s clearable links are
 link indices; pairs appear only in `snapshot_dict` and `event_link_pairs`.
 """
@@ -19,8 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,30 +44,6 @@ class EventThresholds:
             raise ContractError("speed_threshold must be > 0")
         if self.accident_window_s <= 0:
             raise ContractError("accident_window_s must be > 0")
-
-
-@dataclass(frozen=True)
-class SensingSource:
-    """A fixed roadside unit or a vehicle reporting what it currently covers."""
-
-    kind: str  # "rsu" | "cav"
-    source_id: int
-    covered_nodes: frozenset[int] = frozenset()
-    covered_links: frozenset[tuple[int, int]] = frozenset()
-
-
-class LinkReading(NamedTuple):
-    volume: float
-    speed_mps: float
-    occupied: bool
-
-
-@dataclass
-class Observation:
-    """One source's view for a single sampling instant."""
-
-    links: dict[tuple[int, int], LinkReading] = field(default_factory=dict)
-    node_densities: dict[int, float] = field(default_factory=dict)
 
 
 class TwinState:
@@ -181,28 +158,6 @@ def ingest_readings(
     return link_idx
 
 
-def ingest_observation(
-    state: TwinState,
-    source: SensingSource,
-    observation: Observation,
-    delivered: bool,
-    now: float,
-) -> TwinState:
-    """Apply one source's observation through `ingest_readings`; a dropped
-    packet changes nothing. Readings outside the source's coverage raise
-    ContractError, delivered or not."""
-    bad_links = observation.links.keys() - source.covered_links
-    if bad_links:
-        raise ContractError(f"observation outside source coverage: links {sorted(bad_links)}")
-    bad_nodes = observation.node_densities.keys() - source.covered_nodes
-    if bad_nodes:
-        raise ContractError(f"observation outside source coverage: nodes {sorted(bad_nodes)}")
-    if delivered:
-        ingest_readings(state, (source.kind, [source.source_id]), observation.links,
-                        observation.node_densities, now)
-    return state
-
-
 def detect_pedestrian_gathering(
     state: TwinState, thresholds: EventThresholds
 ) -> set[int]:
@@ -249,9 +204,3 @@ def clear_resolved_events(
         if math.isnan(state.low_speed_since[i]):
             state.event_links.discard(i)
 
-
-def twin_volumes(state: TwinState, net: TrafficNetwork | None = None) -> np.ndarray:
-    """Last-known volume per link; never-observed links default to 0."""
-    if net is not None and net is not state.net:
-        raise ContractError("twin state belongs to a different network")
-    return state.volumes()

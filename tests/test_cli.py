@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from twinnav import sweep
 from twinnav.cli import main
 
 from conftest import diamond_doc, write_json
@@ -128,6 +129,29 @@ def test_kpi_command(tmp_path, capsys):
 def test_kpi_rejects_nonpositive_samples(tmp_path):
     sc = scenario_file(tmp_path)
     assert main(["kpi", "--scenario", sc, "--samples", "0"]) == 2
+
+
+@pytest.mark.parametrize("values", ["-3,0", "0,-3"])
+def test_sweep_rejects_negative_event_count(tmp_path, monkeypatch, values):
+    sc = scenario_file(tmp_path, events_random={"count": 1})
+    out = tmp_path / "s"
+    runs = []
+    monkeypatch.setattr(sweep, "run", lambda *a, **kw: runs.append(a))
+    assert main([
+        "sweep", "--scenario", sc, "--param", "events", f"--values={values}",
+        "--out", str(out),
+    ]) == 2
+    assert not (out / "sweep.csv").exists()
+    assert runs == []  # rejected before the first run
+
+
+@pytest.mark.parametrize("v_free_kmh", ["0", "-5", "nan", "inf"])
+def test_kpi_rejects_bad_v_free(tmp_path, capsys, v_free_kmh):
+    sc = scenario_file(tmp_path)
+    assert main([
+        "kpi", "--scenario", sc, "--samples", "100", f"--v-free-kmh={v_free_kmh}",
+    ]) == 2
+    assert "--v-free-kmh" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_usage_error():

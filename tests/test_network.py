@@ -217,5 +217,7 @@ def test_reachability():
             "links": [link(1, 2)],
         }
     )
-    assert net.reachable_from(1) == {1, 2}
-    assert net.reachable_from(3) == {3}
+    assert net.static_route(1, 2) == [1, 2]
+    assert net.static_route(2, 1) is None
+    assert net.static_route(1, 3) is None
+    assert net.static_route(3, 1) is None

@@ -2,9 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinnav.cli import main
 from twinnav.errors import ConfigError
+from twinnav.netgen import generate_grid_network
 from twinnav.scenario import load_scenario, scenario_from_dict
 
 from conftest import diamond_doc, write_json
@@ -130,6 +132,33 @@ def test_run_exits_2_on_mistyped_scenario_block(tmp_path, capsys, case):
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
 
 
+# Each sets one id or count to a JSON value that is not an integer but that
+# int() would turn into a valid one (2.9 -> 2, true -> 1, "3" -> 3).
+NON_INTEGER = {
+    "float event node": lambda d: d.update(events=[{"kind": "gathering", "node": 2.9}]),
+    "boolean event node": lambda d: d.update(events=[{"kind": "gathering", "node": True}]),
+    "string event node": lambda d: d.update(events=[{"kind": "gathering", "node": "3"}]),
+    "float event link": lambda d: d.update(events=[{"kind": "accident", "link": [1.7, 2.2]}]),
+    "float RSU node": lambda d: d.update(sensing={"rsus": [{"node": 1.9, "radius_m": 50}]}),
+    "float seed": lambda d: d["sim"].update(seed=4.7),
+    "float n_vel": lambda d: d["traffic"].update(n_vel=10.9),
+    "boolean n_vel": lambda d: d["traffic"].update(n_vel=True),
+    "integral float n_vel": lambda d: d["traffic"].update(n_vel=10.0),
+    "float events_random count": lambda d: d.update(events_random={"count": 2.5}),
+    "float network node id": lambda d: d["network"]["nodes"][0].update(id=1.5),
+    "boolean link endpoint": lambda d: d["network"]["links"][0].update({"from": True}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER))
+def test_run_exits_2_on_non_integer_id_or_count(tmp_path, capsys, case):
+    doc = minimal_doc()
+    NON_INTEGER[case](doc)
+    sc = write_json(tmp_path / "scenario.json", doc)
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+    assert "JSON integer" in capsys.readouterr().err
+
+
 def test_event_location_must_match_kind():
     with pytest.raises(ConfigError, match="node"):
         scenario_from_dict(
@@ -171,16 +200,61 @@ def test_events_random_validation():
 def test_rsu_validation_and_coverage():
     doc = minimal_doc(sensing={"rsus": [{"node": 1, "radius_m": 150.0}]})
     sc = scenario_from_dict(doc)
-    (src,) = sc.rsu_sources()
+    ((link_idx, node_ids),) = sc.rsu_coverage()
     # Nodes within 150 m of node 1: 1 itself plus 2 and 3 (141.4 m away).
-    assert src.covered_nodes == {1, 2, 3}
+    assert node_ids.tolist() == [1, 2, 3]
     # Links need both endpoints covered.
-    assert src.covered_links == {(1, 2), (1, 3), (2, 3)}
+    assert [sc.network.links[i].pair for i in link_idx] == [(1, 2), (1, 3), (2, 3)]
 
     with pytest.raises(ConfigError, match="unknown node"):
         scenario_from_dict(minimal_doc(sensing={"rsus": [{"node": 77, "radius_m": 5}]}))
     with pytest.raises(ConfigError, match="radius"):
         scenario_from_dict(minimal_doc(sensing={"rsus": [{"node": 1, "radius_m": 0}]}))
+
+
+def brute_force_coverage(net_doc, rsu_node, radius_m):
+    """Sorted covered link indices and node ids: nodes within radius_m of the
+    RSU's node, links whose two endpoints are covered."""
+    xy = {n["id"]: (n["x_m"], n["y_m"]) for n in net_doc["nodes"]}
+    x0, y0 = xy[rsu_node]
+    nodes = sorted(i for i, (x, y) in xy.items() if math.hypot(x - x0, y - y0) <= radius_m)
+    links = [k for k, l in enumerate(net_doc["links"])
+             if l["from"] in nodes and l["to"] in nodes]
+    return links, nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rsu_coverage_matches_brute_force(data):
+    """Random grids and radii; the last two RSUs sit at one node with a radius
+    of exactly another node's distance, which covers it, and one ulp less,
+    which does not."""
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 5))
+    ortho = rows * (cols - 1) + cols * (rows - 1)
+    extra = data.draw(st.integers(0, 2 * (rows - 1) * (cols - 1)))
+    net_doc = generate_grid_network(
+        rows=rows, cols=cols, spacing_m=data.draw(st.floats(1.0, 250.0)),
+        n_links=2 * (ortho + extra), seed=data.draw(st.integers(0, 10_000)),
+    )
+    m = rows * cols
+    rsus = [{"node": data.draw(st.integers(1, m)), "radius_m": data.draw(st.floats(0.5, 1500.0))}
+            for _ in range(data.draw(st.integers(0, 3)))]
+    node = data.draw(st.integers(1, m))
+    other = data.draw(st.integers(1, m).filter(lambda n: n != node))
+    xy = {n["id"]: (n["x_m"], n["y_m"]) for n in net_doc["nodes"]}
+    exact = math.hypot(xy[other][0] - xy[node][0], xy[other][1] - xy[node][1])
+    rsus += [{"node": node, "radius_m": exact},
+             {"node": node, "radius_m": math.nextafter(exact, 0.0)}]
+    sc = scenario_from_dict(minimal_doc(network=net_doc, sensing={"rsus": rsus}))
+
+    coverage = sc.rsu_coverage()
+    assert len(coverage) == len(rsus)
+    for rsu, (link_idx, node_ids) in zip(rsus, coverage):
+        links, nodes = brute_force_coverage(net_doc, rsu["node"], rsu["radius_m"])
+        assert link_idx.tolist() == links
+        assert node_ids.tolist() == nodes
+    assert other in coverage[-2][1]
+    assert other not in coverage[-1][1]
 
 
 def test_scenario_bad_json_reports_position(tmp_path):

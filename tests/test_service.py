@@ -11,14 +11,11 @@ from twinnav import service
 from twinnav.errors import ContractError
 from twinnav.service import RouteService, ServiceError, ServiceState
 from twinnav.twin import (
-    LinkReading,
-    Observation,
-    SensingSource,
     TwinState,
     clear_resolved_events,
     detect_accident,
     detect_pedestrian_gathering,
-    ingest_observation,
+    ingest_readings,
 )
 
 from conftest import diamond_doc, make_scenario
@@ -497,16 +494,15 @@ def reading_streams(draw):
     return stream
 
 
-def ingest_as_observation(twin, clock, msg):
-    """The service's handling of `msg`, through ingest_observation from a
-    source that covers exactly what it reads. Returns the new clock."""
-    links = {(r["from"], r["to"]): LinkReading(r["volume"], r["speed_mps"], r["occupied"])
+def ingest_directly(twin, clock, msg):
+    """The service's handling of `msg`, through ingest_readings plus detection
+    and clearing of what the update read. Returns the new clock."""
+    links = {(r["from"], r["to"]): (r["volume"], r["speed_mps"], r["occupied"])
              for r in msg["links"]}
     nodes = {n["id"]: n["density"] for n in msg["nodes"]}
-    source = SensingSource(kind=msg["source"]["kind"], source_id=msg["source"]["id"],
-                           covered_nodes=frozenset(nodes), covered_links=frozenset(links))
     now = max(clock, msg["time_s"])
-    ingest_observation(twin, source, Observation(links, nodes), True, now)
+    ingest_readings(twin, (msg["source"]["kind"], [msg["source"]["id"]]), links, nodes,
+                    now)
     detect_pedestrian_gathering(twin, twin.thresholds)
     detect_accident(twin, twin.thresholds, now)
     clear_resolved_events(twin, twin.thresholds, set(nodes),
@@ -522,7 +518,7 @@ def twin_law_view(twin):
 
 @settings(max_examples=100, deadline=None)
 @given(reading_streams())
-def test_service_update_and_ingest_observation_share_one_law(stream):
+def test_service_update_and_ingest_readings_share_one_law(stream):
     state = diamond_state()
     twin = TwinState(state.net, state.thresholds)
     clock = 0.0
@@ -535,11 +531,11 @@ def test_service_update_and_ingest_observation_share_one_law(stream):
             assert exc.code == "bad_request"
             service_ok = False
         try:
-            clock = ingest_as_observation(twin, clock, msg)
-            observation_ok = True
+            clock = ingest_directly(twin, clock, msg)
+            direct_ok = True
         except ContractError:
-            observation_ok = False
-        assert service_ok == observation_ok, msg
+            direct_ok = False
+        assert service_ok == direct_ok, msg
         if not service_ok:
             assert twin_law_view(state.twin) == before
         assert twin_law_view(state.twin) == twin_law_view(twin)

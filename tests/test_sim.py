@@ -255,7 +255,7 @@ class ReferenceEngine(Engine):
         model = self.scenario.latency
         ssms_rng = self.streams.rng("pdr_ssms")
         info_rng = self.streams.rng("pdr_info")
-        for rsu_id, link_idx, node_idx in self._rsu_cov:
+        for rsu_id, (link_idx, node_idx) in enumerate(self._rsu_cov):
             if not deliver(model.pdr_ssms, ssms_rng):
                 continue
             self.twin.ingest_arrays(

@@ -4,15 +4,11 @@ import pytest
 from twinnav.errors import ContractError
 from twinnav.twin import (
     EventThresholds,
-    LinkReading,
-    Observation,
-    SensingSource,
     TwinState,
     clear_resolved_events,
     detect_accident,
     detect_pedestrian_gathering,
-    ingest_observation,
-    twin_volumes,
+    ingest_readings,
 )
 
 from conftest import diamond_doc
@@ -26,43 +22,29 @@ def net():
     return network_from_dict(diamond_doc())
 
 
-def rsu_all(net):
-    return SensingSource(
-        kind="rsu",
-        source_id=0,
-        covered_nodes=frozenset(n.node_id for n in net.nodes),
-        covered_links=frozenset(l.pair for l in net.links),
-    )
+RSU = ("rsu", [0])
 
 
-def obs_link(pair, volume, speed=5.0, occupied=None):
+def read_link(state, pair, volume, now, speed=5.0, occupied=None, source=RSU):
     occ = occupied if occupied is not None else volume > 0
-    return Observation(links={pair: LinkReading(volume, speed, occ)})
+    ingest_readings(state, source, {pair: (volume, speed, occ)}, {}, now)
+
+
+def read_node(state, node, density, now):
+    ingest_readings(state, RSU, {}, {node: density}, now)
 
 
 def test_ingest_overwrites_when_delivered(net):
     state = TwinState(net, TH)
-    src = rsu_all(net)
-    ingest_observation(state, src, obs_link((1, 2), 3), True, now=1.0)
+    read_link(state, (1, 2), 3, now=1.0)
     assert state.link_volume[net.link_index[(1, 2)]] == 3
-    assert state.last_update[("rsu", 0)] == 1.0
-
-
-def test_ingest_dropped_packet_changes_nothing(net):
-    state = TwinState(net, TH)
-    src = rsu_all(net)
-    ingest_observation(state, src, obs_link((1, 2), 3), True, now=1.0)
-    ingest_observation(state, src, obs_link((1, 2), 9), False, now=2.0)
-    assert state.link_volume[net.link_index[(1, 2)]] == 3  # stale value persists
     assert state.last_update[("rsu", 0)] == 1.0
 
 
 def test_ingest_last_writer_wins(net):
     state = TwinState(net, TH)
-    rsu = rsu_all(net)
-    cav = SensingSource(kind="cav", source_id=7, covered_links=frozenset({(1, 2)}))
-    ingest_observation(state, rsu, obs_link((1, 2), 4), True, now=1.0)
-    ingest_observation(state, cav, obs_link((1, 2), 1), True, now=1.0)
+    read_link(state, (1, 2), 4, now=1.0)
+    read_link(state, (1, 2), 1, now=1.0, source=("cav", [7]))
     assert state.link_volume[net.link_index[(1, 2)]] == 1
 
 
@@ -88,40 +70,23 @@ def test_batched_ingest_equals_one_call_per_source(net):
     assert batch.low_speed_since[0] == 4.0
 
 
-def test_ingest_rejects_uncovered_elements(net):
-    state = TwinState(net, TH)
-    cav = SensingSource(kind="cav", source_id=7, covered_links=frozenset({(1, 2)}))
-    with pytest.raises(ContractError, match="coverage"):
-        ingest_observation(state, cav, obs_link((2, 4), 1), True, now=1.0)
-    with pytest.raises(ContractError, match="coverage"):
-        ingest_observation(
-            state, cav, Observation(node_densities={1: 0.2}), True, now=1.0
-        )
-
-
 def test_timestamps_never_decrease(net):
     state = TwinState(net, TH)
-    src = rsu_all(net)
     last = 0.0
     for t in (0.0, 1.0, 1.0, 5.0, 9.0):
-        ingest_observation(state, src, obs_link((1, 2), 1), True, now=t)
+        read_link(state, (1, 2), 1, now=t)
         assert state.last_update[("rsu", 0)] >= last
         last = state.last_update[("rsu", 0)]
 
 
 def test_gathering_detection_strict_threshold(net):
     state = TwinState(net, TH)
-    src = rsu_all(net)
-    ingest_observation(
-        state, src, Observation(node_densities={3: 0.6}), True, now=0.0
-    )
+    read_node(state, 3, 0.6, now=0.0)
     assert detect_pedestrian_gathering(state, TH) == {3}
     assert state.event_nodes == {3}
 
     state2 = TwinState(net, TH)
-    ingest_observation(
-        state2, src, Observation(node_densities={3: 0.5}), True, now=0.0
-    )
+    read_node(state2, 3, 0.5, now=0.0)
     assert detect_pedestrian_gathering(state2, TH) == set()  # boundary excluded
 
     state3 = TwinState(net, TH)
@@ -130,9 +95,8 @@ def test_gathering_detection_strict_threshold(net):
 
 def test_accident_detection_needs_full_window(net):
     state = TwinState(net, TH)
-    src = rsu_all(net)
     for t in (0.0, 5.0, 10.0):
-        ingest_observation(state, src, obs_link((1, 2), 2, speed=0.1), True, now=t)
+        read_link(state, (1, 2), 2, now=t, speed=0.1)
         _, flagged = detect_accident(state, TH, now=t)
     assert flagged == {net.link_index[(1, 2)]}
     assert state.event_link_pairs() == {(1, 2)}
@@ -140,20 +104,16 @@ def test_accident_detection_needs_full_window(net):
 
 def test_accident_detection_interrupted_run(net):
     state = TwinState(net, TH)
-    src = rsu_all(net)
     for t, speed in ((0.0, 0.1), (5.0, 3.0), (10.0, 0.1)):
-        ingest_observation(state, src, obs_link((1, 2), 2, speed=speed), True, now=t)
+        read_link(state, (1, 2), 2, now=t, speed=speed)
         detect_accident(state, TH, now=t)
     assert state.event_link_pairs() == set()  # the fast reading broke the run
 
 
 def test_accident_detection_ignores_empty_links(net):
     state = TwinState(net, TH)
-    src = rsu_all(net)
     for t in (0.0, 5.0, 10.0, 15.0):
-        ingest_observation(
-            state, src, obs_link((1, 2), 0, speed=0.0, occupied=False), True, now=t
-        )
+        read_link(state, (1, 2), 0, now=t, speed=0.0, occupied=False)
         detect_accident(state, TH, now=t)
     assert state.event_link_pairs() == set()
 
@@ -166,61 +126,51 @@ def test_accident_detection_returns_empty_node_set(net):
 
 def test_twin_volumes_defaults_and_staleness(net):
     state = TwinState(net, TH)
-    assert twin_volumes(state, net).tolist() == [0] * net.link_count
+    assert state.volumes().tolist() == [0] * net.link_count
 
-    src = rsu_all(net)
-    ingest_observation(state, src, obs_link((1, 2), 3), True, now=0.0)
-    ingest_observation(state, src, obs_link((1, 2), 8), False, now=1.0)  # dropped
-    ingest_observation(state, src, obs_link((2, 4), 2), True, now=1.0)
-    vols = twin_volumes(state, net)
-    assert vols[net.link_index[(1, 2)]] == 3  # stale survives the drop
+    read_link(state, (1, 2), 3, now=0.0)
+    read_link(state, (2, 4), 2, now=1.0)  # no new reading of (1, 2)
+    vols = state.volumes()
+    assert vols[net.link_index[(1, 2)]] == 3  # the stale value survives
     assert vols[net.link_index[(2, 4)]] == 2
     assert vols.sum() == 5
+    vols[:] = 7.0  # a copy: the twin is unchanged
+    assert state.volumes().sum() == 5
 
 
 def test_event_clearing_rules(net):
     state = TwinState(net, TH)
-    src = rsu_all(net)
-    ingest_observation(
-        state, src, Observation(node_densities={3: 2.0}), True, now=0.0
-    )
+    read_node(state, 3, 2.0, now=0.0)
     detect_pedestrian_gathering(state, TH)
     assert state.event_nodes == {3}
 
     # Not clearable while the cause is active, whatever the evidence says.
-    ingest_observation(
-        state, src, Observation(node_densities={3: 0.0}), True, now=1.0
-    )
+    read_node(state, 3, 0.0, now=1.0)
     clear_resolved_events(state, TH, clearable_nodes=set(), clearable_links=set())
     assert state.event_nodes == {3}
 
     # Clearable but only stale exceeding evidence: stays flagged.
-    ingest_observation(
-        state, src, Observation(node_densities={3: 2.0}), True, now=2.0
-    )
+    read_node(state, 3, 2.0, now=2.0)
     clear_resolved_events(state, TH, clearable_nodes={3}, clearable_links=set())
     assert state.event_nodes == {3}
 
     # Clearable and the latest delivery shows recovery: cleared.
-    ingest_observation(
-        state, src, Observation(node_densities={3: 0.0}), True, now=3.0
-    )
+    read_node(state, 3, 0.0, now=3.0)
     clear_resolved_events(state, TH, clearable_nodes={3}, clearable_links=set())
     assert state.event_nodes == set()
 
 
 def test_link_event_clearing(net):
     state = TwinState(net, TH)
-    src = rsu_all(net)
     for t in (0.0, 10.0):
-        ingest_observation(state, src, obs_link((1, 2), 2, speed=0.1), True, now=t)
+        read_link(state, (1, 2), 2, now=t, speed=0.1)
         detect_accident(state, TH, now=t)
     assert state.event_link_pairs() == {(1, 2)}
 
     clear_resolved_events(state, TH, set(), {net.link_index[(1, 2)]})
     assert state.event_link_pairs() == {(1, 2)}  # still slow, stays
 
-    ingest_observation(state, src, obs_link((1, 2), 2, speed=4.0), True, now=11.0)
+    read_link(state, (1, 2), 2, now=11.0, speed=4.0)
     clear_resolved_events(state, TH, set(), {net.link_index[(1, 2)]})
     assert state.event_link_pairs() == set()
 
