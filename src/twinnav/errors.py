@@ -1,4 +1,7 @@
-"""Exception types and the JSON-integer rule shared across the package."""
+"""Exception types and the JSON integer and number rules shared across the
+package."""
+
+import math
 
 
 class ConfigError(Exception):
@@ -20,3 +23,20 @@ def json_int(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected a JSON integer, got {value!r}")
     return value
+
+
+def json_number(value) -> float:
+    """`value` as a float if it is a finite JSON number (an integer or a
+    float); TypeError for anything else, booleans and numeric strings
+    included, and ValueError for NaN, the infinities and integers past float
+    range, all of which a JSON reader hands over."""
+    kind = type(value)
+    if kind is not float and kind is not int:
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"number out of float range: {value}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x}")
+    return x

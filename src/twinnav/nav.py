@@ -1,10 +1,12 @@
 """Event-triggered cooperative route planning over journey-time rows.
 
-The planner reads `rows[u][v]`, the journey time of link u->v, only along
-`out_neighbors[u]`. `journey_rows` builds those rows from one link-indexed
-journey-time vector (`masked_journey_times`), one small mapping per node. The
-dense (M+1, M+1) matrices of `build_journey_matrix` and `mask_events` index
-the same way and remain the reference the tests compare against.
+The planner searches per-node rows: `rows[u]` maps each out-neighbor v of
+node u to the journey time of link u->v, so the rows are the graph.
+`journey_rows` builds them from one link-indexed journey-time vector
+(`masked_journey_times`), one small mapping per node. The dense (M+1, M+1)
+matrices of `build_journey_matrix` and `mask_events` index the same way and
+remain the reference the tests compare against; the planner's entry points
+turn one into rows with an entry for every node id (`_as_rows`).
 
 Planning always happens on rows that already have event closures masked in:
 links into flagged nodes and flagged links are +inf, so returned routes
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -76,7 +78,6 @@ class PlanningInput:
 
     matrix: object  # rows[u][v], id-indexed: journey_rows() or a dense matrix
     new_users: dict = field(default_factory=dict)  # vid -> (position, destination)
-    out_neighbors: Sequence[Sequence[int]] | None = None
 
 
 @dataclass
@@ -85,11 +86,21 @@ class PlanOutcome:
     unreachable: set = field(default_factory=set)
 
 
-def _search(rows, start: int, out_neighbors, target: int | None = None):
+def _as_rows(matrix):
+    """Rows for the search: a dense (M+1, M+1) matrix becomes one mapping per
+    node id with an entry for every node id 1..M, +inf entries kept; rows
+    pass through unchanged."""
+    if not isinstance(matrix, np.ndarray):
+        return matrix
+    ids = range(1, len(matrix))
+    return [{}] + [dict(zip(ids, row[1:])) for row in matrix[1:].tolist()]
+
+
+def _search(rows, start: int, target: int | None = None):
     """Dijkstra from `start` over rows[u][v], stopping once `target` is
     settled (never when it is None). Returns (dist, pred) indexed by node id.
     The frontier pops by (cost, node id) and equal-cost predecessors prefer
-    the lower node id."""
+    the lower node id, so the order of a row's keys changes neither."""
     n_ids = len(rows) - 1
     dist = [INF] * (n_ids + 1)
     pred = [0] * (n_ids + 1)
@@ -104,8 +115,7 @@ def _search(rows, start: int, out_neighbors, target: int | None = None):
         if u == target:
             break
         row = rows[u]
-        neighbors = out_neighbors[u] if out_neighbors is not None else range(1, n_ids + 1)
-        for v in neighbors:
+        for v in row:
             if done[v]:
                 continue
             w = row[v]
@@ -121,36 +131,27 @@ def _search(rows, start: int, out_neighbors, target: int | None = None):
     return dist, pred
 
 
-def dijkstra_fastest(
-    matrix,
-    start: int,
-    end: int,
-    out_neighbors: Sequence[Sequence[int]] | None = None,
-) -> PathResult | None:
+def dijkstra_fastest(matrix, start: int, end: int) -> PathResult | None:
     """Minimum-total-weight node sequence from start to end, or None when every
     path is +inf. Ties break deterministically: the frontier pops by
     (cost, node id) and equal-cost predecessors prefer the lower node id.
-    Without `out_neighbors`, every node id is scanned as a neighbor.
+    `matrix` is per-node rows or a dense matrix indexed by node id.
     """
     if start == end:
         raise DegenerateRouteRequest(f"start and destination are both {start}")
     n_ids = len(matrix) - 1
     if not (1 <= start <= n_ids and 1 <= end <= n_ids):
         raise ContractError(f"node ids must be in 1..{n_ids}")
-    dist, pred = _search(matrix, start, out_neighbors, end)
+    dist, pred = _search(_as_rows(matrix), start, end)
     if dist[end] == INF:
         return None
     return PathResult(nodes=tuple(tree_path(pred, start, end)), cost=dist[end])
 
 
-def shortest_path_tree(
-    matrix,
-    origin: int,
-    out_neighbors: Sequence[Sequence[int]] | None = None,
-) -> tuple[list[float], list[int]]:
+def shortest_path_tree(matrix, origin: int) -> tuple[list[float], list[int]]:
     """Single-source distances and predecessors, same tie-breaking as
     dijkstra_fastest; useful for caching routes from a common origin."""
-    return _search(matrix, origin, out_neighbors)
+    return _search(_as_rows(matrix), origin)
 
 
 def tree_path(pred: list[int], origin: int, dest: int) -> list[int]:
@@ -209,10 +210,11 @@ def mask_events(
 def plan_new_users(inp: PlanningInput) -> PlanOutcome:
     """Initial fastest routes for entering users; users with no finite path are
     flagged unreachable and left unrouted."""
+    rows = _as_rows(inp.matrix)
     out = PlanOutcome()
     for vid in sorted(inp.new_users):
         position, destination = inp.new_users[vid]
-        found = dijkstra_fastest(inp.matrix, position, destination, inp.out_neighbors)
+        found = dijkstra_fastest(rows, position, destination)
         if found is None:
             out.unreachable.add(vid)
         else:
@@ -229,7 +231,7 @@ def replan_affected(
     effect at the next intersection). Users whose destination became
     unreachable are flagged and keep their old route.
     """
-    rows = inp.matrix
+    rows = _as_rows(inp.matrix)
     out = PlanOutcome()
     for vid in sorted(routes):
         route = routes[vid]
@@ -239,7 +241,7 @@ def replan_affected(
         destination = route.destination
         if start == destination:
             continue  # only the committed final link remains
-        found = dijkstra_fastest(rows, start, destination, inp.out_neighbors)
+        found = dijkstra_fastest(rows, start, destination)
         if found is None:
             out.unreachable.add(vid)
         else:

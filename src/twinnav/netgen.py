@@ -8,7 +8,6 @@ distance-optimal routes genuinely differ.
 
 from __future__ import annotations
 
-import json
 import random
 
 from .errors import ConfigError
@@ -83,8 +82,3 @@ def generate_grid_network(
     assert len(nodes) == n_nodes and len(links) == n_links
     return {"nodes": nodes, "links": links}
 
-
-def write_network(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")

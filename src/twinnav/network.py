@@ -5,14 +5,17 @@ per-link quantities (lengths, volumes, speeds, journey times) are arrays in
 that order. The speed-density law has one implementation, `_speed_law`,
 elementwise on arrays; `link_speeds` and the scalar `journey_speed` call it.
 The planner reads per-node rows (`TrafficNetwork.link_rows`): rows[u][v] is
-the value of link u->v, one small mapping per node, so planning costs O(L)
-per snapshot instead of O(M^2).
+the value of link u->v, one small mapping per node keyed by its out-neighbors,
+so the rows are the graph and planning costs O(L) per snapshot instead of
+O(M^2).
 A network never changes, so `static_route` caches what only its topology and
 lengths decide, each filled on first use: the rows of link lengths and, per
 origin, the predecessor array of its shortest-distance tree, which also
 answers which nodes an origin reaches. Scenarios derived from one another
 share their network, and so these caches.
-Node ids and link endpoints in network JSON must be JSON integers.
+Node ids and link endpoints in network JSON must be JSON integers, and
+coordinates, lengths, speeds and jam densities finite JSON numbers (an integer
+or a float; not a boolean or a string).
 Journey times are in seconds, +inf when a link is jammed or closed.
 `build_journey_matrix` keeps the dense (M+1, M+1) form, indexed by node id
 with +inf wherever no traversable link exists, as a reference.
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DegenerateRouteRequest, json_int
+from .errors import ConfigError, ContractError, DegenerateRouteRequest, json_int, \
+    json_number
 
 INF = math.inf
 # A vehicle this close to a link's end counts as at the end. Every link must be
@@ -79,21 +83,17 @@ class TrafficNetwork:
             l.pair: i for i, l in enumerate(links)
         }
         self.pairs = list(self.link_index)  # link order; pairs are unique
-        self.out_links: list[list[int]] = [[] for _ in range(self.node_count + 1)]
         self.in_links: list[list[int]] = [[] for _ in range(self.node_count + 1)]
         for i, l in enumerate(links):
-            self.out_links[l.from_node].append(i)
             self.in_links[l.to_node].append(i)
-        # Neighbor ids for Dijkstra; sorted so equal-cost scans are id-ordered.
-        self.out_neighbors: list[list[int]] = [
-            sorted(links[i].to_node for i in outs) for outs in self.out_links
-        ]
         self._length_rows: list[dict[int, float]] | None = None
         self._static_preds: dict[int, list[int]] = {}
 
     def link_rows(self, values: np.ndarray) -> list[dict[int, float]]:
         """Per-node rows of a link-indexed vector: rows[u][v] = values[i] for
-        link i = u->v, in a list indexed by node id (entry 0 unused)."""
+        link i = u->v, in a list indexed by node id (entry 0 unused). The keys
+        of rows[u] are exactly u's out-neighbors, so the planner needs no
+        other adjacency."""
         rows: list[dict[int, float]] = [{} for _ in range(self.node_count + 1)]
         for (u, v), x in zip(self.pairs, values.tolist()):
             rows[u][v] = x
@@ -114,9 +114,7 @@ class TrafficNetwork:
         if pred is None:
             if self._length_rows is None:
                 self._length_rows = self.link_rows(self.lengths)
-            _, pred = nav.shortest_path_tree(
-                self._length_rows, origin, self.out_neighbors
-            )
+            _, pred = nav.shortest_path_tree(self._length_rows, origin)
             self._static_preds[origin] = pred
         if not pred[dest]:  # node ids start at 1: no predecessor, no path
             return None
@@ -249,8 +247,8 @@ def network_from_dict(doc: dict, source: str = "network") -> TrafficNetwork:
             nodes.append(
                 Node(
                     node_id=json_int(item["id"]),
-                    x_m=float(item["x_m"]),
-                    y_m=float(item["y_m"]),
+                    x_m=json_number(item["x_m"]),
+                    y_m=json_number(item["y_m"]),
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -265,16 +263,16 @@ def network_from_dict(doc: dict, source: str = "network") -> TrafficNetwork:
             raise ConfigError(f"{where}: give v_free_mps or v_free_kmh, not both")
         try:
             if "v_free_kmh" in item:
-                v_free = float(item["v_free_kmh"]) / 3.6
+                v_free = json_number(item["v_free_kmh"]) / 3.6
             else:
-                v_free = float(item["v_free_mps"])
+                v_free = json_number(item["v_free_mps"])
             links.append(
                 Link(
                     from_node=json_int(item["from"]),
                     to_node=json_int(item["to"]),
-                    length_m=float(item["length_m"]),
+                    length_m=json_number(item["length_m"]),
                     v_free_mps=v_free,
-                    k_max_veh_per_m=float(item["k_max_veh_per_m"]),
+                    k_max_veh_per_m=json_number(item["k_max_veh_per_m"]),
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -1,24 +1,28 @@
 """Scenario files: everything one simulation run needs, in a single JSON
 document. See README for the full schema. Paths inside the file resolve
 relative to the file's directory. Ids and counts (event nodes and links, RSU
-nodes, sim.seed, traffic.n_vel, events_random.count) must be JSON integers.
+nodes, sim.seed, traffic.n_vel, events_random.count) must be JSON integers,
+and every other number a finite JSON number (`errors.json_number`).
 
 The parameter classes check their own ranges, so the loader and the
-`Scenario.with_*` helpers share one check each. `Scenario.rsu_coverage` is the
-one place that decides what an RSU covers.
+`Scenario.with_*` helpers share one check each. `Scenario` itself checks that
+its random events fit: no more than the links and nodes their kinds can use,
+in a non-empty onset window; a sweep builds every point, and so runs this
+check, before its first run. The scenario owns the run seed (`sim.seed`,
+set by `with_seed`). `Scenario.rsu_coverage` is the one place that decides
+what an RSU covers.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .comms import FlowLatency, LatencyModel, DEFAULT_FLOWS
-from .errors import ConfigError, json_int
+from .errors import ConfigError, json_int, json_number
 from .network import TrafficNetwork, load_network, network_from_dict
 from .twin import EventThresholds
 
@@ -98,6 +102,31 @@ class Scenario:
     latency: LatencyModel = LatencyModel()
     source_path: str = "<scenario>"
 
+    def __post_init__(self):
+        er = self.events_random
+        if er is None:
+            return
+        net = self.network
+        room = (net.link_count if "accident" in er.kinds else 0) + (
+            net.node_count if "gathering" in er.kinds else 0)
+        if er.count > room:
+            raise ConfigError(
+                f"{self.source_path}: events_random.count {er.count} exceeds the "
+                f"{room} links and nodes its kinds {list(er.kinds)} can use")
+        lo, hi = self.onset_window()
+        if hi < lo:
+            raise ConfigError(
+                f"{self.source_path}: events_random onset window [{lo}, {hi}] s "
+                f"is empty")
+
+    def onset_window(self) -> tuple[float, float]:
+        """[earliest, latest] onset of a random event, in seconds; by default
+        from 0 to half the simulated horizon."""
+        er = self.events_random
+        lo = er.onset_min_s if er.onset_min_s is not None else 0.0
+        hi = er.onset_max_s if er.onset_max_s is not None else self.sim.t_sim_s / 2
+        return lo, hi
+
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, sim=replace(self.sim, seed=seed))
 
@@ -128,18 +157,6 @@ class Scenario:
         return out
 
 
-def _finite(value) -> float:
-    """float(value) for a scenario field. NaN, the infinities and integers past
-    float range, all of which a JSON reader hands over, raise ValueError."""
-    try:
-        x = float(value)
-    except OverflowError:
-        raise ValueError(f"number out of float range: {value}") from None
-    if not math.isfinite(x):
-        raise ValueError(f"expected a finite number, got {x}")
-    return x
-
-
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -160,10 +177,10 @@ def _parse_event(item: dict, k: int, net: TrafficNetwork, where: str) -> EventSp
     if kind not in EVENT_KINDS:
         raise ConfigError(f"{w}: kind must be one of {EVENT_KINDS}, got {kind!r}")
     try:
-        onset = _finite(item.get("onset_s", 0.0))
+        onset = json_number(item.get("onset_s", 0.0))
         end = item.get("end_s")
-        end_s = None if end is None else _finite(end)
-        density = _finite(item.get("density", DEFAULT_GATHERING_DENSITY))
+        end_s = None if end is None else json_number(end)
+        density = json_number(item.get("density", DEFAULT_GATHERING_DENSITY))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{w}: onset_s, end_s and density must be numbers ({exc})") from exc
     if end_s is not None and end_s < onset:
@@ -201,11 +218,11 @@ def _parse_latency(doc: dict, where: str) -> LatencyModel:
             spec = _typed(doc[name], dict, w)
             try:
                 flows[name] = FlowLatency(
-                    min_ms=_finite(spec["min_ms"]),
-                    max_ms=_finite(spec["max_ms"]),
+                    min_ms=json_number(spec["min_ms"]),
+                    max_ms=json_number(spec["max_ms"]),
                     dist=spec.get("dist", "uniform"),
                     mean_ms=(
-                        _finite(spec["mean_ms"]) if "mean_ms" in spec else None
+                        json_number(spec["mean_ms"]) if "mean_ms" in spec else None
                     ),
                 )
             except KeyError as exc:
@@ -215,8 +232,8 @@ def _parse_latency(doc: dict, where: str) -> LatencyModel:
     try:
         return LatencyModel(
             flows=flows,
-            pdr_ssms=_finite(doc.get("pdr_ssms", 0.9953)),
-            pdr_info=_finite(doc.get("pdr_info", 1.0)),
+            pdr_ssms=json_number(doc.get("pdr_ssms", 0.9953)),
+            pdr_info=json_number(doc.get("pdr_info", 1.0)),
         )
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -237,8 +254,8 @@ def scenario_from_dict(
     sim_doc = _typed(_require(doc, "sim", source), dict, f"{source}: sim")
     try:
         sim = SimParams(
-            dt_s=_finite(sim_doc["dt_s"]),
-            t_sim_s=_finite(sim_doc["t_sim_s"]),
+            dt_s=json_number(sim_doc["dt_s"]),
+            t_sim_s=json_number(sim_doc["t_sim_s"]),
             seed=json_int(sim_doc.get("seed", 0)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -255,8 +272,8 @@ def scenario_from_dict(
     try:
         traffic = TrafficParams(
             n_vel=json_int(tr_doc["n_vel"]),
-            p_user=_finite(tr_doc["p_user"]),
-            spawn_window_frac=_finite(spawn_doc.get("window_frac", 0.8)),
+            p_user=json_number(tr_doc["p_user"]),
+            spawn_window_frac=json_number(spawn_doc.get("window_frac", 0.8)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{source}: traffic block needs n_vel and p_user ({exc})") from exc
@@ -279,16 +296,16 @@ def scenario_from_dict(
                 count=json_int(er["count"]),
                 kinds=tuple(er.get("kinds", EVENT_KINDS)),
                 onset_min_s=(
-                    _finite(er["onset_min_s"]) if "onset_min_s" in er else None
+                    json_number(er["onset_min_s"]) if "onset_min_s" in er else None
                 ),
                 onset_max_s=(
-                    _finite(er["onset_max_s"]) if "onset_max_s" in er else None
+                    json_number(er["onset_max_s"]) if "onset_max_s" in er else None
                 ),
                 duration_s=(
-                    _finite(er["duration_s"])
+                    json_number(er["duration_s"])
                     if er.get("duration_s") is not None else None
                 ),
-                density=_finite(er.get("density", DEFAULT_GATHERING_DENSITY)),
+                density=json_number(er.get("density", DEFAULT_GATHERING_DENSITY)),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{source}: events_random needs count ({exc})") from exc
@@ -301,7 +318,8 @@ def scenario_from_dict(
     for k, item in enumerate(rsu_docs):
         w = f"{source}: sensing.rsus[{k}]"
         try:
-            rsu = RsuSpec(node=json_int(item["node"]), radius_m=_finite(item["radius_m"]))
+            rsu = RsuSpec(node=json_int(item["node"]),
+                          radius_m=json_number(item["radius_m"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{w}: expected {{node, radius_m}} ({exc})") from exc
         if rsu.node not in net.node_by_id:
@@ -313,9 +331,9 @@ def scenario_from_dict(
     th_doc = _typed(doc.get("thresholds", {}), dict, f"{source}: thresholds")
     try:
         thresholds = EventThresholds(
-            density_threshold=_finite(th_doc.get("density_threshold", 0.5)),
-            speed_threshold=_finite(th_doc.get("speed_threshold", 0.5)),
-            accident_window_s=_finite(th_doc.get("accident_window_s", 10.0)),
+            density_threshold=json_number(th_doc.get("density_threshold", 0.5)),
+            speed_threshold=json_number(th_doc.get("speed_threshold", 0.5)),
+            accident_window_s=json_number(th_doc.get("accident_window_s", 10.0)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: bad thresholds block ({exc})") from exc

@@ -19,33 +19,34 @@ than MAX_LINE_BYTES, its newline included, is discarded unread up to its
 newline and answers {"type": "error", "code": "line_too_long"}; the connection
 stays open.
 
-Ids are JSON integers: a source `id`, a link's `from` and `to`, a node `id`
-and a route request's `position` and `destination` (a boolean, a float such as
-2.0 or 2.9, or a string is not an id). A reading must name a link or node of
-the network, its volume, speed_mps and density must be finite and
-non-negative, `occupied` a JSON boolean, `time_s`, when given, a finite JSON
-number, and `links` and `nodes`, when given, JSON arrays; anything else
-answers `bad_request` and leaves the twin unchanged.
+Ids are JSON integers: a source's required `id`, a link's `from` and `to`, a
+node `id` and a route request's `position` and `destination` (a boolean, a
+float such as 2.0 or 2.9, or a string is not an id). A reading must name a
+link or node of the network, its volume, speed_mps and density must be finite,
+non-negative JSON numbers (a boolean or a numeric string is not a number),
+`occupied` a JSON boolean, `time_s`, when given, a finite JSON number, and
+`links` and `nodes`, when given, JSON arrays; anything else answers
+`bad_request` and leaves the twin unchanged.
 
 Sensor updates feed a live twin through `twin.ingest_readings`; a source
 covers exactly what it reports. The service clock follows the largest
 `time_s` seen; an update without `time_s` is taken one step after the clock,
-and one whose `time_s` is older than the clock is taken at the clock. Each update re-runs event detection and clears every flag
-whose latest reading no longer meets its criterion (the service has no
-scheduled causes). Route requests plan over event-masked journey-time rows
-built from the twin's current volumes.
+and one whose `time_s` is older than the clock is taken at the clock. Each
+update re-runs event detection against the twin's own thresholds and clears
+every flag whose latest reading no longer meets its criterion (the service
+has no scheduled causes). Route requests plan over event-masked journey-time
+rows built from the twin's current volumes; the rows' keys are the graph.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import math
 import socketserver
 import threading
 
 from . import nav
-from .errors import ContractError, DegenerateRouteRequest, json_int
+from .errors import ContractError, DegenerateRouteRequest, json_int, json_number
 from .scenario import Scenario
 from .twin import (
     TwinState,
@@ -75,8 +76,7 @@ class ServiceState:
 
     def __init__(self, scenario: Scenario):
         self.net = scenario.network
-        self.thresholds = scenario.thresholds
-        self.twin = TwinState(self.net, self.thresholds)
+        self.twin = TwinState(self.net, scenario.thresholds)
         self.clock_s = 0.0
         self.dt_s = scenario.sim.dt_s
         self.lock = threading.Lock()
@@ -89,17 +89,15 @@ class ServiceState:
         if kind not in ("rsu", "cav"):
             raise ServiceError("bad_request", f"unknown source kind {kind!r}")
         try:
-            source_id = json_int(source_doc.get("id", 0))
-        except TypeError:
+            source_id = json_int(source_doc["id"])
+        except (KeyError, TypeError):
             raise ServiceError("bad_request", "source id must be an integer")
         time_s = msg.get("time_s")
-        try:
-            bad_time = time_s is not None and (
-                isinstance(time_s, bool) or not math.isfinite(time_s))
-        except (TypeError, OverflowError):  # not a number, or an int past float range
-            bad_time = True
-        if bad_time:
-            raise ServiceError("bad_request", f"time_s must be a finite number, got {time_s!r}")
+        if time_s is not None:
+            try:
+                time_s = json_number(time_s)
+            except (TypeError, ValueError) as exc:
+                raise ServiceError("bad_request", f"time_s must be a finite number ({exc})")
 
         link_items = msg.get("links", [])
         node_items = msg.get("nodes", [])
@@ -113,14 +111,15 @@ class ServiceState:
                 occupied = item["occupied"]
                 if occupied is not True and occupied is not False:
                     raise ValueError(f"occupied must be true or false, got {occupied!r}")
-                links[pair] = (float(item["volume"]), float(item["speed_mps"]), occupied)
+                links[pair] = (json_number(item["volume"]), json_number(item["speed_mps"]),
+                               occupied)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ServiceError("bad_request", "link readings need from, to, volume, "
                                    f"speed_mps, occupied ({exc})")
         nodes: dict[int, float] = {}
         for item in node_items:
             try:
-                nodes[json_int(item["id"])] = float(item["density"])
+                nodes[json_int(item["id"])] = json_number(item["density"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ServiceError("bad_request", f"node readings need id and density ({exc})")
 
@@ -130,18 +129,18 @@ class ServiceState:
             if time_s is None:
                 now = self.clock_s + self.dt_s
             else:
-                now = max(self.clock_s, float(time_s))
+                now = max(self.clock_s, time_s)
             try:
                 link_idx = ingest_readings(self.twin, (kind, [source_id]), links, nodes, now)
             except ContractError as exc:
                 raise ServiceError("bad_request", str(exc))
             self.clock_s = now
-            detect_pedestrian_gathering(self.twin, self.thresholds)
-            detect_accident(self.twin, self.thresholds, self.clock_s)
+            detect_pedestrian_gathering(self.twin)
+            detect_accident(self.twin, self.clock_s)
             # No scheduled causes here, so any flag may clear on recovery
             # evidence. Only what this update read can have recovered: every
             # other flag already failed the test after its last reading.
-            clear_resolved_events(self.twin, self.thresholds, nodes.keys(), link_idx)
+            clear_resolved_events(self.twin, nodes.keys(), link_idx)
 
     def plan_route(self, msg: dict) -> dict:
         try:
@@ -160,9 +159,7 @@ class ServiceState:
                 self.twin.event_links,
             )
             try:
-                found = nav.dijkstra_fastest(
-                    rows, position, destination, self.net.out_neighbors
-                )
+                found = nav.dijkstra_fastest(rows, position, destination)
             except DegenerateRouteRequest as exc:
                 raise ServiceError("degenerate_request", str(exc))
         if found is None:

@@ -9,7 +9,8 @@ unconnected vehicles follow their static shortest-distance route.
 
 Step phases, in fixed order: spawn, event schedule, sensing and twin ingest,
 event detection, route planning and delivery, movement, bookkeeping. One run
-is single-threaded and fully determined by (scenario, seed).
+is single-threaded and fully determined by its scenario, whose `sim.seed`
+seeds every random stream (`Scenario.with_seed` sets it).
 
 No step phase loops over the vehicles ever spawned: the per-vehicle loops walk
 the live list (spawned, not yet arrived, in vid order), and movement's vehicle
@@ -177,14 +178,13 @@ class Engine:
         self,
         scenario: Scenario,
         *,
-        seed: int | None = None,
         single_v2c: bool = False,
         twin_journal_path: str | None = None,
         routes_journal_path: str | None = None,
         on_step=None,
     ):
         self.scenario = scenario
-        self.seed = scenario.sim.seed if seed is None else seed
+        self.seed = scenario.sim.seed
         self.single_v2c = single_v2c
         self.on_step = on_step
         self._twin_journal_path = twin_journal_path
@@ -243,22 +243,19 @@ class Engine:
             er = sc.events_random
             rng = random.Random(f"{self.seed}/events")
             kinds = [rng.choice(er.kinds) for _ in range(er.count)]
+            # The scenario checked that the count fits: the last draws of a
+            # kind with more events than places become the other kind.
+            for kind, other, room in (("accident", "gathering", net.link_count),
+                                      ("gathering", "accident", net.node_count)):
+                surplus = kinds.count(kind) - room
+                if surplus > 0:
+                    for k in [k for k, x in enumerate(kinds) if x == kind][-surplus:]:
+                        kinds[k] = other
             n_acc = kinds.count("accident")
             n_gat = kinds.count("gathering")
-            if n_acc > net.link_count:
-                raise ConfigError(
-                    f"{n_acc} random accidents but only {net.link_count} links"
-                )
-            if n_gat > net.node_count:
-                raise ConfigError(
-                    f"{n_gat} random gatherings but only {net.node_count} nodes"
-                )
             acc_links = rng.sample(range(net.link_count), n_acc)
             gat_nodes = rng.sample(range(1, net.node_count + 1), n_gat)
-            lo = er.onset_min_s if er.onset_min_s is not None else 0.0
-            hi = er.onset_max_s if er.onset_max_s is not None else sc.sim.t_sim_s / 2
-            if hi < lo:
-                raise ConfigError("events_random onset window is empty")
+            lo, hi = sc.onset_window()
             it_acc, it_gat = iter(acc_links), iter(gat_nodes)
             for kind in kinds:
                 onset = rng.uniform(lo, hi)
@@ -404,15 +401,13 @@ class Engine:
             )
 
     def _detect(self, step: int) -> None:
-        thresholds = self.scenario.thresholds
-        detect_pedestrian_gathering(self.twin, thresholds)
-        detect_accident(self.twin, thresholds, step * self.dt)
+        detect_pedestrian_gathering(self.twin)
+        detect_accident(self.twin, step * self.dt)
         # Flagged elements stay until their scheduled cause ends; elements with
         # no scheduled cause (emergent jams) may clear on any recovery evidence.
         # _update_events keyed this step's active events by node and link.
         clear_resolved_events(
             self.twin,
-            thresholds,
             self.twin.event_nodes.difference(self._events_at_node),
             self.twin.event_links.difference(self._events_on_link),
         )
@@ -442,11 +437,7 @@ class Engine:
                     affected[v.vid] = route
         if not new_users and not affected:
             return  # no search this step, so no rows
-        inp = nav.PlanningInput(
-            matrix=net.link_rows(times),
-            new_users=new_users,
-            out_neighbors=net.out_neighbors,
-        )
+        inp = nav.PlanningInput(matrix=net.link_rows(times), new_users=new_users)
         vehicles = self.vehicles  # vids are 1-based spawn order
         fresh = nav.plan_new_users(inp)
         for vid in sorted(fresh.routes):
@@ -668,7 +659,6 @@ class Engine:
 def run(
     scenario: Scenario,
     *,
-    seed: int | None = None,
     single_v2c: bool = False,
     twin_journal_path: str | None = None,
     routes_journal_path: str | None = None,
@@ -677,7 +667,6 @@ def run(
     """Run one simulation to completion and return its metrics."""
     return Engine(
         scenario,
-        seed=seed,
         single_v2c=single_v2c,
         twin_journal_path=twin_journal_path,
         routes_journal_path=routes_journal_path,

@@ -7,7 +7,8 @@ whether its packet arrives are decided before the twin is called
 previous (stale) values in place; links never observed report a volume of 0.
 Speed-threshold comparisons happen as readings arrive (the state tracks, per
 link, when the current uninterrupted slow-and-occupied run started), so a
-TwinState is bound to the thresholds it was created with.
+TwinState is bound to the thresholds it was created with; the detectors read
+them from the state and take none of their own.
 
 The twin is entered two ways: the engine, whose readings are its own truth,
 calls `TwinState.ingest_arrays` with link indices and node ids; the route
@@ -158,49 +159,42 @@ def ingest_readings(
     return link_idx
 
 
-def detect_pedestrian_gathering(
-    state: TwinState, thresholds: EventThresholds
-) -> set[int]:
-    """Nodes whose observed density strictly exceeds the threshold; merged into
-    the state's event-node set."""
-    mask = state.node_observed & (state.node_density > thresholds.density_threshold)
+def detect_pedestrian_gathering(state: TwinState) -> set[int]:
+    """Nodes whose observed density strictly exceeds the state's density
+    threshold; merged into the state's event-node set."""
+    threshold = state.thresholds.density_threshold
+    mask = state.node_observed & (state.node_density > threshold)
     flagged = {int(n) for n in np.nonzero(mask)[0]}
     state.event_nodes |= flagged
     return flagged
 
 
-def detect_accident(
-    state: TwinState, thresholds: EventThresholds, now: float
-) -> tuple[set[int], set[int]]:
+def detect_accident(state: TwinState, now: float) -> set[int]:
     """Indices of the links whose delivered readings stayed slow and occupied
-    for the whole accident window; merged into the state's event-link set.
-
-    Speeds are judged per reading at ingest time, so only the window length
-    from `thresholds` applies here. The node set mirrors the event-set shape
-    but stays empty: the twin keeps speed evidence per link, and an accident
-    at an intersection surfaces through its approach links.
+    for the state's whole accident window; merged into the state's event-link
+    set. Speeds are judged per reading at ingest time, so only the window
+    length applies here. The twin keeps speed evidence per link, so an
+    accident at an intersection surfaces through its approach links.
     """
     run = state.low_speed_since
-    mask = ~np.isnan(run) & (now - run >= thresholds.accident_window_s)
+    mask = ~np.isnan(run) & (now - run >= state.thresholds.accident_window_s)
     flagged = set(np.flatnonzero(mask).tolist())
     state.event_links |= flagged
-    return set(), flagged
+    return flagged
 
 
 def clear_resolved_events(
     state: TwinState,
-    thresholds: EventThresholds,
     clearable_nodes: Iterable[int],
     clearable_links: Iterable[int],
 ) -> None:
     """Drop flagged elements that are eligible to clear (their scheduled cause
     has ended) and whose latest delivered observation no longer meets the
-    detection criterion. Stale evidence keeps an element flagged.
+    state's detection criterion. Stale evidence keeps an element flagged.
     `clearable_links` holds link indices."""
     for n in state.event_nodes.intersection(clearable_nodes):
-        if state.node_density[n] <= thresholds.density_threshold:
+        if state.node_density[n] <= state.thresholds.density_threshold:
             state.event_nodes.discard(n)
     for i in state.event_links.intersection(clearable_links):
         if math.isnan(state.low_speed_since[i]):
             state.event_links.discard(i)
-

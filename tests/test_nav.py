@@ -268,7 +268,7 @@ def test_journey_rows_plan_like_the_dense_matrix(data):
     for start in range(1, m + 1):
         for end in range(1, m + 1):
             if start != end:
-                assert dijkstra_fastest(sparse, start, end, net.out_neighbors) == \
+                assert dijkstra_fastest(sparse, start, end) == \
                     dijkstra_fastest(dense, start, end)
 
     free_flow = journey_rows(net, np.zeros(n_links), set(), set())
@@ -276,11 +276,10 @@ def test_journey_rows_plan_like_the_dense_matrix(data):
     for vid in range(data.draw(st.integers(1, 6))):
         start, end = data.draw(st.sampled_from(
             [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]))
-        nodes = list(dijkstra_fastest(free_flow, start, end, net.out_neighbors).nodes)
+        nodes = list(dijkstra_fastest(free_flow, start, end).nodes)
         cursor = data.draw(st.integers(1, len(nodes) - 1))
         routes[vid] = Route(nodes=nodes, vehicle_id=vid, cursor=cursor)
-    assert replan_affected(PlanningInput(matrix=sparse, out_neighbors=net.out_neighbors),
-                           routes) == \
+    assert replan_affected(PlanningInput(matrix=sparse), routes) == \
         replan_affected(PlanningInput(matrix=dense), routes)
 
 

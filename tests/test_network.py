@@ -175,6 +175,27 @@ NON_FINITE = {
 }
 
 
+# Each sets one network number to a JSON value that is not a number but that
+# float() would read as one.
+NON_NUMBER = {
+    "string length_m": lambda d: d["links"][0].update(length_m="100"),
+    "boolean node x_m": lambda d: d["nodes"][0].update(x_m=True),
+    "string v_free_mps": lambda d: d["links"][1].update(v_free_mps="10"),
+    "boolean k_max": lambda d: d["links"][2].update(k_max_veh_per_m=True),
+    "string v_free_kmh": lambda d: d["links"].__setitem__(2, {
+        "from": 1, "to": 3, "length_m": 100.0, "v_free_kmh": "36",
+        "k_max_veh_per_m": 0.2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMBER))
+def test_loader_rejects_non_number(case):
+    doc = diamond_doc()
+    NON_NUMBER[case](doc)
+    with pytest.raises(ConfigError, match="JSON number"):
+        network_from_dict(doc)
+
+
 def test_loader_rejects_link_within_end_tolerance():
     # A vehicle entering such a link would already be at its end.
     doc = diamond_doc()

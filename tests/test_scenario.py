@@ -4,10 +4,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twinnav import sweep
 from twinnav.cli import main
 from twinnav.errors import ConfigError
 from twinnav.netgen import generate_grid_network
 from twinnav.scenario import load_scenario, scenario_from_dict
+from twinnav.sim import Engine
 
 from conftest import diamond_doc, write_json
 
@@ -159,6 +161,32 @@ def test_run_exits_2_on_non_integer_id_or_count(tmp_path, capsys, case):
     assert "JSON integer" in capsys.readouterr().err
 
 
+# Each sets one scenario number to a JSON value that is not a number but that
+# float() would read as one (true -> 1.0, "0.5" -> 0.5).
+NON_NUMBER = {
+    "boolean dt_s": lambda d: d["sim"].update(dt_s=True),
+    "string p_user": lambda d: d["traffic"].update(p_user="0.5"),
+    "string window_frac": lambda d: d["traffic"].update(spawn={"window_frac": "0.5"}),
+    "string RSU radius": lambda d: d.update(sensing={"rsus": [{"node": 1, "radius_m": "50"}]}),
+    "string latency bound": lambda d: d.update(
+        latency={"v2c": {"min_ms": "1", "max_ms": 30.0}}),
+    "boolean threshold": lambda d: d.update(thresholds={"speed_threshold": True}),
+    "string event onset": lambda d: d.update(
+        events=[{"kind": "gathering", "node": 2, "onset_s": "3"}]),
+    "boolean events_random duration": lambda d: d.update(
+        events_random={"count": 1, "duration_s": True}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMBER))
+def test_run_exits_2_on_non_number(tmp_path, capsys, case):
+    doc = minimal_doc()
+    NON_NUMBER[case](doc)
+    sc = write_json(tmp_path / "scenario.json", doc)
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+    assert "JSON number" in capsys.readouterr().err
+
+
 def test_event_location_must_match_kind():
     with pytest.raises(ConfigError, match="node"):
         scenario_from_dict(
@@ -195,6 +223,46 @@ def test_events_random_validation():
         )
     with pytest.raises(ConfigError, match="count"):
         scenario_from_dict(minimal_doc(events_random={"count": -2}))
+
+
+def test_random_events_that_cannot_fit_fail_at_load():
+    # The diamond has 5 links and 4 nodes.
+    for er in ({"count": 10}, {"count": 6, "kinds": ["accident"]},
+               {"count": 5, "kinds": ["gathering"]}):
+        with pytest.raises(ConfigError, match="count"):
+            scenario_from_dict(minimal_doc(events_random=er))
+    sc = scenario_from_dict(minimal_doc(events_random={"count": 1}))
+    with pytest.raises(ConfigError, match="count"):
+        sc.with_event_count(10)
+    # The default window ends at half the 60 s horizon.
+    for er in ({"count": 1, "onset_min_s": 10000},
+               {"count": 0, "onset_min_s": 20, "onset_max_s": 10}):
+        with pytest.raises(ConfigError, match="onset"):
+            scenario_from_dict(minimal_doc(events_random=er))
+
+
+def test_random_events_that_fit_load_for_every_seed():
+    """A count up to links + nodes fits whatever kinds the seed draws: the
+    surplus of one kind becomes the other."""
+    for count in (6, 9):
+        sc = scenario_from_dict(minimal_doc(events_random={"count": count}))
+        for seed in range(20):
+            events = Engine(sc.with_seed(seed)).events
+            links = [ev.link_idx for ev in events if ev.kind == "accident"]
+            nodes = [ev.node for ev in events if ev.kind == "gathering"]
+            assert len(events) == count
+            assert len(set(links)) == len(links) <= 5
+            assert len(set(nodes)) == len(nodes) <= 4
+
+
+def test_sweep_rejects_an_event_count_that_cannot_fit_before_any_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(sweep, "run", lambda *a, **k: runs.append(a))
+    base = scenario_from_dict(minimal_doc(events_random={"count": 1}))
+    spec = sweep.SweepSpec(base=base, param="events", values=(0, 5000))
+    with pytest.raises(ConfigError, match="count"):
+        sweep.run_sweep(spec)
+    assert runs == []
 
 
 def test_rsu_validation_and_coverage():

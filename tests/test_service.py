@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinnav import service
-from twinnav.errors import ContractError
+from twinnav.errors import ContractError, json_number
 from twinnav.service import RouteService, ServiceError, ServiceState
 from twinnav.twin import (
     TwinState,
@@ -254,7 +254,7 @@ def test_flagged_node_clears_at_or_below_threshold():
     state = diamond_state()
     state.apply_sensor_update(node_update(1.0, 3, 1.5))
     assert state.twin.event_nodes == {3}
-    state.apply_sensor_update(node_update(2.0, 3, state.thresholds.density_threshold))
+    state.apply_sensor_update(node_update(2.0, 3, state.twin.thresholds.density_threshold))
     assert state.twin.event_nodes == set()
 
 
@@ -317,6 +317,12 @@ BAD_UPDATES = {
     "string node id": {"nodes": [{"id": "3", "density": 0.1}]},
     "links not an array": {"links": 5},
     "nodes not an array": {"nodes": 5},
+    "source without id": {"source": {"kind": "rsu"}, "links": [reading(volume=3)]},
+    "volume as a string": {"links": [reading(volume="3")]},
+    "boolean volume": {"links": [reading(volume=True)]},
+    "speed as a string": {"links": [reading(speed_mps="0.1")]},
+    "density as a string": {"nodes": [{"id": 3, "density": "1.5"}]},
+    "boolean time": {"time_s": True, "links": [reading()]},
 }
 
 
@@ -404,7 +410,7 @@ class SlowRunModel:
     def __init__(self, state):
         self.clock = state.clock_s
         self.dt = state.dt_s
-        self.speed_threshold = state.thresholds.speed_threshold
+        self.speed_threshold = state.twin.thresholds.speed_threshold
         self.run_start = {}  # pair -> clock, present while the latest reading is slow
         self.density = {}
 
@@ -429,7 +435,7 @@ class SlowRunModel:
 def test_fuzzed_messages_never_flag_without_slow_evidence(messages):
     state = diamond_state()
     model = SlowRunModel(state)
-    window = state.thresholds.accident_window_s
+    window = state.twin.thresholds.accident_window_s
     for kind, msg in messages:
         before = twin_view(state)
         try:
@@ -457,7 +463,7 @@ def test_fuzzed_messages_never_flag_without_slow_evidence(messages):
             assert model.clock - model.run_start[pair] >= window, (
                 f"{pair} flagged {model.clock - model.run_start[pair]} s into its slow run")
         for node in state.twin.event_nodes:
-            assert model.density[node] > state.thresholds.density_threshold
+            assert model.density[node] > state.twin.thresholds.density_threshold
 
 
 # ------------------------------------------ one ingest law behind both entries
@@ -495,18 +501,20 @@ def reading_streams(draw):
 
 
 def ingest_directly(twin, clock, msg):
-    """The service's handling of `msg`, through ingest_readings plus detection
-    and clearing of what the update read. Returns the new clock."""
-    links = {(r["from"], r["to"]): (r["volume"], r["speed_mps"], r["occupied"])
+    """The service's handling of `msg`: every reading's numbers read by the
+    JSON number rule, a repeated link or node's last reading kept, then
+    ingest_readings plus detection and clearing of what the update read.
+    Returns the new clock."""
+    links = {(r["from"], r["to"]): (json_number(r["volume"]), json_number(r["speed_mps"]),
+                                    r["occupied"])
              for r in msg["links"]}
-    nodes = {n["id"]: n["density"] for n in msg["nodes"]}
+    nodes = {n["id"]: json_number(n["density"]) for n in msg["nodes"]}
     now = max(clock, msg["time_s"])
     ingest_readings(twin, (msg["source"]["kind"], [msg["source"]["id"]]), links, nodes,
                     now)
-    detect_pedestrian_gathering(twin, twin.thresholds)
-    detect_accident(twin, twin.thresholds, now)
-    clear_resolved_events(twin, twin.thresholds, set(nodes),
-                          {twin.net.link_index[p] for p in links})
+    detect_pedestrian_gathering(twin)
+    detect_accident(twin, now)
+    clear_resolved_events(twin, set(nodes), {twin.net.link_index[p] for p in links})
     return now
 
 
@@ -520,7 +528,7 @@ def twin_law_view(twin):
 @given(reading_streams())
 def test_service_update_and_ingest_readings_share_one_law(stream):
     state = diamond_state()
-    twin = TwinState(state.net, state.thresholds)
+    twin = TwinState(state.net, state.twin.thresholds)
     clock = 0.0
     for msg in stream:
         before = twin_law_view(state.twin)
@@ -533,7 +541,7 @@ def test_service_update_and_ingest_readings_share_one_law(stream):
         try:
             clock = ingest_directly(twin, clock, msg)
             direct_ok = True
-        except ContractError:
+        except (ContractError, ValueError):  # ValueError: a non-finite number
             direct_ok = False
         assert service_ok == direct_ok, msg
         if not service_ok:

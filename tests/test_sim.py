@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinnav import nav
+from twinnav import nav, sim
 from twinnav.comms import check_deadline, deliver, sample_service_latency
 from twinnav.errors import ContractError, DegenerateRouteRequest
 from twinnav.netgen import generate_grid_network
@@ -17,6 +17,7 @@ from twinnav.scenario import scenario_from_dict
 from twinnav.sim import CAV, Engine, MetricsSummary, Vehicle, poisson_draw, \
     record_encounter, run, shortest_distance_route
 from twinnav.nav import Route
+from twinnav.sweep import SweepSpec, run_sweep
 from twinnav.twin import TwinState
 
 from conftest import corridor_doc, diamond_doc, grid_nodes, link, make_scenario
@@ -287,7 +288,6 @@ class ReferenceEngine(Engine):
             matrix=rows,
             new_users={v.vid: (v.origin, v.destination) for v in self._active
                        if v.klass == CAV and v.link_idx is None},
-            out_neighbors=net.out_neighbors,
         )
         fresh = nav.plan_new_users(inp)
         for vid in sorted(fresh.routes):
@@ -519,8 +519,38 @@ def test_determinism_identical_seeds():
     b = run(sc)
     assert a == b
     assert a.csv_row() == b.csv_row()
-    c = run(sc, seed=78)
+    c = run(sc.with_seed(78))
     assert c != a
+
+
+def test_single_v2c_mode_counts_one_leg_against_the_deadline(monkeypatch):
+    """At v_free 5 m/s the new-route deadline is 0.82 s: above the largest
+    one-leg service latency of the default model (810.97 ms) and inside the
+    two-leg range (759.84-853.10 ms). Only two legs can miss it."""
+    doc = corridor_doc()
+    for item in doc["links"]:
+        item["v_free_mps"] = 5.0
+    sc = make_scenario(doc, traffic={"n_vel": 20, "p_user": 1.0})
+    assert sc.latency.service_bounds_s(single_v2c=True)[1] < 0.82 \
+        < sc.latency.service_bounds_s()[1]
+    rejected = []
+
+    def counted(t_svc_s, v_free_mps):
+        ok = check_deadline(t_svc_s, v_free_mps)
+        if not ok:
+            rejected.append(t_svc_s)
+        return ok
+
+    monkeypatch.setattr(sim, "check_deadline", counted)
+    two_legs = run(sc)
+    assert rejected
+    rejected.clear()
+    one_leg = run(sc, single_v2c=True)
+    assert rejected == []
+    assert one_leg.completed_cav >= 1 and two_legs.completed_cav >= 1
+    rows = run_sweep(SweepSpec(base=sc, param="p_user", values=(1.0,)),
+                     single_v2c=True)
+    assert rows[0].metrics.completed_cav >= 1 and rejected == []
 
 
 def test_metrics_csv_has_nine_columns():

@@ -82,22 +82,22 @@ def test_timestamps_never_decrease(net):
 def test_gathering_detection_strict_threshold(net):
     state = TwinState(net, TH)
     read_node(state, 3, 0.6, now=0.0)
-    assert detect_pedestrian_gathering(state, TH) == {3}
+    assert detect_pedestrian_gathering(state) == {3}
     assert state.event_nodes == {3}
 
     state2 = TwinState(net, TH)
     read_node(state2, 3, 0.5, now=0.0)
-    assert detect_pedestrian_gathering(state2, TH) == set()  # boundary excluded
+    assert detect_pedestrian_gathering(state2) == set()  # boundary excluded
 
     state3 = TwinState(net, TH)
-    assert detect_pedestrian_gathering(state3, TH) == set()  # nothing observed
+    assert detect_pedestrian_gathering(state3) == set()  # nothing observed
 
 
 def test_accident_detection_needs_full_window(net):
     state = TwinState(net, TH)
     for t in (0.0, 5.0, 10.0):
         read_link(state, (1, 2), 2, now=t, speed=0.1)
-        _, flagged = detect_accident(state, TH, now=t)
+        flagged = detect_accident(state, now=t)
     assert flagged == {net.link_index[(1, 2)]}
     assert state.event_link_pairs() == {(1, 2)}
 
@@ -106,7 +106,7 @@ def test_accident_detection_interrupted_run(net):
     state = TwinState(net, TH)
     for t, speed in ((0.0, 0.1), (5.0, 3.0), (10.0, 0.1)):
         read_link(state, (1, 2), 2, now=t, speed=speed)
-        detect_accident(state, TH, now=t)
+        detect_accident(state, now=t)
     assert state.event_link_pairs() == set()  # the fast reading broke the run
 
 
@@ -114,14 +114,8 @@ def test_accident_detection_ignores_empty_links(net):
     state = TwinState(net, TH)
     for t in (0.0, 5.0, 10.0, 15.0):
         read_link(state, (1, 2), 0, now=t, speed=0.0, occupied=False)
-        detect_accident(state, TH, now=t)
+        detect_accident(state, now=t)
     assert state.event_link_pairs() == set()
-
-
-def test_accident_detection_returns_empty_node_set(net):
-    state = TwinState(net, TH)
-    nodes, links = detect_accident(state, TH, now=0.0)
-    assert nodes == set() and links == set()
 
 
 def test_twin_volumes_defaults_and_staleness(net):
@@ -141,22 +135,22 @@ def test_twin_volumes_defaults_and_staleness(net):
 def test_event_clearing_rules(net):
     state = TwinState(net, TH)
     read_node(state, 3, 2.0, now=0.0)
-    detect_pedestrian_gathering(state, TH)
+    detect_pedestrian_gathering(state)
     assert state.event_nodes == {3}
 
     # Not clearable while the cause is active, whatever the evidence says.
     read_node(state, 3, 0.0, now=1.0)
-    clear_resolved_events(state, TH, clearable_nodes=set(), clearable_links=set())
+    clear_resolved_events(state, clearable_nodes=set(), clearable_links=set())
     assert state.event_nodes == {3}
 
     # Clearable but only stale exceeding evidence: stays flagged.
     read_node(state, 3, 2.0, now=2.0)
-    clear_resolved_events(state, TH, clearable_nodes={3}, clearable_links=set())
+    clear_resolved_events(state, clearable_nodes={3}, clearable_links=set())
     assert state.event_nodes == {3}
 
     # Clearable and the latest delivery shows recovery: cleared.
     read_node(state, 3, 0.0, now=3.0)
-    clear_resolved_events(state, TH, clearable_nodes={3}, clearable_links=set())
+    clear_resolved_events(state, clearable_nodes={3}, clearable_links=set())
     assert state.event_nodes == set()
 
 
@@ -164,14 +158,14 @@ def test_link_event_clearing(net):
     state = TwinState(net, TH)
     for t in (0.0, 10.0):
         read_link(state, (1, 2), 2, now=t, speed=0.1)
-        detect_accident(state, TH, now=t)
+        detect_accident(state, now=t)
     assert state.event_link_pairs() == {(1, 2)}
 
-    clear_resolved_events(state, TH, set(), {net.link_index[(1, 2)]})
+    clear_resolved_events(state, set(), {net.link_index[(1, 2)]})
     assert state.event_link_pairs() == {(1, 2)}  # still slow, stays
 
     read_link(state, (1, 2), 2, now=11.0, speed=4.0)
-    clear_resolved_events(state, TH, set(), {net.link_index[(1, 2)]})
+    clear_resolved_events(state, set(), {net.link_index[(1, 2)]})
     assert state.event_link_pairs() == set()
 
 
