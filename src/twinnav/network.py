@@ -4,6 +4,8 @@ Node ids are dense integers 1..M; links are indexed 0..L-1 in file order, and
 per-link quantities (lengths, volumes, speeds, journey times) are arrays in
 that order. The speed-density law has one implementation, `_speed_law`,
 elementwise on arrays; `link_speeds` and the scalar `journey_speed` call it.
+Likewise the journey-time law, `_journey_time_law`, serves `link_journey_times`
+and the scalar `link_journey_time`.
 The planner reads per-node rows (`TrafficNetwork.link_rows`): rows[u][v] is
 the value of link u->v, one small mapping per node keyed by its out-neighbors,
 so the rows are the graph and planning costs O(L) per snapshot instead of
@@ -187,13 +189,19 @@ def link_speeds(net: TrafficNetwork, counts: np.ndarray) -> np.ndarray:
     return _speed_law(counts / net.lengths, net.v_free, net.k_max)
 
 
+def _journey_time_law(length_m, speed):
+    """Seconds to traverse `length_m` at `speed`, +inf where the speed is at
+    or below SPEED_FLOOR_MPS; elementwise on arrays."""
+    speed = np.asarray(speed, dtype=float)
+    return np.divide(length_m, speed, out=np.full(speed.shape, INF),
+                     where=speed > SPEED_FLOOR_MPS)
+
+
 def link_journey_time(
     length_m: float, v_free_mps: float, k_max: float, volume: float
 ) -> float:
     v = journey_speed(traffic_density(volume, length_m), v_free_mps, k_max)
-    if v <= SPEED_FLOOR_MPS:
-        return INF
-    return length_m / v
+    return float(_journey_time_law(length_m, v))
 
 
 def journey_time(link: Link, volume: float) -> float:
@@ -206,11 +214,7 @@ def journey_time(link: Link, volume: float) -> float:
 def link_journey_times(net: TrafficNetwork, volumes: np.ndarray) -> np.ndarray:
     """Seconds to traverse every link under `volumes` (one count per link),
     +inf where the speed is at or below SPEED_FLOOR_MPS. A fresh array."""
-    speed = link_speeds(net, volumes)
-    return np.divide(
-        net.lengths, speed, out=np.full(net.link_count, INF),
-        where=speed > SPEED_FLOOR_MPS,
-    )
+    return _journey_time_law(net.lengths, link_speeds(net, volumes))
 
 
 def build_journey_matrix(net: TrafficNetwork, volumes) -> np.ndarray:

@@ -23,7 +23,8 @@ Ids are JSON integers: a source's required `id`, a link's `from` and `to`, a
 node `id` and a route request's `position` and `destination` (a boolean, a
 float such as 2.0 or 2.9, or a string is not an id). A reading must name a
 link or node of the network, its volume, speed_mps and density must be finite,
-non-negative JSON numbers (a boolean or a numeric string is not a number),
+non-negative JSON numbers (a boolean or a numeric string is not a number;
+every reading of a repeated link or node is checked, and the last counts),
 `occupied` a JSON boolean, `time_s`, when given, a finite JSON number, and
 `links` and `nodes`, when given, JSON arrays; anything else answers
 `bad_request` and leaves the twin unchanged.
@@ -103,23 +104,24 @@ class ServiceState:
         node_items = msg.get("nodes", [])
         if not isinstance(link_items, list) or not isinstance(node_items, list):
             raise ServiceError("bad_request", "links and nodes must be JSON arrays")
-        # (from, to) -> (volume, speed_mps, occupied); a repeated link's last wins.
-        links: dict[tuple[int, int], tuple[float, float, bool]] = {}
+        # ((from, to), (volume, speed_mps, occupied)) in arrival order; the
+        # twin checks every reading and keeps a repeated link's last.
+        links: list[tuple[tuple[int, int], tuple[float, float, bool]]] = []
         for item in link_items:
             try:
                 pair = (json_int(item["from"]), json_int(item["to"]))
                 occupied = item["occupied"]
                 if occupied is not True and occupied is not False:
                     raise ValueError(f"occupied must be true or false, got {occupied!r}")
-                links[pair] = (json_number(item["volume"]), json_number(item["speed_mps"]),
-                               occupied)
+                links.append((pair, (json_number(item["volume"]),
+                                     json_number(item["speed_mps"]), occupied)))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ServiceError("bad_request", "link readings need from, to, volume, "
                                    f"speed_mps, occupied ({exc})")
-        nodes: dict[int, float] = {}
+        nodes: list[tuple[int, float]] = []
         for item in node_items:
             try:
-                nodes[json_int(item["id"])] = json_number(item["density"])
+                nodes.append((json_int(item["id"]), json_number(item["density"])))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ServiceError("bad_request", f"node readings need id and density ({exc})")
 
@@ -140,7 +142,7 @@ class ServiceState:
             # No scheduled causes here, so any flag may clear on recovery
             # evidence. Only what this update read can have recovered: every
             # other flag already failed the test after its last reading.
-            clear_resolved_events(self.twin, nodes.keys(), link_idx)
+            clear_resolved_events(self.twin, (n for n, _ in nodes), link_idx)
 
     def plan_route(self, msg: dict) -> dict:
         try:

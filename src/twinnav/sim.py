@@ -13,18 +13,20 @@ is single-threaded and fully determined by its scenario, whose `sim.seed`
 seeds every random stream (`Scenario.with_seed` sets it).
 
 No step phase loops over the vehicles ever spawned: the per-vehicle loops walk
-the live list (spawned, not yet arrived, in vid order), and movement's vehicle
-loops visit only the links that hold vehicles. The delivered RSU readings
-reach the twin in one batched ingest and the connected vehicles' in one more.
-The planner's journey-time rows are built only on steps that search: when a
-connected user waits for a route, or a live route's remaining links cross a
-link the masked journey times put at +inf. Shortest-distance trees cached on
-the network decide which destinations a spawn may draw and give unconnected
-vehicles their static routes, so runs on one network (a sweep) search each
-origin once. RSU coverage is decided once per engine, by
-`Scenario.rsu_coverage`. A step still does O(links)
-work in numpy (link speeds, masked journey times, the occupied-link scan) and
-builds the speed and closure lists the vehicle loops read.
+the live list (spawned, not yet arrived, in vid order), movement's vehicle
+loops visit only the links that hold vehicles, and bookkeeping's visit only
+closed links and the in-links of their start nodes. Every active event closes
+the links it is counted on, so only there can a vehicle encounter an event or
+be blocked. The delivered RSU readings reach the twin in one batched ingest
+and the connected vehicles' in one more. The planner's journey-time rows are
+built only on steps that search: when a connected user waits for a route, or
+a live route's remaining links cross a link the masked journey times put at
++inf. Shortest-distance trees cached on the network decide which destinations
+a spawn may draw and give unconnected vehicles their static routes, so runs on
+one network (a sweep) search each origin once. RSU coverage is decided once
+per engine, by `Scenario.rsu_coverage`. A step still does O(links) work in
+numpy (link speeds, masked journey times, the occupied-link and closed-link
+scans) and builds the speed and closure lists the vehicle loops read.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class Vehicle:
     arrival_step: int | None = None
     encountered: set = field(default_factory=set)
     blocked: bool = False
-    state: str = "queued"  # queued | moving | arrived
 
     @property
     def arrived(self) -> bool:
@@ -151,26 +152,6 @@ def shortest_distance_route(
     if nodes is None:
         return None
     return nav.Route(nodes=nodes, vehicle_id=vehicle_id)
-
-
-def record_encounter(
-    vehicle: Vehicle,
-    events_on_link: dict[int, list[int]],
-    events_at_node: dict[int, list[int]],
-    blocked_now: bool,
-) -> Vehicle:
-    """Count each active event at most once per vehicle: an encounter is
-    occupying the event's link, or any link pointing into the event's node."""
-    if vehicle.link_idx is not None and vehicle.route is not None:
-        hits = events_on_link.get(vehicle.link_idx)
-        if hits:
-            vehicle.encountered.update(hits)
-        hits = events_at_node.get(vehicle.route.next_node)
-        if hits:
-            vehicle.encountered.update(hits)
-    if blocked_now:
-        vehicle.blocked = True
-    return vehicle
 
 
 class Engine:
@@ -506,7 +487,6 @@ class Engine:
                     counts[li] -= 1
                     veh.link_idx = None
                     veh.arrival_step = step
-                    veh.state = "arrived"
                     continue
                 nxt = net.link_index[
                     (route.nodes[route.cursor], route.nodes[route.cursor + 1])
@@ -537,32 +517,29 @@ class Engine:
             queues[first].append(veh)
 
     def _bookkeep(self, step: int) -> None:
+        self._active = [v for v in self._active if v.arrival_step is None]
+        # Every active event closes the links it is counted on, so encounters
+        # and blocking happen only on closed links and at the ends of the
+        # links that feed them.
         net = self.net
         lengths = self._lengths
-        speeds = self.speeds.tolist()
-        closed = self.closed.tolist()
-        live: list[Vehicle] = []
-        for veh in self._active:
-            if veh.arrival_step is not None:
-                continue  # leaves the live list
-            live.append(veh)
-            li = veh.link_idx
-            if li is None:
-                veh.state = "queued"  # waiting to enter at its origin
-                continue
-            at_end = veh.pos_m >= lengths[li] - _END_EPS
-            veh.state = "queued" if (speeds[li] <= 0.0 or at_end) else "moving"
-            blocked_now = closed[li]
-            if not blocked_now and at_end and veh.route.cursor < len(veh.route.nodes) - 1:
-                nxt = net.link_index[
-                    (veh.route.nodes[veh.route.cursor],
-                     veh.route.nodes[veh.route.cursor + 1])
-                ]
-                blocked_now = closed[nxt]
-            record_encounter(
-                veh, self._events_on_link, self._events_at_node, blocked_now
-            )
-        self._active = live
+        queues = self.link_queues
+        for li in np.flatnonzero(self.closed).tolist():
+            frm, to = net.pairs[li]
+            events = self._events_on_link.get(li, []) + self._events_at_node.get(to, [])
+            for veh in queues[li]:
+                veh.encountered.update(events)
+                veh.blocked = True
+            # Waiting at the end of an in-link to enter li. Queues are FIFO
+            # by position, so the vehicles at the end lead.
+            for up in net.in_links[frm]:
+                end = lengths[up] - _END_EPS
+                for veh in queues[up]:
+                    if veh.pos_m < end:
+                        break
+                    nodes, cursor = veh.route.nodes, veh.route.cursor
+                    if cursor < len(nodes) - 1 and nodes[cursor + 1] == to:
+                        veh.blocked = True
 
     # ---------------------------------------------------------------- journals
 

@@ -12,16 +12,17 @@ them from the state and take none of their own.
 
 The twin is entered two ways: the engine, whose readings are its own truth,
 calls `TwinState.ingest_arrays` with link indices and node ids; the route
-service calls `ingest_readings`, which validates readings keyed by (from, to)
-pair and node id and then makes one `ingest_arrays` call. Event sets,
-`detect_accident`'s result and `clear_resolved_events`'s clearable links are
-link indices; pairs appear only in `snapshot_dict` and `event_link_pairs`.
+service calls `ingest_readings`, which validates every reading keyed by
+(from, to) pair and node id, keeps the last of a repeated key and then makes
+one `ingest_arrays` call. Event sets, `detect_accident`'s result and
+`clear_resolved_events`'s clearable links are link indices; pairs appear only
+in `snapshot_dict` and `event_link_pairs`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,20 +122,23 @@ class TwinState:
 def ingest_readings(
     state: TwinState,
     sources: tuple[str, list[int]],
-    links: Mapping[tuple[int, int], tuple[float, float, bool]],
-    nodes: Mapping[int, float],
+    links: Iterable[tuple[tuple[int, int], tuple[float, float, bool]]],
+    nodes: Iterable[tuple[int, float]],
     now: float,
 ) -> list[int]:
     """Validate delivered readings, then apply them in one `ingest_arrays` call.
-    `links` maps (from, to) to (volume, speed_mps, occupied), `nodes` node id
-    to density. An unknown id or a value outside [0, inf) raises ContractError
-    before anything changes. Returns the link indices written, in order."""
+    `links` holds ((from, to), (volume, speed_mps, occupied)) and `nodes`
+    (node id, density) in arrival order; a repeated link or node keeps its
+    last reading. An unknown id or a value outside [0, inf) in any reading,
+    superseded or not, raises ContractError before anything changes. Returns
+    the link indices written, in order of first arrival."""
     link_index = state.net.link_index
-    link_idx = []
-    for pair, (volume, speed, _) in links.items():
+    link_readings: dict[int, tuple[float, float, bool]] = {}
+    for pair, reading in links:
         idx = link_index.get(pair)
         if idx is None:
             raise ContractError(f"observation references unknown link {pair}")
+        volume, speed, _ = reading
         # Chained comparisons are False for NaN: one test rejects NaN, negative
         # and infinite readings.
         if not 0 <= volume < INF:
@@ -143,19 +147,22 @@ def ingest_readings(
         if not 0 <= speed < INF:
             raise ContractError(f"speed for link {pair} must be finite and >= 0, "
                                 f"got {speed}")
-        link_idx.append(idx)
-    for node, d in nodes.items():
+        link_readings[idx] = reading
+    densities: dict[int, float] = {}
+    for node, d in nodes:
         if node not in state.net.node_by_id:
             raise ContractError(f"observation references unknown node {node}")
         if not 0 <= d < INF:
             raise ContractError(f"pedestrian density at node {node} must be finite "
                                 f"and >= 0, got {d}")
+        densities[node] = d
 
-    values = np.array(list(links.values()), dtype=float).reshape(-1, 3)
-    node_idx = np.fromiter(nodes, dtype=int, count=len(nodes))
-    densities = np.fromiter(nodes.values(), dtype=float, count=len(nodes))
+    link_idx = list(link_readings)
+    values = np.array(list(link_readings.values()), dtype=float).reshape(-1, 3)
+    node_idx = np.fromiter(densities, dtype=int, count=len(densities))
+    node_values = np.fromiter(densities.values(), dtype=float, count=len(densities))
     state.ingest_arrays(sources, np.array(link_idx, dtype=int), values[:, 0],
-                        values[:, 1], values[:, 2] != 0.0, node_idx, densities, now)
+                        values[:, 1], values[:, 2] != 0.0, node_idx, node_values, now)
     return link_idx
 
 

@@ -323,6 +323,10 @@ BAD_UPDATES = {
     "speed as a string": {"links": [reading(speed_mps="0.1")]},
     "density as a string": {"nodes": [{"id": 3, "density": "1.5"}]},
     "boolean time": {"time_s": True, "links": [reading()]},
+    "negative volume superseded": {"links": [reading(volume=-1), reading(volume=3)]},
+    "negative speed superseded": {"links": [reading(speed_mps=-0.5), reading()]},
+    "negative density superseded": {"nodes": [{"id": 3, "density": -0.1},
+                                              {"id": 3, "density": 0.2}]},
 }
 
 
@@ -502,19 +506,20 @@ def reading_streams(draw):
 
 def ingest_directly(twin, clock, msg):
     """The service's handling of `msg`: every reading's numbers read by the
-    JSON number rule, a repeated link or node's last reading kept, then
-    ingest_readings plus detection and clearing of what the update read.
-    Returns the new clock."""
-    links = {(r["from"], r["to"]): (json_number(r["volume"]), json_number(r["speed_mps"]),
-                                    r["occupied"])
-             for r in msg["links"]}
-    nodes = {n["id"]: json_number(n["density"]) for n in msg["nodes"]}
+    JSON number rule, then ingest_readings on every reading in arrival order
+    plus detection and clearing of what the update read. Returns the new
+    clock."""
+    links = [((r["from"], r["to"]), (json_number(r["volume"]), json_number(r["speed_mps"]),
+                                     r["occupied"]))
+             for r in msg["links"]]
+    nodes = [(n["id"], json_number(n["density"])) for n in msg["nodes"]]
     now = max(clock, msg["time_s"])
     ingest_readings(twin, (msg["source"]["kind"], [msg["source"]["id"]]), links, nodes,
                     now)
     detect_pedestrian_gathering(twin)
     detect_accident(twin, now)
-    clear_resolved_events(twin, set(nodes), {twin.net.link_index[p] for p in links})
+    clear_resolved_events(twin, {n for n, _ in nodes},
+                          {twin.net.link_index[p] for p, _ in links})
     return now
 
 

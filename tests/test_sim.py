@@ -14,9 +14,8 @@ from twinnav.errors import ContractError, DegenerateRouteRequest
 from twinnav.netgen import generate_grid_network
 from twinnav.network import TrafficNetwork, network_from_dict
 from twinnav.scenario import scenario_from_dict
-from twinnav.sim import CAV, Engine, MetricsSummary, Vehicle, poisson_draw, \
-    record_encounter, run, shortest_distance_route
-from twinnav.nav import Route
+from twinnav.sim import CAV, Engine, MetricsSummary, poisson_draw, run, \
+    shortest_distance_route
 from twinnav.sweep import SweepSpec, run_sweep
 from twinnav.twin import TwinState
 
@@ -104,29 +103,6 @@ def test_shortest_distance_route_rejects_like_the_planner(corridor_net):
             shortest_distance_route(corridor_net, start, end)
 
 
-# ------------------------------------------------------------------ encounters
-
-
-def test_record_encounter_distinct_pairs():
-    veh = Vehicle(vid=1, klass="unconnected", origin=1, destination=3,
-                  entry_step=0, route=Route(nodes=[1, 2, 3], vehicle_id=1),
-                  link_idx=0)
-    record_encounter(veh, {0: [4]}, {}, blocked_now=True)
-    record_encounter(veh, {0: [4]}, {}, blocked_now=False)  # same event again
-    assert len(veh.encountered) == 1
-    assert veh.blocked  # sticky once set
-
-    # Approaching node 2 while an event sits on it counts as well.
-    record_encounter(veh, {}, {2: [9]}, blocked_now=False)
-    assert veh.encountered == {4, 9}
-
-
-def test_record_encounter_off_network_vehicle():
-    veh = Vehicle(vid=1, klass="cav", origin=1, destination=3, entry_step=0)
-    record_encounter(veh, {0: [4]}, {1: [5]}, blocked_now=False)
-    assert veh.encountered == set()
-
-
 # ------------------------------------------------------------------- free flow
 
 
@@ -158,7 +134,8 @@ def test_degenerate_class_split():
 
 
 def check_step_invariants(eng, step):
-    """Conservation, queue bookkeeping, the capacity gate and vehicle states."""
+    """Conservation, queue bookkeeping, the capacity gate, and nothing
+    recorded for a vehicle that has not entered the network."""
     vehicles = eng.vehicles
     assert len(vehicles) == eng._spawned
     counts = eng.link_counts.tolist()
@@ -170,13 +147,13 @@ def check_step_invariants(eng, step):
     for veh in vehicles:
         if veh.arrival_step is not None:
             arrived += 1
-            assert veh.state == "arrived" and veh.link_idx is None
+            assert veh.link_idx is None
             assert veh.arrival_step <= step and veh.vid not in on_link
         elif veh.link_idx is None:
             waiting += 1
-            assert veh.state == "queued" and veh.vid not in on_link
+            assert veh.vid not in on_link
+            assert not veh.encountered and not veh.blocked  # still at its origin
         else:
-            assert veh.state in ("queued", "moving")
             assert on_link.get(veh.vid) == veh.link_idx
     assert waiting + len(on_link) + arrived == eng._spawned
     assert eng._active == [v for v in vehicles if v.arrival_step is None]
@@ -189,11 +166,38 @@ def test_conservation_and_capacity_every_step():
         traffic={"n_vel": 30, "p_user": 0.4},
         sim={"dt_s": 1.0, "t_sim_s": 200.0, "seed": 5},
         sensing={"rsus": [{"node": 1, "radius_m": 10000}]},
-        events=[{"kind": "accident", "link": [3, 4], "onset_s": 40, "end_s": 90}],
+        # Both close link (3, 4), the gathering at its head node.
+        events=[{"kind": "accident", "link": [3, 4], "onset_s": 40, "end_s": 90},
+                {"kind": "gathering", "node": 4, "onset_s": 40, "end_s": 90}],
     )
-    eng = Engine(sc, on_step=check_step_invariants)
+    steps_on_closed, waited_at_end = Counter(), set()
+
+    def on_step(eng, step):
+        check_step_invariants(eng, step)
+        closed, feeder = eng.net.link_index[(3, 4)], eng.net.link_index[(2, 3)]
+        if not eng.closed[closed]:
+            return
+        steps_on_closed.update(veh.vid for veh in eng.link_queues[closed])
+        end = eng.net.lengths[feeder] - sim._END_EPS
+        for veh in eng.link_queues[feeder]:
+            if veh.pos_m >= end and veh.route.nodes[-1] != 3:
+                waited_at_end.add(veh.vid)  # its next link is the closed one
+
+    eng = Engine(sc, on_step=on_step)
     m = eng.run()
     assert m.completed_cav + m.completed_unconnected > 0
+    vehicles = eng.vehicles
+    # Standing on the closed link for many steps counts each event once.
+    assert max(steps_on_closed.values()) >= 10
+    for vid in steps_on_closed:
+        assert vehicles[vid - 1].encountered == {0, 1}
+    # Waiting at the end of an open link to enter it blocks but meets no event.
+    assert waited_at_end - set(steps_on_closed)
+    for vid in waited_at_end - set(steps_on_closed):
+        assert not vehicles[vid - 1].encountered
+    # The events cleared at step 90 of 200, and blocking stays set.
+    for vid in waited_at_end | set(steps_on_closed):
+        assert vehicles[vid - 1].blocked
 
 
 def draw_grid_scenario(data, rsu_count, radius_m, pdr_ssms):
@@ -245,9 +249,10 @@ def test_engine_invariants_on_random_grids(data):
 
 
 class ReferenceEngine(Engine):
-    """The engine step before planner rows were built on demand and RSU
-    readings batched: rows on every step, every live route offered to
-    replan_affected, one twin ingest per delivered RSU."""
+    """The engine step before planner rows were built on demand, RSU
+    readings batched and bookkeeping limited to closed links: rows on every
+    step, every live route offered to replan_affected, one twin ingest per
+    delivered RSU, every live vehicle checked for encounters and blocking."""
 
     def _sense_and_ingest(self, step):
         now = step * self.dt
@@ -277,6 +282,33 @@ class ReferenceEngine(Engine):
                 ("cav", cav_ids), li, self.link_counts[li], self.speeds[li],
                 occupied[li], np.empty(0, dtype=int), np.empty(0), now,
             )
+
+    def _bookkeep(self, step):
+        """Every live vehicle on every step: an encounter is occupying the
+        event's link or any link into the event's node; blocked is standing
+        on a closed link or at the end of a link whose next is closed."""
+        lengths = self._lengths
+        closed = self.closed.tolist()
+        live = []
+        for veh in self._active:
+            if veh.arrival_step is not None:
+                continue
+            live.append(veh)
+            li = veh.link_idx
+            if li is None:
+                continue
+            route = veh.route
+            veh.encountered.update(self._events_on_link.get(li, ()))
+            veh.encountered.update(self._events_at_node.get(route.next_node, ()))
+            blocked_now = closed[li]
+            at_end = veh.pos_m >= lengths[li] - sim._END_EPS
+            if not blocked_now and at_end and route.cursor < len(route.nodes) - 1:
+                nxt = self.net.link_index[
+                    (route.nodes[route.cursor], route.nodes[route.cursor + 1])]
+                blocked_now = closed[nxt]
+            if blocked_now:
+                veh.blocked = True
+        self._active = live
 
     def _plan(self, step):
         net = self.net
@@ -320,7 +352,8 @@ class ReferenceEngine(Engine):
 
 def run_outputs(engine_cls, scenario, directory):
     """Everything a run leaves that the step phases decide: the metrics row,
-    both journals and the twin's final arrays and source stamps."""
+    both journals, the twin's final arrays and source stamps, and each
+    vehicle's encounters and blocking (which the row's rounding could hide)."""
     twin_path = os.path.join(directory, f"{engine_cls.__name__}_twin.jsonl")
     routes_path = os.path.join(directory, f"{engine_cls.__name__}_routes.jsonl")
     eng = engine_cls(scenario, twin_journal_path=twin_path,
@@ -331,15 +364,17 @@ def run_outputs(engine_cls, scenario, directory):
     with open(routes_path, "rb") as fh:
         routes_journal = fh.read()
     twin = eng.twin
+    per_vehicle = [(v.vid, sorted(v.encountered), v.blocked) for v in eng.vehicles]
     return (row, twin_journal, routes_journal, twin.link_volume.tobytes(),
-            twin.low_speed_since.tobytes(), twin.last_update)
+            twin.low_speed_since.tobytes(), twin.last_update, per_vehicle)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_engine_matches_reference_step(data):
-    """Rows only on steps that search and one RSU ingest per step leave every
-    output as rows on every step and one ingest per RSU did."""
+    """Rows only on steps that search, one RSU ingest per step and
+    bookkeeping on closed links leave every output as rows on every step, one
+    ingest per RSU and a walk over every live vehicle did."""
     sc = draw_grid_scenario(data, rsu_count=st.integers(2, 3),
                             radius_m=st.floats(150.0, 400.0),
                             pdr_ssms=st.floats(0.5, 1.0))

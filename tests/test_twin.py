@@ -27,11 +27,11 @@ RSU = ("rsu", [0])
 
 def read_link(state, pair, volume, now, speed=5.0, occupied=None, source=RSU):
     occ = occupied if occupied is not None else volume > 0
-    ingest_readings(state, source, {pair: (volume, speed, occ)}, {}, now)
+    ingest_readings(state, source, [(pair, (volume, speed, occ))], [], now)
 
 
 def read_node(state, node, density, now):
-    ingest_readings(state, RSU, {}, {node: density}, now)
+    ingest_readings(state, RSU, [], [(node, density)], now)
 
 
 def test_ingest_overwrites_when_delivered(net):
@@ -46,6 +46,22 @@ def test_ingest_last_writer_wins(net):
     read_link(state, (1, 2), 4, now=1.0)
     read_link(state, (1, 2), 1, now=1.0, source=("cav", [7]))
     assert state.link_volume[net.link_index[(1, 2)]] == 1
+
+
+def test_ingest_readings_checks_superseded_readings_and_keeps_the_last(net):
+    state = TwinState(net, TH)
+    for links, nodes in (([((1, 2), (-1.0, 5.0, True)), ((1, 2), (3.0, 5.0, True))], []),
+                         ([], [(3, float("nan")), (3, 0.2)])):
+        with pytest.raises(ContractError):
+            ingest_readings(state, RSU, links, nodes, 1.0)
+    assert not state.link_volume.any() and not state.node_observed.any()
+    assert not state.last_update
+    written = ingest_readings(
+        state, RSU, [((1, 2), (1.0, 5.0, True)), ((2, 4), (2.0, 5.0, True)),
+                     ((1, 2), (3.0, 5.0, True))], [(3, 0.2), (3, 0.1)], 1.0)
+    assert written == [net.link_index[(1, 2)], net.link_index[(2, 4)]]
+    assert state.link_volume[net.link_index[(1, 2)]] == 3
+    assert state.node_density[3] == 0.1
 
 
 def test_batched_ingest_equals_one_call_per_source(net):
