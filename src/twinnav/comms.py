@@ -5,12 +5,14 @@ Flows are sampled in milliseconds from configured [min, max] ranges (uniform
 by default, optionally triangular matching a given mean) and composed into the
 two service totals:
 
-  twin-modeling latency  = rsu_detect + i2c
+  twin-modeling latency  = rsu_detect + i2c                     (TWIN_FLOWS)
   route-service latency  = localization + route_load + cloud_monitor
-                           + cloud_plan + 2 * v2c   (request and response legs
-                           drawn independently; a single-v2c mode counts one
-                           leg only, kept for comparison against deployments
-                           that report it that way)
+                           + cloud_plan + v2c + v2c             (SERVICE_FLOWS)
+
+Each v2c leg (request, response) is its own draw; a single-v2c mode drops the
+last, for comparison with deployments that report it that way. `KPI_SERIES`
+is the one place the totals are written down: the per-draw samplers, the
+bounds and the KPI Monte-Carlo all add up its flows in the listed order.
 
 All sampling functions return seconds. Every flow owns its own RNG stream
 derived from one seed, so sample streams are reproducible and independent.
@@ -29,7 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import astuple, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,6 +50,23 @@ FLOW_NAMES = (
     "route_load",
 )
 _STREAM_NAMES = FLOW_NAMES + ("pdr_ssms", "pdr_info")
+
+# The two service totals, as the flows they add up in order.
+TWIN_FLOWS = ("rsu_detect", "i2c")
+SERVICE_FLOWS = ("localization", "route_load", "cloud_monitor", "cloud_plan", "v2c", "v2c")
+
+# The KPI Monte-Carlo's series, in the order one sample draws them.
+KPI_SERIES: dict[str, tuple[str, ...]] = {
+    "ssms_e2e": ("i2c",),
+    "info_e2e": ("v2c",),
+    "twin_total": TWIN_FLOWS,
+    "service_total": SERVICE_FLOWS,
+    "service_total_single": SERVICE_FLOWS[:-1],
+}
+
+
+def _service_flows(single_v2c: bool) -> tuple[str, ...]:
+    return KPI_SERIES["service_total_single" if single_v2c else "service_total"]
 
 
 @dataclass(frozen=True)
@@ -131,9 +151,6 @@ class LatencyModel:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must be within [0, 1], got {p}")
 
-    def flow(self, name: str) -> FlowLatency:
-        return self.flows[name]
-
     def with_flow(self, name: str, flow: FlowLatency) -> "LatencyModel":
         flows = dict(self.flows)
         flows[name] = flow
@@ -141,16 +158,15 @@ class LatencyModel:
 
     def dt_bounds_s(self) -> tuple[float, float]:
         """Attainable [min, max] of the twin-modeling latency, in seconds."""
-        lo = sum(self.flows[f].min_ms for f in ("rsu_detect", "i2c"))
-        hi = sum(self.flows[f].max_ms for f in ("rsu_detect", "i2c"))
-        return lo / 1000.0, hi / 1000.0
+        return self._bounds_s(TWIN_FLOWS)
 
     def service_bounds_s(self, single_v2c: bool = False) -> tuple[float, float]:
         """Attainable [min, max] of the route-service latency, in seconds."""
-        parts = ("localization", "route_load", "cloud_monitor", "cloud_plan")
-        v2c_legs = 1 if single_v2c else 2
-        lo = sum(self.flows[f].min_ms for f in parts) + v2c_legs * self.flows["v2c"].min_ms
-        hi = sum(self.flows[f].max_ms for f in parts) + v2c_legs * self.flows["v2c"].max_ms
+        return self._bounds_s(_service_flows(single_v2c))
+
+    def _bounds_s(self, flows: tuple[str, ...]) -> tuple[float, float]:
+        lo = sum(self.flows[f].min_ms for f in flows)
+        hi = sum(self.flows[f].max_ms for f in flows)
         return lo / 1000.0, hi / 1000.0
 
 
@@ -173,20 +189,6 @@ class FlowStreams:
 # block are held as one float array of at most 4 * SAMPLE_BLOCK values.
 SAMPLE_BLOCK = 1024
 
-# Draws one KPI sample takes from each flow's stream, in the order drawn:
-# i2c for ssms_e2e then twin_total; v2c for info_e2e, the two service_total
-# legs, then service_total_single; rsu_detect for twin_total; the other
-# flows for service_total then service_total_single.
-_KPI_DRAWS = {
-    "i2c": 2,
-    "v2c": 4,
-    "rsu_detect": 1,
-    "localization": 2,
-    "route_load": 2,
-    "cloud_monitor": 2,
-    "cloud_plan": 2,
-}
-
 
 def _draw_block(
     flow: FlowLatency, rng: random.Random, rows: int, per_row: int
@@ -203,23 +205,20 @@ def _draw_block(
 def sample_dt_latency(model: LatencyModel, streams: FlowStreams) -> float:
     """One draw of the twin-modeling latency (detection plus RSU-to-cloud leg),
     in seconds."""
-    ms = model.flow("rsu_detect").sample_ms(streams.rng("rsu_detect"))
-    ms += model.flow("i2c").sample_ms(streams.rng("i2c"))
-    return ms / 1000.0
+    return _sample_s(model, streams, TWIN_FLOWS)
 
 
 def sample_service_latency(
     model: LatencyModel, streams: FlowStreams, single_v2c: bool = False
 ) -> float:
     """One draw of the route-service latency, in seconds."""
-    ms = model.flow("localization").sample_ms(streams.rng("localization"))
-    ms += model.flow("route_load").sample_ms(streams.rng("route_load"))
-    ms += model.flow("cloud_monitor").sample_ms(streams.rng("cloud_monitor"))
-    ms += model.flow("cloud_plan").sample_ms(streams.rng("cloud_plan"))
-    v2c = model.flow("v2c")
-    ms += v2c.sample_ms(streams.rng("v2c"))
-    if not single_v2c:
-        ms += v2c.sample_ms(streams.rng("v2c"))
+    return _sample_s(model, streams, _service_flows(single_v2c))
+
+
+def _sample_s(model: LatencyModel, streams: FlowStreams, flows: tuple[str, ...]) -> float:
+    """One draw of each flow in turn, added up in that order, in seconds. The
+    sum starts at -0.0, as -0.0 + x is x for every float x, -0.0 included."""
+    ms = sum((model.flows[f].sample_ms(streams.rng(f)) for f in flows), -0.0)
     return ms / 1000.0
 
 
@@ -250,29 +249,19 @@ def collect_latency_samples(
     twin-modeling total, and the service total in both V2C counting modes."""
     if n_samples < 1:
         raise ContractError("n_samples must be >= 1")
-    out: dict[str, list[float]] = {
-        "ssms_e2e": [],
-        "info_e2e": [],
-        "twin_total": [],
-        "service_total": [],
-        "service_total_single": [],
-    }
+    # A series takes a flow's next column each time it lists the flow, and
+    # adds its columns in the listed order from -0.0, as `_sample_s` does.
+    draws = Counter(f for flows in KPI_SERIES.values() for f in flows)
+    out: dict[str, list[float]] = {series: [] for series in KPI_SERIES}
     for start in range(0, n_samples, SAMPLE_BLOCK):
         rows = min(SAMPLE_BLOCK, n_samples - start)
-        ms = {
-            name: _draw_block(model.flow(name), streams.rng(name), rows, k)
-            for name, k in _KPI_DRAWS.items()
+        columns = {
+            f: iter(_draw_block(model.flows[f], streams.rng(f), rows, k).T)
+            for f, k in draws.items()
         }
-        i2c, v2c = ms["i2c"], ms["v2c"]
-        # Column 0 feeds service_total, column 1 service_total_single; the
-        # sums keep the per-draw order, so every float rounds the same way.
-        legs = (ms["localization"] + ms["route_load"] + ms["cloud_monitor"]
-                + ms["cloud_plan"])
-        out["ssms_e2e"] += (i2c[:, 0] / 1000.0).tolist()
-        out["info_e2e"] += (v2c[:, 0] / 1000.0).tolist()
-        out["twin_total"] += ((ms["rsu_detect"][:, 0] + i2c[:, 1]) / 1000.0).tolist()
-        out["service_total"] += ((legs[:, 0] + v2c[:, 1] + v2c[:, 2]) / 1000.0).tolist()
-        out["service_total_single"] += ((legs[:, 1] + v2c[:, 3]) / 1000.0).tolist()
+        for series, flows in KPI_SERIES.items():
+            total = sum((next(columns[f]) for f in flows), -0.0)
+            out[series] += (total / 1000.0).tolist()
     return out
 
 
@@ -281,9 +270,6 @@ class KpiBudget:
     ssms_e2e_max_s: float = 0.010
     info_e2e_max_s: float = 0.100
     ssms_reliability_min: float = 0.95
-
-    def service_deadline_s(self, v_free_mps: float) -> float:
-        return service_deadline_s(v_free_mps)
 
 
 @dataclass(frozen=True)
@@ -324,23 +310,9 @@ class KpiReport:
                 return str(x)
             return f"{x:.6f}"
 
+        # The row's fields are the header's columns, in order.
         lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    fmt(v)
-                    for v in (
-                        r.metric,
-                        r.n,
-                        r.min_ms,
-                        r.max_ms,
-                        r.mean_ms,
-                        r.limit,
-                        r.observed,
-                        r.passed,
-                    )
-                )
-            )
+        lines += [",".join(fmt(v) for v in astuple(r)) for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def render_text(self) -> str:
@@ -408,11 +380,8 @@ def kpi_report(
         "ssms_e2e": budget.ssms_e2e_max_s,
         "info_e2e": budget.info_e2e_max_s,
     }
-    deadline_s = (
-        budget.service_deadline_s(deadline_v_free_mps)
-        if deadline_v_free_mps is not None
-        else None
-    )
+    deadline_s = (None if deadline_v_free_mps is None
+                  else service_deadline_s(deadline_v_free_mps))
     extremes: dict[str, tuple[float, float]] = {}  # name -> (min, max) in seconds
     for name in samples:
         b = budgets.get(name)

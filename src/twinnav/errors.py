@@ -1,6 +1,7 @@
-"""Exception types and the JSON integer and number rules shared across the
-package."""
+"""Exception types, the JSON file reader and the JSON integer and number
+rules shared across the package."""
 
+import json
 import math
 
 
@@ -40,3 +41,18 @@ def json_number(value) -> float:
     if not math.isfinite(x):
         raise ValueError(f"expected a finite number, got {x}")
     return x
+
+
+def read_json(path: str, what: str):
+    """The JSON document in the file at `path`; ConfigError naming the
+    `what` file when it cannot be read, or the line and column of invalid
+    JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+        ) from exc

@@ -25,14 +25,13 @@ with +inf wherever no traversable link exists, as a reference.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DegenerateRouteRequest, json_int, \
-    json_number
+    json_number, read_json
 
 INF = math.inf
 # A vehicle this close to a link's end counts as at the end. Every link must be
@@ -292,13 +291,4 @@ def network_from_dict(doc: dict, source: str = "network") -> TrafficNetwork:
 
 
 def load_network(path: str) -> TrafficNetwork:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read network file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from exc
-    return network_from_dict(doc, source=path)
+    return network_from_dict(read_json(path, "network"), source=path)

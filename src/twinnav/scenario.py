@@ -8,26 +8,35 @@ The parameter classes check their own ranges, so the loader and the
 `Scenario.with_*` helpers share one check each. `Scenario` itself checks that
 its random events fit: no more than the links and nodes their kinds can use,
 in a non-empty onset window; a sweep builds every point, and so runs this
-check, before its first run. The scenario owns the run seed (`sim.seed`,
+check, before its first run. Three caps bound one run: MAX_STEPS steps,
+MAX_VEHICLES vehicles and MAX_SPAWN_RATE spawns a step (`Scenario.spawn_rate`,
+the engine's Poisson rate). Random events take the explicit events' ranges:
+no negative duration or density. The scenario owns the run seed (`sim.seed`,
 set by `with_seed`). `Scenario.rsu_coverage` is the one place that decides
 what an RSU covers.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .comms import FlowLatency, LatencyModel, DEFAULT_FLOWS
-from .errors import ConfigError, json_int, json_number
+from .errors import ConfigError, json_int, json_number, read_json
 from .network import TrafficNetwork, load_network, network_from_dict
 from .twin import EventThresholds
 
 EVENT_KINDS = ("accident", "gathering")
 DEFAULT_GATHERING_DENSITY = 1.0  # persons/m^2 of an active gathering
+
+# Caps on the size of one run: each step costs at least a few microseconds of
+# numpy work per link, and each vehicle one object, so past these a run would
+# not end in reasonable time or memory.
+MAX_STEPS = 1_000_000  # t_sim_s / dt_s
+MAX_VEHICLES = 1_000_000  # traffic.n_vel
+MAX_SPAWN_RATE = 10_000  # mean spawns per step while the spawn window is open
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,10 @@ class RandomEvents:
             raise ConfigError(
                 f"events_random.kinds must be a non-empty subset of {EVENT_KINDS}"
             )
+        if self.duration_s is not None and self.duration_s < 0:
+            raise ConfigError(f"events_random.duration_s must be >= 0, got {self.duration_s}")
+        if self.density < 0:
+            raise ConfigError(f"events_random.density must be >= 0, got {self.density}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,18 @@ class SimParams:
     t_sim_s: float
     seed: int
 
+    def __post_init__(self):
+        if self.dt_s <= 0:
+            raise ConfigError("sim.dt_s must be > 0")
+        if self.t_sim_s <= 0:
+            raise ConfigError("sim.t_sim_s must be > 0")
+        if not self.t_sim_s / self.dt_s <= MAX_STEPS:  # an infinite quotient fails
+            raise ConfigError(
+                f"sim.t_sim_s / sim.dt_s is {self.t_sim_s / self.dt_s:.6g} steps, "
+                f"more than {MAX_STEPS}")
+        if abs(self.n_steps * self.dt_s - self.t_sim_s) > 1e-9:
+            raise ConfigError("sim.t_sim_s must be a multiple of sim.dt_s")
+
     @property
     def n_steps(self) -> int:
         return int(round(self.t_sim_s / self.dt_s))
@@ -82,8 +107,9 @@ class TrafficParams:
     spawn_window_frac: float = 0.8
 
     def __post_init__(self):
-        if self.n_vel < 0:
-            raise ConfigError(f"traffic.n_vel must be >= 0, got {self.n_vel}")
+        if not 0 <= self.n_vel <= MAX_VEHICLES:
+            raise ConfigError(
+                f"traffic.n_vel must be within [0, {MAX_VEHICLES}], got {self.n_vel}")
         if not 0.0 <= self.p_user <= 1.0:
             raise ConfigError(f"traffic.p_user must be within [0, 1], got {self.p_user}")
         if not 0.0 < self.spawn_window_frac <= 1.0:
@@ -103,6 +129,12 @@ class Scenario:
     source_path: str = "<scenario>"
 
     def __post_init__(self):
+        rate = self.spawn_rate()
+        if rate > MAX_SPAWN_RATE:
+            raise ConfigError(
+                f"{self.source_path}: spawn rate {rate:.6g} vehicles a step is more "
+                f"than {MAX_SPAWN_RATE}: traffic.n_vel over spawn.window_frac of "
+                f"the {self.sim.n_steps} steps")
         er = self.events_random
         if er is None:
             return
@@ -118,6 +150,14 @@ class Scenario:
             raise ConfigError(
                 f"{self.source_path}: events_random onset window [{lo}, {hi}] s "
                 f"is empty")
+
+    def spawn_rate(self) -> float:
+        """Mean spawns per step while the spawn window is open: traffic.n_vel
+        over the window's steps, and 0 for a run of no steps."""
+        steps = self.sim.n_steps
+        if not steps:
+            return 0.0
+        return self.traffic.n_vel / (self.traffic.spawn_window_frac * steps)
 
     def onset_window(self) -> tuple[float, float]:
         """[earliest, latest] onset of a random event, in seconds; by default
@@ -185,6 +225,8 @@ def _parse_event(item: dict, k: int, net: TrafficNetwork, where: str) -> EventSp
         raise ConfigError(f"{w}: onset_s, end_s and density must be numbers ({exc})") from exc
     if end_s is not None and end_s < onset:
         raise ConfigError(f"{w}: end_s precedes onset_s")
+    if density < 0:
+        raise ConfigError(f"{w}: density must be >= 0, got {density}")
     if kind == "gathering":
         try:
             node = json_int(_require(item, "node", w))
@@ -258,14 +300,10 @@ def scenario_from_dict(
             t_sim_s=json_number(sim_doc["t_sim_s"]),
             seed=json_int(sim_doc.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: sim block needs dt_s and t_sim_s ({exc})") from exc
-    if sim.dt_s <= 0:
-        raise ConfigError(f"{source}: sim.dt_s must be > 0")
-    if sim.t_sim_s <= 0:
-        raise ConfigError(f"{source}: sim.t_sim_s must be > 0")
-    if abs(sim.n_steps * sim.dt_s - sim.t_sim_s) > 1e-9:
-        raise ConfigError(f"{source}: sim.t_sim_s must be a multiple of sim.dt_s")
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
     tr_doc = _typed(_require(doc, "traffic", source), dict, f"{source}: traffic")
     spawn_doc = _typed(tr_doc.get("spawn", {}), dict, f"{source}: traffic.spawn")
@@ -354,13 +392,5 @@ def scenario_from_dict(
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from exc
-    return scenario_from_dict(doc, base_dir=os.path.dirname(path) or ".", source=path)
+    return scenario_from_dict(read_json(path, "scenario"),
+                              base_dir=os.path.dirname(path) or ".", source=path)

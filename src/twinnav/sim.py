@@ -5,7 +5,10 @@ vehicle count (linear density-speed law); links hosting an active event force
 speed 0. Transfers between links are FIFO and capacity-gated, so a link never
 holds more than k_max * length vehicles. Connected vehicles are routed by the
 cloud loop (twin -> detection -> masked journey-time rows -> planner) while
-unconnected vehicles follow their static shortest-distance route.
+unconnected vehicles follow their static shortest-distance route. A planned
+route, new or re-planned, reaches its vehicle through one loop: a service
+latency (`comms.SERVICE_FLOWS`), a delivery draw and one in-time rule
+(`Engine._in_time`). The scenario caps steps, vehicles and spawn rate.
 
 Step phases, in fixed order: spawn, event schedule, sensing and twin ingest,
 event detection, route planning and delivery, movement, bookkeeping. One run
@@ -206,12 +209,7 @@ class Engine:
         self._events_on_link: dict[int, list[int]] = {}
         self._events_at_node: dict[int, list[int]] = {}
         self._spawned = 0
-        self._spawn_lam = (
-            scenario.traffic.n_vel
-            / (scenario.traffic.spawn_window_frac * self.n_steps)
-            if self.n_steps
-            else 0.0
-        )
+        self._spawn_lam = scenario.spawn_rate()
 
     # ------------------------------------------------------------------ setup
 
@@ -419,39 +417,35 @@ class Engine:
         if not new_users and not affected:
             return  # no search this step, so no rows
         inp = nav.PlanningInput(matrix=net.link_rows(times), new_users=new_users)
+        latency = self.scenario.latency
         vehicles = self.vehicles  # vids are 1-based spawn order
-        fresh = nav.plan_new_users(inp)
-        for vid in sorted(fresh.routes):
-            route = fresh.routes[vid]
-            veh = vehicles[vid - 1]
-            t_svc = sample_service_latency(
-                self.scenario.latency, self.streams, self.single_v2c
-            )
-            if not deliver(self.scenario.latency.pdr_info, self.streams.rng("pdr_info")):
-                continue  # response lost; the user retries next step
-            first = net.link_between(route.nodes[0], route.nodes[1])
-            if not check_deadline(t_svc, first.v_free_mps):
-                continue  # missed the request-distance budget; retry next step
-            veh.route = route
-            self._journal_route(step, veh, "new")
+        # Entering users first, then re-plans; each route in vid order draws
+        # its service latency, then its delivery. A lost or late route is
+        # asked for again on a later step.
+        for outcome in (nav.plan_new_users(inp), nav.replan_affected(inp, affected)):
+            for vid in sorted(outcome.routes):
+                veh = vehicles[vid - 1]
+                route = outcome.routes[vid]
+                t_svc = sample_service_latency(latency, self.streams, self.single_v2c)
+                if not deliver(latency.pdr_info, self.streams.rng("pdr_info")):
+                    continue  # response lost
+                if not self._in_time(veh, route, t_svc):
+                    continue
+                entering = veh.link_idx is None
+                veh.route = route if entering else nav.spliced_route(veh.route, route)
+                self._journal_route(step, veh, "new" if entering else "replan")
 
-        replanned = nav.replan_affected(inp, affected)
-        for vid in sorted(replanned.routes):
-            veh = vehicles[vid - 1]
-            t_svc = sample_service_latency(
-                self.scenario.latency, self.streams, self.single_v2c
-            )
-            if not deliver(self.scenario.latency.pdr_info, self.streams.rng("pdr_info")):
-                continue
-            # The new plan must arrive before the vehicle reaches the next
-            # intersection; a stopped vehicle has unlimited time.
-            v_now = self.speeds[veh.link_idx]
-            if v_now > 0:
-                budget = (net.lengths[veh.link_idx] - veh.pos_m) / v_now
-                if t_svc > budget:
-                    continue  # applied at the following intersection instead
-            veh.route = nav.spliced_route(veh.route, replanned.routes[vid])
-            self._journal_route(step, veh, "replan")
+    def _in_time(self, veh: Vehicle, route: nav.Route, t_svc: float) -> bool:
+        """Whether a route served after t_svc seconds can be applied. An
+        entering user's must fit the request-distance budget at its first
+        link's v_free; a re-plan must arrive before the vehicle reaches the
+        next intersection, and a stopped vehicle has unlimited time."""
+        net = self.net
+        if veh.link_idx is None:
+            first = net.link_between(route.nodes[0], route.nodes[1])
+            return check_deadline(t_svc, first.v_free_mps)
+        v_now = self.speeds[veh.link_idx]
+        return v_now <= 0 or t_svc <= (net.lengths[veh.link_idx] - veh.pos_m) / v_now
 
     def _move(self, step: int) -> None:
         net = self.net

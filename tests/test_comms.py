@@ -210,18 +210,22 @@ def test_kpi_report_rejects_empty_samples():
 
 
 def per_draw_samples(model, streams, n_samples):
-    """The per-draw KPI sampler: one value per `random()` call, appended in
-    the order the block sampler must reproduce."""
-    i2c, v2c = model.flow("i2c"), model.flow("v2c")
+    """The per-draw KPI sampler, each series' flows spelled out by hand: one
+    value per `random()` call, added up and appended in the order the block
+    sampler must reproduce."""
+    def ms(name):
+        return model.flows[name].sample_ms(streams.rng(name))
+
     out = {key: [] for key in ("ssms_e2e", "info_e2e", "twin_total", "service_total",
                                "service_total_single")}
     for _ in range(n_samples):
-        out["ssms_e2e"].append(i2c.sample_ms(streams.rng("i2c")) / 1000.0)
-        out["info_e2e"].append(v2c.sample_ms(streams.rng("v2c")) / 1000.0)
-        out["twin_total"].append(sample_dt_latency(model, streams))
-        out["service_total"].append(sample_service_latency(model, streams))
-        out["service_total_single"].append(
-            sample_service_latency(model, streams, single_v2c=True))
+        out["ssms_e2e"].append(ms("i2c") / 1000.0)
+        out["info_e2e"].append(ms("v2c") / 1000.0)
+        out["twin_total"].append((ms("rsu_detect") + ms("i2c")) / 1000.0)
+        legs = ms("localization") + ms("route_load") + ms("cloud_monitor") + ms("cloud_plan")
+        out["service_total"].append((legs + ms("v2c") + ms("v2c")) / 1000.0)
+        legs = ms("localization") + ms("route_load") + ms("cloud_monitor") + ms("cloud_plan")
+        out["service_total_single"].append((legs + ms("v2c")) / 1000.0)
     return out
 
 

@@ -65,6 +65,30 @@ def test_scenario_missing_network_file(tmp_path):
         (lambda d: d.update(events=[], events_random={"count": 1}), "not both"),
         (lambda d: d.update(latency={"warp_drive": {}}), "unknown latency"),
         (lambda d: d.update(thresholds={"speed_threshold": -2}), "thresholds"),
+        # Past a cap: a run of any of these would not end in reasonable time.
+        pytest.param(lambda d: d["sim"].update(t_sim_s=1e308), "steps",
+                     id="t_sim_s 1e308"),
+        pytest.param(lambda d: d["sim"].update(dt_s=1e-300), "steps", id="dt_s 1e-300"),
+        pytest.param(lambda d: d["sim"].update(dt_s=1e-300, t_sim_s=1e308), "steps",
+                     id="infinite step count"),
+        pytest.param(lambda d: d["sim"].update(t_sim_s=1_000_001.0), "steps",
+                     id="one step past the cap"),
+        pytest.param(lambda d: d["traffic"].update(n_vel=10**19), "n_vel",
+                     id="n_vel 10**19"),
+        pytest.param(lambda d: d["traffic"].update(n_vel=1_000_001), "n_vel",
+                     id="one vehicle past the cap"),
+        pytest.param(lambda d: d["traffic"].update(spawn={"window_frac": 1e-320}),
+                     "spawn rate", id="window_frac 1e-320"),
+        pytest.param(lambda d: d["traffic"].update(n_vel=300_001, spawn={"window_frac": 0.5}),
+                     "spawn rate", id="spawn rate just past the cap"),
+        # Random events get the explicit events' ranges.
+        pytest.param(lambda d: d.update(events_random={"count": 1, "duration_s": -50}),
+                     "duration_s", id="negative events_random duration"),
+        pytest.param(lambda d: d.update(events_random={"count": 1, "density": -1}),
+                     "density", id="negative events_random density"),
+        pytest.param(lambda d: d.update(events=[{"kind": "gathering", "node": 2,
+                                                 "density": -1}]),
+                     "density", id="negative event density"),
     ],
 )
 def test_scenario_validation_errors(mutate, pattern):
@@ -72,6 +96,22 @@ def test_scenario_validation_errors(mutate, pattern):
     mutate(doc)
     with pytest.raises(ConfigError, match=pattern):
         scenario_from_dict(doc)
+
+
+def test_caps_admit_their_limits():
+    doc = minimal_doc()
+    doc["sim"].update(t_sim_s=1_000_000.0)
+    doc["traffic"].update(n_vel=1_000_000)
+    sc = scenario_from_dict(doc)
+    assert sc.sim.n_steps == 1_000_000 and sc.traffic.n_vel == 1_000_000
+    # 300000 vehicles over half of 60 steps: 10000 a step.
+    doc = minimal_doc()
+    doc["traffic"].update(n_vel=300_000, spawn={"window_frac": 0.5})
+    assert scenario_from_dict(doc).spawn_rate() == 10_000
+    # No step, no spawning; and events of zero length or density load.
+    doc = minimal_doc(events_random={"count": 1, "duration_s": 0, "density": 0})
+    doc["sim"].update(t_sim_s=1e-12)
+    assert scenario_from_dict(doc).spawn_rate() == 0.0
 
 
 NAN, INF = math.nan, math.inf
@@ -111,6 +151,15 @@ def test_run_exits_2_on_non_finite_scenario_number(tmp_path, capsys, case):
     NON_FINITE[case](doc)
     sc = write_json(tmp_path / "scenario.json", doc)
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_run_exits_2_on_a_step_count_past_float_range(tmp_path, capsys):
+    """t_sim_s / dt_s is infinite here: the load fails, before any run."""
+    doc = minimal_doc()
+    doc["sim"].update(dt_s=1e-300, t_sim_s=1e308)
+    sc = write_json(tmp_path / "scenario.json", doc)
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+    assert "steps" in capsys.readouterr().err
 
 
 MISTYPED = {
