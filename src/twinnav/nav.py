@@ -11,6 +11,15 @@ turn one into rows with an entry for every node id (`_as_rows`).
 Planning always happens on rows that already have event closures masked in:
 links into flagged nodes and flagged links are +inf, so returned routes
 cannot enter a flagged node (they may depart from one) or use a flagged link.
+
+A `PlannerState` carries the planner from one plan to the next, for the
+engine and for the route service. Each plan hands it that plan's masked
+journey times. It keeps the rows and patches into them only the links whose
+time changed since they were last read, keeps the set of +inf links, and
+keeps a memo of the (origin, destination) pairs that no chain of finite links
+joins. Reachability depends on the +inf link set alone, so the memo is
+cleared exactly when that set changes, and until then `plan_new_users` and
+`replan_affected` answer a remembered pair unreachable without a search.
 """
 
 from __future__ import annotations
@@ -73,11 +82,14 @@ class PathResult:
 
 @dataclass
 class PlanningInput:
-    """Snapshot handed to the planner: event-masked journey-time rows and the
-    users waiting for an initial route."""
+    """Snapshot handed to the planner: event-masked journey-time rows, the
+    users waiting for an initial route and the pairs known to have no path."""
 
     matrix: object  # rows[u][v], id-indexed: journey_rows() or a dense matrix
     new_users: dict = field(default_factory=dict)  # vid -> (position, destination)
+    # (start, destination) pairs known to have no path on `matrix`; searches
+    # that find none are added. A fresh set forgets nothing between calls.
+    no_path: set = field(default_factory=set)
 
 
 @dataclass
@@ -148,6 +160,36 @@ def dijkstra_fastest(matrix, start: int, end: int) -> PathResult | None:
     return PathResult(nodes=tuple(tree_path(pred, start, end)), cost=dist[end])
 
 
+def _reaches(rows, start: int, end: int) -> bool:
+    """Whether a chain of finite links leads from start to end, whatever its
+    total: a search can miss a path whose finite times add up past float
+    range."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        row = rows[stack.pop()]
+        for v in row:
+            if v not in seen and row[v] != INF:
+                if v == end:
+                    return True
+                seen.add(v)
+                stack.append(v)
+    return False
+
+
+def fastest_unless_cut_off(rows, start: int, end: int, no_path: set):
+    """dijkstra_fastest on rows, but None at once for a pair in `no_path`;
+    a pair the search finds no path for joins `no_path` when no chain of
+    finite links joins it. A degenerate or out-of-range pair raises in the
+    search, so it never joins the memo."""
+    if (start, end) in no_path:
+        return None
+    found = dijkstra_fastest(rows, start, end)
+    if found is None and not _reaches(rows, start, end):
+        no_path.add((start, end))
+    return found
+
+
 def shortest_path_tree(matrix, origin: int) -> tuple[list[float], list[int]]:
     """Single-source distances and predecessors, same tie-breaking as
     dijkstra_fastest; useful for caching routes from a common origin."""
@@ -214,7 +256,7 @@ def plan_new_users(inp: PlanningInput) -> PlanOutcome:
     out = PlanOutcome()
     for vid in sorted(inp.new_users):
         position, destination = inp.new_users[vid]
-        found = dijkstra_fastest(rows, position, destination)
+        found = fastest_unless_cut_off(rows, position, destination, inp.no_path)
         if found is None:
             out.unreachable.add(vid)
         else:
@@ -241,12 +283,60 @@ def replan_affected(
         destination = route.destination
         if start == destination:
             continue  # only the committed final link remains
-        found = dijkstra_fastest(rows, start, destination)
+        found = fastest_unless_cut_off(rows, start, destination, inp.no_path)
         if found is None:
             out.unreachable.add(vid)
         else:
             out.routes[vid] = Route(nodes=list(found.nodes), vehicle_id=vid)
     return out
+
+
+class PlannerState:
+    """The planner carried across plans on one network. `update` takes each
+    plan's masked journey times; `rows` are those times as journey rows,
+    patched on demand where a link's time changed since they were last read
+    and built in full only on first use. `blocked` is the set of +inf link
+    pairs and `no_path` the memo of pairs with no path, cleared whenever
+    `blocked` changes."""
+
+    def __init__(self, net: TrafficNetwork):
+        self.net = net
+        self.times: np.ndarray | None = None  # the last update's times
+        self.blocked: set[tuple[int, int]] = set()
+        self.no_path: set[tuple[int, int]] = set()
+        self._inf = np.zeros(net.link_count, dtype=bool)
+        self._rows: list[dict[int, float]] | None = None
+        self._rows_times: np.ndarray | None = None  # what the rows hold
+
+    def update(self, times: np.ndarray) -> bool:
+        """Take this plan's masked journey times (a fresh array the caller
+        no longer writes). Returns whether the +inf link set changed, in
+        which case `blocked` is rebuilt and the memo cleared."""
+        self.times = times
+        inf = np.isinf(times)
+        if np.array_equal(inf, self._inf):
+            return False
+        self._inf = inf
+        pairs = self.net.pairs
+        self.blocked = {pairs[i] for i in np.flatnonzero(inf).tolist()}
+        self.no_path.clear()
+        return True
+
+    def rows(self) -> list[dict[int, float]]:
+        """Rows of the last update's times: equal to
+        `net.link_rows(self.times)`, kept in one object across plans."""
+        times = self.times
+        if self._rows is None:
+            self._rows = self.net.link_rows(times)
+        else:
+            changed = np.flatnonzero(times != self._rows_times)
+            pairs = self.net.pairs
+            rows = self._rows
+            for i, x in zip(changed.tolist(), times[changed].tolist()):
+                u, v = pairs[i]
+                rows[u][v] = x
+        self._rows_times = times
+        return self._rows
 
 
 def spliced_route(old: Route, replanned: Route) -> Route:

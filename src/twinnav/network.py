@@ -254,7 +254,7 @@ def network_from_dict(doc: dict, source: str = "network") -> TrafficNetwork:
                     y_m=json_number(item["y_m"]),
                 )
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: expected {{id, x_m, y_m}} ({exc})") from exc
 
     links = []
@@ -278,7 +278,7 @@ def network_from_dict(doc: dict, source: str = "network") -> TrafficNetwork:
                     k_max_veh_per_m=json_number(item["k_max_veh_per_m"]),
                 )
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
                 f"{where}: expected {{from, to, length_m, v_free_mps|v_free_kmh, "
                 f"k_max_veh_per_m}} ({exc})"

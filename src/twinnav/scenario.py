@@ -230,7 +230,7 @@ def _parse_event(item: dict, k: int, net: TrafficNetwork, where: str) -> EventSp
     if kind == "gathering":
         try:
             node = json_int(_require(item, "node", w))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{w}: node must be a node id ({exc})") from exc
         if node not in net.node_by_id:
             raise ConfigError(f"{w}: unknown node {node}")
@@ -240,7 +240,7 @@ def _parse_event(item: dict, k: int, net: TrafficNetwork, where: str) -> EventSp
         raise ConfigError(f"{w}: link must be a [from, to] pair")
     try:
         pair = (json_int(raw[0]), json_int(raw[1]))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{w}: link must be a [from, to] pair ({exc})") from exc
     if net.link_between(*pair) is None:
         raise ConfigError(f"{w}: no link {pair[0]}->{pair[1]} in the network")
@@ -313,7 +313,7 @@ def scenario_from_dict(
             p_user=json_number(tr_doc["p_user"]),
             spawn_window_frac=json_number(spawn_doc.get("window_frac", 0.8)),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: traffic block needs n_vel and p_user ({exc})") from exc
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
@@ -345,7 +345,7 @@ def scenario_from_dict(
                 ),
                 density=json_number(er.get("density", DEFAULT_GATHERING_DENSITY)),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{source}: events_random needs count ({exc})") from exc
         except ConfigError as exc:
             raise ConfigError(f"{source}: {exc}") from exc
@@ -358,7 +358,7 @@ def scenario_from_dict(
         try:
             rsu = RsuSpec(node=json_int(item["node"]),
                           radius_m=json_number(item["radius_m"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{w}: expected {{node, radius_m}} ({exc})") from exc
         if rsu.node not in net.node_by_id:
             raise ConfigError(f"{w}: unknown node {rsu.node}")

@@ -36,7 +36,12 @@ and one whose `time_s` is older than the clock is taken at the clock. Each
 update re-runs event detection against the twin's own thresholds and clears
 every flag whose latest reading no longer meets its criterion (the service
 has no scheduled causes). Route requests plan over event-masked journey-time
-rows built from the twin's current volumes; the rows' keys are the graph.
+rows of the twin's current volumes and flags; the rows' keys are the graph.
+The state keeps one `nav.PlannerState` under its lock, so a request patches
+only the links whose journey time changed since the last request, and a pair
+found to have no path answers unreachable without a search until the set of
++inf links changes. A request whose position is its destination answers
+`degenerate_request`.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import socketserver
 import threading
 
 from . import nav
-from .errors import ContractError, DegenerateRouteRequest, json_int, json_number
+from .errors import ContractError, json_int, json_number
 from .scenario import Scenario
 from .twin import (
     TwinState,
@@ -80,6 +85,7 @@ class ServiceState:
         self.twin = TwinState(self.net, scenario.thresholds)
         self.clock_s = 0.0
         self.dt_s = scenario.sim.dt_s
+        self.planner = nav.PlannerState(self.net)
         self.lock = threading.Lock()
 
     def apply_sensor_update(self, msg: dict) -> None:
@@ -115,14 +121,14 @@ class ServiceState:
                     raise ValueError(f"occupied must be true or false, got {occupied!r}")
                 links.append((pair, (json_number(item["volume"]),
                                      json_number(item["speed_mps"]), occupied)))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ServiceError("bad_request", "link readings need from, to, volume, "
                                    f"speed_mps, occupied ({exc})")
         nodes: list[tuple[int, float]] = []
         for item in node_items:
             try:
                 nodes.append((json_int(item["id"]), json_number(item["density"])))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ServiceError("bad_request", f"node readings need id and density ({exc})")
 
         with self.lock:
@@ -155,15 +161,17 @@ class ServiceState:
             )
         if position not in self.net.node_by_id or destination not in self.net.node_by_id:
             raise ServiceError("bad_request", "position or destination is not a node")
+        if position == destination:
+            raise ServiceError(
+                "degenerate_request", f"start and destination are both {position}")
         with self.lock:
-            rows = nav.journey_rows(
+            planner = self.planner
+            planner.update(nav.masked_journey_times(
                 self.net, self.twin.link_volume, self.twin.event_nodes,
                 self.twin.event_links,
-            )
-            try:
-                found = nav.dijkstra_fastest(rows, position, destination)
-            except DegenerateRouteRequest as exc:
-                raise ServiceError("degenerate_request", str(exc))
+            ))
+            found = nav.fastest_unless_cut_off(
+                planner.rows(), position, destination, planner.no_path)
         if found is None:
             return {
                 "type": "route_response",

@@ -21,15 +21,21 @@ loops visit only the links that hold vehicles, and bookkeeping's visit only
 closed links and the in-links of their start nodes. Every active event closes
 the links it is counted on, so only there can a vehicle encounter an event or
 be blocked. The delivered RSU readings reach the twin in one batched ingest
-and the connected vehicles' in one more. The planner's journey-time rows are
-built only on steps that search: when a connected user waits for a route, or
-a live route's remaining links cross a link the masked journey times put at
-+inf. Shortest-distance trees cached on the network decide which destinations
-a spawn may draw and give unconnected vehicles their static routes, so runs on
-one network (a sweep) search each origin once. RSU coverage is decided once
-per engine, by `Scenario.rsu_coverage`. A step still does O(links) work in
-numpy (link speeds, masked journey times, the occupied-link and closed-link
-scans) and builds the speed and closure lists the vehicle loops read.
+and the connected vehicles' in one more. The engine keeps one
+`nav.PlannerState`: its journey-time rows are built on the first step that
+searches and then patched, on steps that search, where a link's time changed.
+A step searches when a connected user waits for a route, or a live route's
+remaining links cross a link the masked journey times put at +inf, unless
+every such pair is in the planner's no-path memo, which holds until the +inf
+link set changes. Every live connected route is checked against that set only
+on steps where it changed; otherwise only last step's affected routes and the
+vehicles that entered the network in the last movement are. Shortest-distance
+trees cached on the network decide which destinations a spawn may draw and
+give unconnected vehicles their static routes, so runs on one network (a
+sweep) search each origin once. RSU coverage is decided once per engine, by
+`Scenario.rsu_coverage`. A step still does O(links) work in numpy (link
+speeds, masked journey times, the occupied-link and closed-link scans) and
+builds the speed and closure lists the vehicle loops read.
 """
 
 from __future__ import annotations
@@ -210,6 +216,10 @@ class Engine:
         self._events_at_node: dict[int, list[int]] = {}
         self._spawned = 0
         self._spawn_lam = scenario.spawn_rate()
+        self.planner = nav.PlannerState(net)  # rows built on the first search
+        # Connected vehicles whose route may cross the +inf link set while it
+        # stands: last plan's affected and those that entered since.
+        self._replan_candidates: list[Vehicle] = []
 
     # ------------------------------------------------------------------ setup
 
@@ -394,29 +404,40 @@ class Engine:
     def _plan(self, step: int) -> None:
         net = self.net
         twin = self.twin
-        times = nav.masked_journey_times(
+        planner = self.planner
+        reblocked = planner.update(nav.masked_journey_times(
             net, twin.link_volume, twin.event_nodes, twin.event_links
-        )
+        ))
         new_users = {
             v.vid: (v.origin, v.destination)
             for v in self._active
             if v.klass == CAV and v.link_idx is None
         }
         # replan_affected's test, read off the +inf links: only these routes
-        # are re-planned, so only they can need the rows.
-        pairs = net.pairs
-        blocked = {pairs[i] for i in np.flatnonzero(np.isinf(times)).tolist()}
-        affected: dict[int, nav.Route] = {}
-        if blocked:
-            for v in self._active:
-                route = v.route
-                if v.klass != CAV or v.link_idx is None or route is None:
-                    continue
-                if not blocked.isdisjoint(route.remaining_links()):
-                    affected[v.vid] = route
-        if not new_users and not affected:
+        # are re-planned, so only they can need the rows. A remaining route
+        # only loses links (the cursor moves on, a re-plan avoids the +inf
+        # set), so while that set stands, a route that did not cross it
+        # still does not: re-check only last step's affected routes and the
+        # vehicles that entered the network since.
+        if reblocked:
+            candidates = [v for v in self._active
+                          if v.klass == CAV and v.link_idx is not None]
+        else:
+            candidates = self._replan_candidates
+        blocked = planner.blocked
+        self._replan_candidates = hits = [
+            v for v in candidates
+            if v.link_idx is not None and not blocked.isdisjoint(v.route.remaining_links())
+        ]
+        affected = {v.vid: v.route for v in hits}
+        no_path = planner.no_path
+        if all(pair in no_path for pair in new_users.values()) and all(
+            r.next_node == r.destination or (r.next_node, r.destination) in no_path
+            for r in affected.values()
+        ):
             return  # no search this step, so no rows
-        inp = nav.PlanningInput(matrix=net.link_rows(times), new_users=new_users)
+        inp = nav.PlanningInput(matrix=planner.rows(), new_users=new_users,
+                                no_path=no_path)
         latency = self.scenario.latency
         vehicles = self.vehicles  # vids are 1-based spawn order
         # Entering users first, then re-plans; each route in vid order draws
@@ -466,7 +487,8 @@ class Engine:
                 length = lengths[li]
                 adv = v * dt
                 for veh in queues[li]:
-                    veh.pos_m = min(veh.pos_m + adv, length)
+                    p = veh.pos_m + adv
+                    veh.pos_m = p if p < length else length
         # FIFO head transfers; a closed link releases nobody.
         for li in occupied:
             dq = queues[li]
@@ -498,6 +520,8 @@ class Engine:
                 queues[nxt].append(veh)
         # Routed vehicles still outside the network enter their first link;
         # those that arrived in this step are still live until bookkeeping.
+        # Connected ones join the next plan's re-plan candidates.
+        entered = self._replan_candidates
         for veh in self._active:
             if veh.link_idx is not None or veh.arrival_step is not None \
                     or veh.route is None:
@@ -509,6 +533,8 @@ class Engine:
             veh.link_idx = first
             veh.pos_m = 0.0
             queues[first].append(veh)
+            if veh.klass == CAV:
+                entered.append(veh)
 
     def _bookkeep(self, step: int) -> None:
         self._active = [v for v in self._active if v.arrival_step is None]

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from twinnav.errors import ContractError, DegenerateRouteRequest
 from twinnav.nav import (
     INF,
+    PlannerState,
     PlanningInput,
     Route,
     dijkstra_fastest,
+    fastest_unless_cut_off,
     journey_rows,
     mask_events,
     plan_new_users,
@@ -281,6 +283,86 @@ def test_journey_rows_plan_like_the_dense_matrix(data):
         routes[vid] = Route(nodes=nodes, vehicle_id=vid, cursor=cursor)
     assert replan_affected(PlanningInput(matrix=sparse), routes) == \
         replan_affected(PlanningInput(matrix=dense), routes)
+
+
+# --------------------------------------------------- planner across plans
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_planner_state_rows_equal_fresh_rows(data):
+    """After any sequence of time vectors, some links toggling to and from
+    +inf and rows read on some plans only, the patched rows equal fresh rows
+    of the last vector and `blocked` is exactly its +inf links."""
+    rows, cols = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+    net = network_from_dict(generate_grid_network(
+        rows=rows, cols=cols, n_links=2 * (rows * (cols - 1) + cols * (rows - 1)),
+        seed=data.draw(st.integers(0, 10_000))))
+    n_links = net.link_count
+    state = PlannerState(net)
+    times = np.full(n_links, 10.0)
+    previous = set()
+    value = st.sampled_from([INF, INF, 0.5, 10.0, 12.25]) | st.floats(0.1, 1e6)
+    for _ in range(data.draw(st.integers(1, 12))):
+        times = times.copy()
+        for i in data.draw(st.lists(st.integers(0, n_links - 1), max_size=n_links)):
+            times[i] = data.draw(value)
+        reblocked = state.update(times)
+        blocked = {net.pairs[i] for i in np.flatnonzero(np.isinf(times))}
+        assert reblocked == (blocked != previous)
+        previous = blocked
+        assert state.blocked == blocked
+        if data.draw(st.booleans()):
+            assert state.rows() == net.link_rows(times)
+    assert state.rows() == net.link_rows(times)
+
+
+def test_planner_state_clears_the_memo_only_when_blocked_changes(diamond_net):
+    state = PlannerState(diamond_net)
+    times = np.full(diamond_net.link_count, 10.0)
+    times[diamond_net.in_links[4]] = INF
+    assert state.update(times)
+    assert fastest_unless_cut_off(state.rows(), 1, 4, state.no_path) is None
+    assert state.no_path == {(1, 4)}
+    times = times * 2  # finite times change, the +inf set stands
+    assert not state.update(times)
+    assert state.no_path == {(1, 4)}
+    times[diamond_net.link_index[(2, 4)]] = 5.0
+    assert state.update(times)
+    assert state.no_path == set()
+    assert fastest_unless_cut_off(state.rows(), 1, 4, state.no_path).nodes == (1, 2, 4)
+
+
+def test_memo_keeps_no_pair_whose_finite_times_overflow():
+    """1 -> 2 -> 3 costs 1e308 + 1e308 = +inf: the search finds no path, but
+    a chain of finite links joins the pair, so it is not remembered."""
+    rows = [{}, {2: 1e308}, {3: 1e308}, {}]
+    no_path = set()
+    assert fastest_unless_cut_off(rows, 1, 3, no_path) is None
+    assert fastest_unless_cut_off(rows, 3, 1, no_path) is None
+    assert no_path == {(3, 1)}
+    out = plan_new_users(PlanningInput(matrix=rows, new_users={1: (1, 3), 2: (3, 1)}))
+    assert out.unreachable == {1, 2}
+
+
+def test_remembered_pairs_are_not_searched(monkeypatch):
+    from twinnav import nav
+    masked = mask_events(diamond_matrix(), {4}, set())
+    searches = []
+    original = nav.dijkstra_fastest
+
+    def counted(matrix, start, end):
+        searches.append((start, end))
+        return original(matrix, start, end)
+
+    monkeypatch.setattr(nav, "dijkstra_fastest", counted)
+    inp = PlanningInput(matrix=masked, new_users={1: (1, 4), 2: (1, 4), 3: (1, 3)})
+    assert plan_new_users(inp).unreachable == {1, 2}
+    assert searches == [(1, 4), (1, 3)] and inp.no_path == {(1, 4)}
+    routes = {4: Route(nodes=[1, 2, 4], vehicle_id=4), 5: Route(nodes=[1, 3, 4], vehicle_id=5)}
+    searches.clear()
+    out = replan_affected(PlanningInput(matrix=masked, no_path={(2, 4)}), routes)
+    assert out.unreachable == {4, 5} and searches == [(3, 4)]
 
 
 def test_spliced_route_keeps_history():

@@ -162,6 +162,28 @@ def test_run_exits_2_on_a_step_count_past_float_range(tmp_path, capsys):
     assert "steps" in capsys.readouterr().err
 
 
+# Each sets one number to an integer past float range, which json reads as
+# an int; the number rule rejects it, so no handler needs OverflowError.
+PAST_FLOAT_RANGE = {
+    "RSU radius_m": lambda d: d.update(sensing={"rsus": [{"node": 1, "radius_m": 10**400}]}),
+    "event density": lambda d: d.update(
+        events=[{"kind": "gathering", "node": 2, "density": 10**400}]),
+    "traffic.p_user": lambda d: d["traffic"].update(p_user=10**400),
+    "link length_m": lambda d: d["network"]["links"][0].update(length_m=10**400),
+    "events_random density": lambda d: d.update(
+        events_random={"count": 1, "density": 10**400}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_FLOAT_RANGE))
+def test_run_exits_2_on_an_integer_past_float_range(tmp_path, capsys, case):
+    doc = minimal_doc()
+    PAST_FLOAT_RANGE[case](doc)
+    sc = write_json(tmp_path / "scenario.json", doc)
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+    assert "float range" in capsys.readouterr().err
+
+
 MISTYPED = {
     "events_random a number": lambda d: d.update(events_random=5),
     "sensing a number": lambda d: d.update(sensing=5),

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinnav import service
+from twinnav import nav, service
 from twinnav.errors import ContractError, json_number
 from twinnav.service import RouteService, ServiceError, ServiceState
 from twinnav.twin import (
@@ -294,6 +294,8 @@ BAD_UPDATES = {
     "NaN time": {"time_s": math.nan, "links": [reading()]},
     "time as a string": {"time_s": "12", "links": [reading()]},
     "time past float range": {"time_s": 10**400, "links": [reading()]},
+    "volume past float range": {"links": [reading(volume=10**400)]},
+    "density past float range": {"nodes": [{"id": 3, "density": 10**400}]},
     "NaN volume": {"links": [reading(volume=math.nan)]},
     "infinite volume": {"links": [reading(volume=math.inf)]},
     "negative volume": {"links": [reading(volume=-1)]},
@@ -553,3 +555,59 @@ def test_service_update_and_ingest_readings_share_one_law(stream):
             assert twin_law_view(state.twin) == before
         assert twin_law_view(state.twin) == twin_law_view(twin)
         assert state.clock_s == clock
+
+
+# ------------------------------------------- the planner kept across requests
+
+DIAMOND_OD = [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b]
+
+
+def fresh_route(state, position, destination):
+    """The route a fresh plan gives: rows built from the twin's current
+    volumes and flags, then one search."""
+    twin = state.twin
+    rows = nav.journey_rows(state.net, twin.link_volume, twin.event_nodes,
+                            twin.event_links)
+    found = nav.dijkstra_fastest(rows, position, destination)
+    return [] if found is None else list(found.nodes)
+
+
+def assert_plans_like_fresh_rows(state):
+    for a, b in DIAMOND_OD:
+        reply = state.plan_route({"vehicle": "x", "position": a, "destination": b})
+        assert reply["route"] == fresh_route(state, a, b), (a, b)
+        assert reply["status"] == ("ok" if reply["route"] else "unreachable")
+
+
+def test_plan_route_after_flags_raise_and_clear():
+    state = diamond_state()
+    assert_plans_like_fresh_rows(state)
+    for t in (0.0, 5.0, 10.0):
+        state.apply_sensor_update(slow_link_update(t, (2, 4)))
+    state.apply_sensor_update(node_update(11.0, 3, 1.5))
+    assert state.twin.event_link_pairs() == {(2, 4)} and state.twin.event_nodes == {3}
+    assert state.plan_route({"vehicle": "x", "position": 1, "destination": 4})["route"] == []
+    assert (1, 4) in state.planner.no_path
+    assert_plans_like_fresh_rows(state)
+    state.apply_sensor_update(node_update(12.0, 3, 0.1))
+    assert_plans_like_fresh_rows(state)
+    assert (1, 4) not in state.planner.no_path
+    state.apply_sensor_update(free_link_update(13.0))
+    assert not state.twin.event_link_pairs() and not state.twin.event_nodes
+    assert_plans_like_fresh_rows(state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reading_streams(), st.lists(st.booleans(), min_size=25, max_size=25))
+def test_plan_route_answers_like_fresh_rows(stream, ask):
+    """Updates that raise and clear flags, with requests after some of them:
+    every answer equals a plan on rows built fresh for it."""
+    state = diamond_state()
+    for msg, asked in zip(stream, ask):
+        try:
+            state.apply_sensor_update(msg)
+        except ServiceError:
+            pass
+        if asked:
+            assert_plans_like_fresh_rows(state)
+    assert_plans_like_fresh_rows(state)

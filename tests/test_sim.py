@@ -12,7 +12,7 @@ from twinnav import nav, sim
 from twinnav.comms import check_deadline, deliver, sample_service_latency
 from twinnav.errors import ContractError, DegenerateRouteRequest
 from twinnav.netgen import generate_grid_network
-from twinnav.network import TrafficNetwork, network_from_dict
+from twinnav.network import network_from_dict
 from twinnav.scenario import scenario_from_dict
 from twinnav.sim import CAV, Engine, MetricsSummary, poisson_draw, run, \
     shortest_distance_route
@@ -249,10 +249,11 @@ def test_engine_invariants_on_random_grids(data):
 
 
 class ReferenceEngine(Engine):
-    """The engine step before planner rows were built on demand, RSU
-    readings batched and bookkeeping limited to closed links: rows on every
-    step, every live route offered to replan_affected, one twin ingest per
-    delivered RSU, every live vehicle checked for encounters and blocking."""
+    """The engine step before planner rows were built on demand and patched,
+    no-path pairs remembered, RSU readings batched and bookkeeping limited to
+    closed links: fresh rows on every step, every live route offered to
+    replan_affected, one twin ingest per delivered RSU, every live vehicle
+    checked for encounters and blocking."""
 
     def _sense_and_ingest(self, step):
         now = step * self.dt
@@ -372,9 +373,10 @@ def run_outputs(engine_cls, scenario, directory):
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_engine_matches_reference_step(data):
-    """Rows only on steps that search, one RSU ingest per step and
-    bookkeeping on closed links leave every output as rows on every step, one
-    ingest per RSU and a walk over every live vehicle did."""
+    """Patched rows only on steps that search, the no-path memo, re-checking
+    only candidate routes, one RSU ingest per step and bookkeeping on closed
+    links leave every output as fresh rows on every step, one ingest per RSU
+    and a walk over every live vehicle did."""
     sc = draw_grid_scenario(data, rsu_count=st.integers(2, 3),
                             radius_m=st.floats(150.0, 400.0),
                             pdr_ssms=st.floats(0.5, 1.0))
@@ -439,7 +441,6 @@ def test_second_run_on_a_network_searches_no_static_tree(monkeypatch):
 def test_rows_only_on_steps_that_search_and_two_ingests_per_step(monkeypatch):
     # Few connected users: most steps have no one to route or re-route.
     sc = scenario_from_dict(lossy_grid_doc(traffic={"n_vel": 60, "p_user": 0.2}))
-    sc.network.static_route(1, 2)  # builds the static-route cache's own rows
     eng = Engine(sc)
     rows_steps, search_steps, ingest_steps = [], [], []
 
@@ -452,7 +453,7 @@ def test_rows_only_on_steps_that_search_and_two_ingests_per_step(monkeypatch):
 
         monkeypatch.setattr(cls_or_module, name, wrapper)
 
-    spy(TrafficNetwork, "link_rows", rows_steps.append)
+    spy(nav.PlannerState, "rows", rows_steps.append)  # built once, then patched
     spy(nav, "dijkstra_fastest", search_steps.append)
     spy(TwinState, "ingest_arrays", ingest_steps.append)
     eng.run()
@@ -461,6 +462,70 @@ def test_rows_only_on_steps_that_search_and_two_ingests_per_step(monkeypatch):
     assert set(rows_steps) <= set(search_steps)
     assert len(rows_steps) < sc.sim.n_steps / 2
     assert ingest_steps and max(Counter(ingest_steps).values()) <= 2
+
+
+def test_cut_off_pair_searched_again_only_after_the_blocked_set_changes(monkeypatch):
+    """A waiting user whose destination no finite chain of links reaches is
+    searched once; later steps answer it from the memo until the +inf link
+    set changes."""
+    sc = scenario_from_dict(lossy_grid_doc(traffic={"n_vel": 300, "p_user": 1.0}))
+    eng = Engine(sc)
+    remembered: set = set()  # cut-off pairs searched since the last change
+    waits = []  # cut-off pairs still waiting at the start of a later step
+    update, search = nav.PlannerState.update, nav.dijkstra_fastest
+
+    def spied_update(state, times):
+        changed = update(state, times)
+        if changed:
+            remembered.clear()
+        waits.extend(p for v in eng._active if v.klass == CAV and v.link_idx is None
+                     and (p := (v.origin, v.destination)) in remembered)
+        return changed
+
+    def spied_search(rows, start, end):
+        found = search(rows, start, end)
+        if found is None:
+            assert (start, end) not in remembered, f"step {eng.step}: searched again"
+            remembered.add((start, end))
+        return found
+
+    monkeypatch.setattr(nav.PlannerState, "update", spied_update)
+    monkeypatch.setattr(nav, "dijkstra_fastest", spied_search)
+    eng.run()
+    assert len(waits) > 10  # users did wait on a remembered pair
+
+
+def test_replan_candidates_find_what_a_full_scan_finds(monkeypatch):
+    """After every plan the re-planned set equals a scan of every live route
+    against the +inf links. Tight capacity and lossy responses leave routed
+    users waiting off the network across flag changes, so some enter with a
+    route that already crosses a flagged link."""
+    doc = lossy_grid_doc(
+        network=generate_grid_network(rows=6, cols=6, n_links=160, seed=4,
+                                      k_max_veh_per_m=0.02),
+        traffic={"n_vel": 600, "p_user": 0.8},
+        events_random={"count": 12, "onset_max_s": 250.0, "duration_s": 30.0},
+        latency={"pdr_ssms": 0.8, "pdr_info": 0.3},
+    )
+    eng = Engine(scenario_from_dict(doc).with_seed(1))
+    plan = Engine._plan
+    steps = []
+
+    def checked_plan(self, step):
+        twin = self.twin
+        times = nav.masked_journey_times(self.net, twin.link_volume,
+                                         twin.event_nodes, twin.event_links)
+        blocked = {self.net.pairs[i] for i in np.flatnonzero(np.isinf(times))}
+        expected = {v.vid for v in self._active
+                    if v.klass == CAV and v.link_idx is not None
+                    and not blocked.isdisjoint(v.route.remaining_links())}
+        plan(self, step)
+        assert {v.vid for v in self._replan_candidates} == expected, step
+        steps.append(bool(expected))
+
+    monkeypatch.setattr(Engine, "_plan", checked_plan)
+    eng.run()
+    assert sum(steps) > 20  # routes did cross flagged links
 
 
 def test_blocked_vehicles_resume_after_event_clears():
