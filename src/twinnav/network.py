@@ -15,6 +15,7 @@ lengths decide, each filled on first use: the rows of link lengths and, per
 origin, the predecessor array of its shortest-distance tree, which also
 answers which nodes an origin reaches. Scenarios derived from one another
 share their network, and so these caches.
+A network has at most MAX_NODES nodes and MAX_LINKS links.
 Node ids and link endpoints in network JSON must be JSON integers, and
 coordinates, lengths, speeds and jam densities finite JSON numbers (an integer
 or a float; not a boolean or a string).
@@ -37,6 +38,13 @@ INF = math.inf
 # A vehicle this close to a link's end counts as at the end. Every link must be
 # longer, so that a vehicle that has just entered a link is never at its end.
 END_TOLERANCE_M = 1e-9
+
+# Caps on the size of a network, checked before its items are parsed. Each
+# origin a run draws caches a predecessor list of node_count entries, so the
+# static-route cache can reach MAX_NODES**2 entries; every step does numpy
+# work per link.
+MAX_NODES = 10_000
+MAX_LINKS = 100_000
 
 # Links whose journey speed falls at or below this floor behave as closed:
 # avoids division by ~0 and makes jammed links look like +inf to the planner.
@@ -242,6 +250,11 @@ def network_from_dict(doc: dict, source: str = "network") -> TrafficNetwork:
         raise ConfigError(f"{source}: 'nodes' must be a non-empty array")
     if not isinstance(raw_links, list):
         raise ConfigError(f"{source}: 'links' must be an array")
+    for what, items, cap in (("nodes", raw_nodes, MAX_NODES),
+                             ("links", raw_links, MAX_LINKS)):
+        if len(items) > cap:
+            raise ConfigError(
+                f"{source}: {len(items)} {what}, more than {cap}")
 
     nodes = []
     for k, item in enumerate(raw_nodes):

@@ -8,9 +8,10 @@ The parameter classes check their own ranges, so the loader and the
 `Scenario.with_*` helpers share one check each. `Scenario` itself checks that
 its random events fit: no more than the links and nodes their kinds can use,
 in a non-empty onset window; a sweep builds every point, and so runs this
-check, before its first run. Three caps bound one run: MAX_STEPS steps,
-MAX_VEHICLES vehicles and MAX_SPAWN_RATE spawns a step (`Scenario.spawn_rate`,
-the engine's Poisson rate). Random events take the explicit events' ranges:
+check, before its first run. Four caps bound one run: MAX_STEPS steps,
+MAX_VEHICLES vehicles, MAX_SPAWN_RATE spawns a step (`Scenario.spawn_rate`,
+the engine's Poisson rate) and MAX_EVENTS explicit events; the network loader
+caps nodes and links. Random events take the explicit events' ranges:
 no negative duration or density. The scenario owns the run seed (`sim.seed`,
 set by `with_seed`). `Scenario.rsu_coverage` is the one place that decides
 what an RSU covers.
@@ -37,6 +38,7 @@ DEFAULT_GATHERING_DENSITY = 1.0  # persons/m^2 of an active gathering
 MAX_STEPS = 1_000_000  # t_sim_s / dt_s
 MAX_VEHICLES = 1_000_000  # traffic.n_vel
 MAX_SPAWN_RATE = 10_000  # mean spawns per step while the spawn window is open
+MAX_EVENTS = 10_000  # explicit events; each step walks every event
 
 
 @dataclass(frozen=True)
@@ -323,10 +325,12 @@ def scenario_from_dict(
     events: tuple[EventSpec, ...] = ()
     events_random = None
     if "events" in doc:
-        events = tuple(
-            _parse_event(item, k, net, source)
-            for k, item in enumerate(_typed(doc["events"], list, f"{source}: events"))
-        )
+        items = _typed(doc["events"], list, f"{source}: events")
+        if len(items) > MAX_EVENTS:
+            raise ConfigError(
+                f"{source}: {len(items)} events, more than {MAX_EVENTS}")
+        events = tuple(_parse_event(item, k, net, source)
+                       for k, item in enumerate(items))
     elif "events_random" in doc:
         er = _typed(doc["events_random"], dict, f"{source}: events_random")
         try:

@@ -15,27 +15,37 @@ event detection, route planning and delivery, movement, bookkeeping. One run
 is single-threaded and fully determined by its scenario, whose `sim.seed`
 seeds every random stream (`Scenario.with_seed` sets it).
 
-No step phase loops over the vehicles ever spawned: the per-vehicle loops walk
-the live list (spawned, not yet arrived, in vid order), movement's vehicle
-loops visit only the links that hold vehicles, and bookkeeping's visit only
-closed links and the in-links of their start nodes. Every active event closes
-the links it is counted on, so only there can a vehicle encounter an event or
-be blocked. The delivered RSU readings reach the twin in one batched ingest
-and the connected vehicles' in one more. The engine keeps one
-`nav.PlannerState`: its journey-time rows are built on the first step that
-searches and then patched, on steps that search, where a link's time changed.
-A step searches when a connected user waits for a route, or a live route's
-remaining links cross a link the masked journey times put at +inf, unless
-every such pair is in the planner's no-path memo, which holds until the +inf
-link set changes. Every live connected route is checked against that set only
-on steps where it changed; otherwise only last step's affected routes and the
-vehicles that entered the network in the last movement are. Shortest-distance
-trees cached on the network decide which destinations a spawn may draw and
-give unconnected vehicles their static routes, so runs on one network (a
-sweep) search each origin once. RSU coverage is decided once per engine, by
-`Scenario.rsu_coverage`. A step still does O(links) work in numpy (link
-speeds, masked journey times, the occupied-link and closed-link scans) and
-builds the speed and closure lists the vehicle loops read.
+No step phase loops over the vehicles ever spawned. The vehicles on the
+network live in packed engine arrays: slot k < `Engine._on` holds one
+vehicle's position, link, vid and connected flag (`Vehicle.slot` points back,
+`Engine.position` reads a position). A vehicle takes the next slot when it
+enters its first link, a transfer rewrites its slot's link and zeroes its
+position, and an arrival moves the last slot into its place. Movement
+advances every slot in one numpy step. Queues are FIFO and ordered by
+position, so only an open link with some vehicle at its end can release
+anyone; the transfer loop visits just those links, in index order (a vehicle
+moved in that loop lands at position 0, never at an end). Spawned vehicles
+not yet on a link wait in `Engine._waiting`, in vid order: movement enters
+them from there and planning takes its new users from there. Sensing and the
+full re-plan scan read the connected vehicles off the slots. Bookkeeping
+visits only closed links and the in-links of their start nodes. Every active
+event closes the links it is counted on, so only there can a vehicle
+encounter an event or be blocked. The delivered RSU readings reach the twin
+in one batched ingest and the connected vehicles' in one more. The engine
+keeps one `nav.PlannerState`: its journey-time rows are built on the first
+step that searches and then patched, on steps that search, where a link's
+time changed. A step searches when a connected user waits for a route, or a
+live route's remaining links cross a link the masked journey times put at
++inf, unless every such pair is in the planner's no-path memo, which holds
+until the +inf link set changes. Every live connected route is checked
+against that set only on steps where it changed; otherwise only last step's
+affected routes and the vehicles that entered the network in the last
+movement are. Shortest-distance trees cached on the network decide which
+destinations a spawn may draw and give unconnected vehicles their static
+routes, so runs on one network (a sweep) search each origin once. RSU
+coverage is decided once per engine, by `Scenario.rsu_coverage`. A step still
+does O(links) work in numpy (link speeds, masked journey times, the head and
+closed-link scans).
 """
 
 from __future__ import annotations
@@ -71,7 +81,7 @@ class Vehicle:
     entry_step: int
     route: nav.Route | None = None
     link_idx: int | None = None
-    pos_m: float = 0.0
+    slot: int | None = None  # index into the engine's packed arrays while on a link
     arrival_step: int | None = None
     encountered: set = field(default_factory=set)
     blocked: bool = False
@@ -194,15 +204,22 @@ class Engine:
         self.twin = TwinState(net, scenario.thresholds)
 
         self.vehicles: list[Vehicle] = []  # every spawned vehicle; vid - 1 = index
-        self._active: list[Vehicle] = []  # spawned and not yet arrived, vid order
+        self._waiting: list[Vehicle] = []  # spawned, not yet on a link, vid order
+        # Packed on-network state, one slot per vehicle on a link: slots
+        # 0.._on-1 are in use, and at most n_vel vehicles are ever on links.
+        n_vel = scenario.traffic.n_vel
+        self._on = 0
+        self._pos = np.zeros(n_vel)
+        self._link = np.zeros(n_vel, dtype=np.intp)
+        self._vid = np.zeros(n_vel, dtype=np.int64)
+        self._cav = np.zeros(n_vel, dtype=bool)
         self.link_counts = np.zeros(net.link_count, dtype=np.int64)
         self.link_queues: list[deque[Vehicle]] = [
             deque() for _ in range(net.link_count)
         ]
         self.link_capacity = net.k_max * net.lengths
-        # Python floats for the per-vehicle loops (float64 -> float is exact).
-        self._lengths = net.lengths.tolist()
-        self._capacity = self.link_capacity.tolist()
+        self._ends = net.lengths - _END_EPS  # at or past this, at the end
+        self._capacity = self.link_capacity.tolist()  # exact Python floats
 
         # RSU coverage is static: (link indices, node ids) per RSU, id = position.
         self._rsu_cov = scenario.rsu_coverage()
@@ -307,7 +324,7 @@ class Engine:
             if klass == UNCONNECTED:
                 veh.route = nav.Route(nodes=nodes, vehicle_id=vid)
             self.vehicles.append(veh)
-            self._active.append(veh)
+            self._waiting.append(veh)
             self._spawned += 1
 
     def _update_events(self, step: int) -> None:
@@ -368,14 +385,15 @@ class Engine:
                 self.truth_density[ni],
                 now,
             )
+        # One delivery draw per connected vehicle on a link, in vid order.
+        n = self._on
+        vehicles = self.vehicles
         cav_ids: list[int] = []
         cav_links: list[int] = []
-        for veh in self._active:
-            if veh.klass != CAV or veh.link_idx is None:
-                continue
+        for vid in np.sort(self._vid[:n][self._cav[:n]]).tolist():
             if deliver(model.pdr_info, info_rng):
-                cav_ids.append(veh.vid)
-                cav_links.append(veh.link_idx)
+                cav_ids.append(vid)
+                cav_links.append(vehicles[vid - 1].link_idx)
         if cav_ids:
             li = np.array(cav_links, dtype=int)
             self.twin.ingest_arrays(
@@ -409,9 +427,7 @@ class Engine:
             net, twin.link_volume, twin.event_nodes, twin.event_links
         ))
         new_users = {
-            v.vid: (v.origin, v.destination)
-            for v in self._active
-            if v.klass == CAV and v.link_idx is None
+            v.vid: (v.origin, v.destination) for v in self._waiting if v.klass == CAV
         }
         # replan_affected's test, read off the +inf links: only these routes
         # are re-planned, so only they can need the rows. A remaining route
@@ -419,9 +435,10 @@ class Engine:
         # set), so while that set stands, a route that did not cross it
         # still does not: re-check only last step's affected routes and the
         # vehicles that entered the network since.
-        if reblocked:
-            candidates = [v for v in self._active
-                          if v.klass == CAV and v.link_idx is not None]
+        if reblocked:  # every connected vehicle on a link, in slot order
+            n = self._on
+            candidates = [self.vehicles[vid - 1]
+                          for vid in self._vid[:n][self._cav[:n]].tolist()]
         else:
             candidates = self._replan_candidates
         blocked = planner.blocked
@@ -466,36 +483,37 @@ class Engine:
             first = net.link_between(route.nodes[0], route.nodes[1])
             return check_deadline(t_svc, first.v_free_mps)
         v_now = self.speeds[veh.link_idx]
-        return v_now <= 0 or t_svc <= (net.lengths[veh.link_idx] - veh.pos_m) / v_now
+        return v_now <= 0 or \
+            t_svc <= (net.lengths[veh.link_idx] - self.position(veh)) / v_now
+
+    def position(self, veh: Vehicle) -> float:
+        """Metres a vehicle on the network has covered of its current link."""
+        return self._pos.item(veh.slot)
 
     def _move(self, step: int) -> None:
         net = self.net
-        dt = self.dt
-        lengths = self._lengths
         capacity = self._capacity
         queues = self.link_queues
         counts = self.link_counts
-        speeds = self.speeds.tolist()
-        closed = self.closed.tolist()
-        # Only occupied links can advance or release anyone: a link empty
-        # before the transfer pass gains vehicles at pos_m = 0 only, and every
-        # link is longer than _END_EPS, so none of them is at its end.
-        occupied = np.flatnonzero(counts).tolist()
-        for li in occupied:
-            v = speeds[li]
-            if v > 0.0:
-                length = lengths[li]
-                adv = v * dt
-                for veh in queues[li]:
-                    p = veh.pos_m + adv
-                    veh.pos_m = p if p < length else length
-        # FIFO head transfers; a closed link releases nobody.
-        for li in occupied:
+        pos, link = self._pos, self._link
+        # One advance for every slot. Speeds are >= 0 (the law clamps at 0,
+        # closed links are 0), so a stopped link's vehicles gain 0.0.
+        n = self._on
+        on = link[:n]
+        np.minimum(pos[:n] + (self.speeds * self.dt)[on], net.lengths[on],
+                   out=pos[:n])
+        # FIFO head transfers. A queue's positions do not increase from head
+        # to tail, so only links with a vehicle at their end can release
+        # anyone, and a vehicle moved here lands at 0.0, never at an end. A
+        # closed link releases nobody.
+        ends = self._ends
+        heads = np.zeros(net.link_count, dtype=bool)
+        heads[on[pos[:n] >= ends[on]]] = True
+        heads &= ~self.closed
+        for li in np.flatnonzero(heads).tolist():
             dq = queues[li]
-            if not dq or closed[li]:
-                continue
-            length = lengths[li] - _END_EPS
-            while dq and dq[0].pos_m >= length:
+            end = ends[li]
+            while dq and pos[dq[0].slot] >= end:
                 veh = dq[0]
                 route = veh.route
                 if route.cursor == len(route.nodes) - 1:
@@ -503,46 +521,68 @@ class Engine:
                     counts[li] -= 1
                     veh.link_idx = None
                     veh.arrival_step = step
+                    self._vacate(veh)
                     continue
                 nxt = net.link_index[
                     (route.nodes[route.cursor], route.nodes[route.cursor + 1])
                 ]
                 # Strict gate: occupancy stays below jam capacity, so an open
-                # link always keeps a positive speed and can drain.
-                if counts[nxt] + 1 > capacity[nxt] - _CAP_EPS:
+                # link always keeps a positive speed and can drain. (`item`
+                # compares Python numbers: a numpy int64 against a float is
+                # several times slower.)
+                if counts.item(nxt) + 1 > capacity[nxt] - _CAP_EPS:
                     break  # no room downstream; the whole queue waits
                 dq.popleft()
                 counts[li] -= 1
                 counts[nxt] += 1
                 route.cursor += 1
                 veh.link_idx = nxt
-                veh.pos_m = 0.0
+                link[veh.slot] = nxt
+                pos[veh.slot] = 0.0
                 queues[nxt].append(veh)
-        # Routed vehicles still outside the network enter their first link;
-        # those that arrived in this step are still live until bookkeeping.
-        # Connected ones join the next plan's re-plan candidates.
+        # Routed vehicles still outside the network enter their first link,
+        # in vid order. Connected ones join the next plan's re-plan
+        # candidates.
         entered = self._replan_candidates
-        for veh in self._active:
-            if veh.link_idx is not None or veh.arrival_step is not None \
-                    or veh.route is None:
+        waiting = []
+        for veh in self._waiting:
+            route = veh.route
+            if route is None:
+                waiting.append(veh)
                 continue
-            first = net.link_index[(veh.route.nodes[0], veh.route.nodes[1])]
-            if counts[first] + 1 > capacity[first] - _CAP_EPS:
+            first = net.link_index[(route.nodes[0], route.nodes[1])]
+            if counts.item(first) + 1 > capacity[first] - _CAP_EPS:
+                waiting.append(veh)
                 continue
             counts[first] += 1
             veh.link_idx = first
-            veh.pos_m = 0.0
             queues[first].append(veh)
+            k = veh.slot = self._on
+            self._on = k + 1
+            pos[k] = 0.0
+            link[k] = first
+            self._vid[k] = veh.vid
+            self._cav[k] = veh.klass == CAV
             if veh.klass == CAV:
                 entered.append(veh)
+        self._waiting = waiting
+
+    def _vacate(self, veh: Vehicle) -> None:
+        """Free an arriving vehicle's slot: the last slot moves into it."""
+        k, last = veh.slot, self._on - 1
+        if k != last:
+            for arr in (self._pos, self._link, self._vid, self._cav):
+                arr[k] = arr[last]
+            self.vehicles[self._vid.item(k) - 1].slot = k
+        self._on = last
+        veh.slot = None
 
     def _bookkeep(self, step: int) -> None:
-        self._active = [v for v in self._active if v.arrival_step is None]
         # Every active event closes the links it is counted on, so encounters
         # and blocking happen only on closed links and at the ends of the
         # links that feed them.
         net = self.net
-        lengths = self._lengths
+        ends = self._ends
         queues = self.link_queues
         for li in np.flatnonzero(self.closed).tolist():
             frm, to = net.pairs[li]
@@ -553,9 +593,9 @@ class Engine:
             # Waiting at the end of an in-link to enter li. Queues are FIFO
             # by position, so the vehicles at the end lead.
             for up in net.in_links[frm]:
-                end = lengths[up] - _END_EPS
+                end = ends[up]
                 for veh in queues[up]:
-                    if veh.pos_m < end:
+                    if self.position(veh) < end:
                         break
                     nodes, cursor = veh.route.nodes, veh.route.cursor
                     if cursor < len(nodes) - 1 and nodes[cursor + 1] == to:

@@ -219,6 +219,40 @@ def test_run_exits_2_on_non_finite_network_number(tmp_path, capsys, case):
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
 
 
+def sized_network_doc(n_nodes, n_links):
+    """`n_nodes` nodes on a line and `n_links` distinct links, each node
+    linking to the next ones in turn."""
+    nodes = [{"id": i, "x_m": float(i), "y_m": 0.0} for i in range(1, n_nodes + 1)]
+    links = [link(1 + k % n_nodes, 1 + (k % n_nodes + 1 + k // n_nodes) % n_nodes)
+             for k in range(n_links)]
+    return {"nodes": nodes, "links": links}
+
+
+def test_loader_admits_the_network_caps():
+    net = network_from_dict(sized_network_doc(10_000, 100_000))
+    assert net.node_count == 10_000 and net.link_count == 100_000
+
+
+@pytest.mark.parametrize("n_nodes, n_links, pattern", [
+    (10_001, 0, "10001 nodes, more than 10000"),
+    (10_000, 100_001, "100001 links, more than 100000"),
+], ids=["nodes", "links"])
+def test_loader_rejects_a_network_past_a_cap(n_nodes, n_links, pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        network_from_dict(sized_network_doc(n_nodes, n_links))
+
+
+def test_run_exits_2_on_a_network_past_the_node_cap(tmp_path, capsys):
+    write_json(tmp_path / "net.json", sized_network_doc(10_001, 1))
+    sc = write_json(tmp_path / "scenario.json", {
+        "network_file": "net.json",
+        "sim": {"dt_s": 1.0, "t_sim_s": 60.0, "seed": 3},
+        "traffic": {"n_vel": 5, "p_user": 0.5},
+    })
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+    assert "more than 10000" in capsys.readouterr().err
+
+
 def test_loader_syntax_error_has_line(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"nodes": [\n  {"id": 1,,}\n]}')

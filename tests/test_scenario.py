@@ -77,6 +77,8 @@ def test_scenario_missing_network_file(tmp_path):
                      id="n_vel 10**19"),
         pytest.param(lambda d: d["traffic"].update(n_vel=1_000_001), "n_vel",
                      id="one vehicle past the cap"),
+        pytest.param(lambda d: d.update(events=[{"kind": "gathering", "node": 2}] * 10_001),
+                     "10001 events, more than 10000", id="one event past the cap"),
         pytest.param(lambda d: d["traffic"].update(spawn={"window_frac": 1e-320}),
                      "spawn rate", id="window_frac 1e-320"),
         pytest.param(lambda d: d["traffic"].update(n_vel=300_001, spawn={"window_frac": 0.5}),
@@ -99,6 +101,8 @@ def test_scenario_validation_errors(mutate, pattern):
 
 
 def test_caps_admit_their_limits():
+    doc = minimal_doc(events=[{"kind": "gathering", "node": 2}] * 10_000)
+    assert len(scenario_from_dict(doc).events) == 10_000
     doc = minimal_doc()
     doc["sim"].update(t_sim_s=1_000_000.0)
     doc["traffic"].update(n_vel=1_000_000)
@@ -160,6 +164,13 @@ def test_run_exits_2_on_a_step_count_past_float_range(tmp_path, capsys):
     sc = write_json(tmp_path / "scenario.json", doc)
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
     assert "steps" in capsys.readouterr().err
+
+
+def test_run_exits_2_on_more_events_than_the_cap(tmp_path, capsys):
+    doc = minimal_doc(events=[{"kind": "gathering", "node": 2}] * 10_001)
+    sc = write_json(tmp_path / "scenario.json", doc)
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+    assert "more than 10000" in capsys.readouterr().err
 
 
 # Each sets one number to an integer past float range, which json reads as

@@ -134,8 +134,11 @@ def test_degenerate_class_split():
 
 
 def check_step_invariants(eng, step):
-    """Conservation, queue bookkeeping, the capacity gate, and nothing
-    recorded for a vehicle that has not entered the network."""
+    """Conservation, queue bookkeeping, the capacity gate, nothing recorded
+    for a vehicle that has not entered the network, and the packed state:
+    the slots hold exactly the vehicles on links, each queue's positions do
+    not increase from head to tail (the head-only transfer relies on it), and
+    the waiting list holds the rest of the live vehicles in vid order."""
     vehicles = eng.vehicles
     assert len(vehicles) == eng._spawned
     counts = eng.link_counts.tolist()
@@ -156,7 +159,22 @@ def check_step_invariants(eng, step):
         else:
             assert on_link.get(veh.vid) == veh.link_idx
     assert waiting + len(on_link) + arrived == eng._spawned
-    assert eng._active == [v for v in vehicles if v.arrival_step is None]
+    n = eng._on
+    slot_vids = eng._vid[:n].tolist()
+    assert sorted(slot_vids) == sorted(on_link)
+    lengths = eng.net.lengths
+    for k, vid in enumerate(slot_vids):
+        veh = vehicles[vid - 1]
+        assert veh.slot == k
+        assert eng._link[k] == veh.link_idx
+        assert eng._cav[k] == (veh.klass == CAV)
+        assert 0.0 <= eng._pos[k] <= lengths[veh.link_idx]
+    assert all(veh.slot is None for veh in vehicles if veh.link_idx is None)
+    for q in eng.link_queues:
+        positions = [eng.position(veh) for veh in q]
+        assert positions == sorted(positions, reverse=True)
+    assert eng._waiting == [v for v in vehicles
+                            if v.link_idx is None and v.arrival_step is None]
 
 
 def test_conservation_and_capacity_every_step():
@@ -180,7 +198,7 @@ def test_conservation_and_capacity_every_step():
         steps_on_closed.update(veh.vid for veh in eng.link_queues[closed])
         end = eng.net.lengths[feeder] - sim._END_EPS
         for veh in eng.link_queues[feeder]:
-            if veh.pos_m >= end and veh.route.nodes[-1] != 3:
+            if eng.position(veh) >= end and veh.route.nodes[-1] != 3:
                 waited_at_end.add(veh.vid)  # its next link is the closed one
 
     eng = Engine(sc, on_step=on_step)
@@ -250,10 +268,80 @@ def test_engine_invariants_on_random_grids(data):
 
 class ReferenceEngine(Engine):
     """The engine step before planner rows were built on demand and patched,
-    no-path pairs remembered, RSU readings batched and bookkeeping limited to
-    closed links: fresh rows on every step, every live route offered to
-    replan_affected, one twin ingest per delivered RSU, every live vehicle
-    checked for encounters and blocking."""
+    no-path pairs remembered, RSU readings batched, bookkeeping limited to
+    closed links and vehicles packed into slots: fresh rows on every step,
+    every live route offered to replan_affected, one twin ingest per
+    delivered RSU, every live vehicle checked for encounters and blocking,
+    and movement one vehicle at a time with positions kept per vid."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._positions = {}  # vid -> metres along its link, while on one
+
+    def position(self, veh):
+        return self._positions[veh.vid]
+
+    def _live(self):
+        return [veh for veh in self.vehicles if veh.arrival_step is None]
+
+    def _move(self, step):
+        """Advance every vehicle on every occupied link, try a head transfer
+        on every occupied open link, then enter the routed vehicles still
+        outside the network in vid order."""
+        net = self.net
+        dt = self.dt
+        lengths = net.lengths.tolist()
+        capacity = self.link_capacity.tolist()
+        queues = self.link_queues
+        counts = self.link_counts
+        speeds = self.speeds.tolist()
+        closed = self.closed.tolist()
+        pos = self._positions
+        occupied = np.flatnonzero(counts).tolist()
+        for li in occupied:
+            v = speeds[li]
+            if v > 0.0:
+                length = lengths[li]
+                adv = v * dt
+                for veh in queues[li]:
+                    p = pos[veh.vid] + adv
+                    pos[veh.vid] = p if p < length else length
+        for li in occupied:
+            dq = queues[li]
+            if not dq or closed[li]:
+                continue
+            end = lengths[li] - sim._END_EPS
+            while dq and pos[dq[0].vid] >= end:
+                veh = dq[0]
+                route = veh.route
+                if route.cursor == len(route.nodes) - 1:
+                    dq.popleft()
+                    counts[li] -= 1
+                    veh.link_idx = None
+                    veh.arrival_step = step
+                    del pos[veh.vid]
+                    continue
+                nxt = net.link_index[
+                    (route.nodes[route.cursor], route.nodes[route.cursor + 1])]
+                if counts[nxt] + 1 > capacity[nxt] - sim._CAP_EPS:
+                    break
+                dq.popleft()
+                counts[li] -= 1
+                counts[nxt] += 1
+                route.cursor += 1
+                veh.link_idx = nxt
+                pos[veh.vid] = 0.0
+                queues[nxt].append(veh)
+        for veh in self._live():
+            if veh.link_idx is not None or veh.route is None:
+                continue
+            first = net.link_index[(veh.route.nodes[0], veh.route.nodes[1])]
+            if counts[first] + 1 > capacity[first] - sim._CAP_EPS:
+                continue
+            counts[first] += 1
+            veh.link_idx = first
+            pos[veh.vid] = 0.0
+            queues[first].append(veh)
 
     def _sense_and_ingest(self, step):
         now = step * self.dt
@@ -271,7 +359,7 @@ class ReferenceEngine(Engine):
                 self.truth_density[node_idx], now,
             )
         cav_ids, cav_links = [], []
-        for veh in self._active:
+        for veh in self.vehicles:
             if veh.klass != CAV or veh.link_idx is None:
                 continue
             if deliver(model.pdr_info, info_rng):
@@ -288,13 +376,9 @@ class ReferenceEngine(Engine):
         """Every live vehicle on every step: an encounter is occupying the
         event's link or any link into the event's node; blocked is standing
         on a closed link or at the end of a link whose next is closed."""
-        lengths = self._lengths
+        lengths = self.net.lengths.tolist()
         closed = self.closed.tolist()
-        live = []
-        for veh in self._active:
-            if veh.arrival_step is not None:
-                continue
-            live.append(veh)
+        for veh in self._live():
             li = veh.link_idx
             if li is None:
                 continue
@@ -302,14 +386,13 @@ class ReferenceEngine(Engine):
             veh.encountered.update(self._events_on_link.get(li, ()))
             veh.encountered.update(self._events_at_node.get(route.next_node, ()))
             blocked_now = closed[li]
-            at_end = veh.pos_m >= lengths[li] - sim._END_EPS
+            at_end = self.position(veh) >= lengths[li] - sim._END_EPS
             if not blocked_now and at_end and route.cursor < len(route.nodes) - 1:
                 nxt = self.net.link_index[
                     (route.nodes[route.cursor], route.nodes[route.cursor + 1])]
                 blocked_now = closed[nxt]
             if blocked_now:
                 veh.blocked = True
-        self._active = live
 
     def _plan(self, step):
         net = self.net
@@ -319,7 +402,7 @@ class ReferenceEngine(Engine):
         )
         inp = nav.PlanningInput(
             matrix=rows,
-            new_users={v.vid: (v.origin, v.destination) for v in self._active
+            new_users={v.vid: (v.origin, v.destination) for v in self._live()
                        if v.klass == CAV and v.link_idx is None},
         )
         fresh = nav.plan_new_users(inp)
@@ -334,7 +417,7 @@ class ReferenceEngine(Engine):
                 continue
             veh.route = route
             self._journal_route(step, veh, "new")
-        current = {v.vid: v.route for v in self._active
+        current = {v.vid: v.route for v in self._live()
                    if v.klass == CAV and v.link_idx is not None and v.route is not None}
         replanned = nav.replan_affected(inp, current)
         for vid in sorted(replanned.routes):
@@ -344,7 +427,7 @@ class ReferenceEngine(Engine):
                 continue
             v_now = self.speeds[veh.link_idx]
             if v_now > 0:
-                budget = (net.lengths[veh.link_idx] - veh.pos_m) / v_now
+                budget = (net.lengths[veh.link_idx] - self.position(veh)) / v_now
                 if t_svc > budget:
                     continue
             veh.route = nav.spliced_route(veh.route, replanned.routes[vid])
@@ -405,6 +488,21 @@ def lossy_grid_doc(**overrides):
 def test_engine_matches_reference_step_on_a_lossy_grid(tmp_path, seed):
     """Longer routes than the random grids give: a flag several links ahead."""
     sc = scenario_from_dict(lossy_grid_doc()).with_seed(seed)
+    assert run_outputs(Engine, sc, str(tmp_path)) == \
+        run_outputs(ReferenceEngine, sc, str(tmp_path))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_engine_matches_reference_step_on_a_jammed_grid(tmp_path, seed):
+    """Jam capacity of 2 to 4 vehicles a link: queues back up to link ends,
+    so events close links whose head waits at the end, which must then
+    release nobody until the event ends."""
+    doc = lossy_grid_doc(
+        network=generate_grid_network(rows=6, cols=6, n_links=160, seed=4,
+                                      k_max_veh_per_m=0.02),
+        traffic={"n_vel": 600, "p_user": 0.6},
+    )
+    sc = scenario_from_dict(doc).with_seed(seed)
     assert run_outputs(Engine, sc, str(tmp_path)) == \
         run_outputs(ReferenceEngine, sc, str(tmp_path))
 
@@ -478,7 +576,8 @@ def test_cut_off_pair_searched_again_only_after_the_blocked_set_changes(monkeypa
         changed = update(state, times)
         if changed:
             remembered.clear()
-        waits.extend(p for v in eng._active if v.klass == CAV and v.link_idx is None
+        waits.extend(p for v in eng.vehicles if v.klass == CAV and v.link_idx is None
+                     and v.arrival_step is None
                      and (p := (v.origin, v.destination)) in remembered)
         return changed
 
@@ -516,7 +615,7 @@ def test_replan_candidates_find_what_a_full_scan_finds(monkeypatch):
         times = nav.masked_journey_times(self.net, twin.link_volume,
                                          twin.event_nodes, twin.event_links)
         blocked = {self.net.pairs[i] for i in np.flatnonzero(np.isinf(times))}
-        expected = {v.vid for v in self._active
+        expected = {v.vid for v in self.vehicles
                     if v.klass == CAV and v.link_idx is not None
                     and not blocked.isdisjoint(v.route.remaining_links())}
         plan(self, step)
