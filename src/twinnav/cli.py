@@ -8,6 +8,7 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
@@ -21,7 +22,7 @@ from .comms import (
 )
 from .errors import ConfigError
 from .scenario import Scenario, load_scenario
-from .sim import MetricsSummary, run
+from .sim import MetricsSummary, journal_writer, run
 from .sweep import SweepSpec, run_sweep, sweep_csv
 
 log = logging.getLogger(__name__)
@@ -65,18 +66,15 @@ def cmd_run(args) -> int:
     scenario = _load(args.scenario, args.seed)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    metrics = run(
-        scenario,
-        single_v2c=args.svc_single_v2c,
-        twin_journal_path=(
-            os.path.join(out_dir, "twin_journal.jsonl") if args.twin_journal else None
-        ),
-        routes_journal_path=(
-            os.path.join(out_dir, "routes_journal.jsonl")
-            if args.routes_journal
-            else None
-        ),
-    )
+    with contextlib.ExitStack() as stack:
+        journals = [
+            stack.enter_context(
+                open(os.path.join(out_dir, name), "w", encoding="utf-8"))
+            if wanted else None
+            for wanted, name in ((args.twin_journal, "twin_journal.jsonl"),
+                                 (args.routes_journal, "routes_journal.jsonl"))]
+        on_step = journal_writer(*journals) if any(journals) else None
+        metrics = run(scenario, single_v2c=args.svc_single_v2c, on_step=on_step)
     csv_text = MetricsSummary.csv_header() + "\n" + metrics.csv_row() + "\n"
     _write(os.path.join(out_dir, "metrics.csv"), csv_text)
     print(csv_text, end="")

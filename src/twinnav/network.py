@@ -15,7 +15,9 @@ lengths decide, each filled on first use: the rows of link lengths and, per
 origin, the predecessor array of its shortest-distance tree, which also
 answers which nodes an origin reaches. Scenarios derived from one another
 share their network, and so these caches.
-A network has at most MAX_NODES nodes and MAX_LINKS links.
+A network has at most MAX_NODES nodes and MAX_LINKS links. A link is at most
+MAX_LENGTH_M long, its free-flow speed at most MAX_V_FREE_MPS, and its
+capacity k_max_veh_per_m * length_m at most scenario.MAX_VEHICLES.
 Node ids and link endpoints in network JSON must be JSON integers, and
 coordinates, lengths, speeds and jam densities finite JSON numbers (an integer
 or a float; not a boolean or a string).
@@ -45,6 +47,11 @@ END_TOLERANCE_M = 1e-9
 # work per link.
 MAX_NODES = 10_000
 MAX_LINKS = 100_000
+
+# Upper ranges of a link's length and free-flow speed, far above any
+# committed network's (~141 m and ~15 m/s at most).
+MAX_LENGTH_M = 1e6
+MAX_V_FREE_MPS = 1e3
 
 # Links whose journey speed falls at or below this floor behave as closed:
 # avoids division by ~0 and makes jammed links look like +inf to the planner.
@@ -139,6 +146,8 @@ class TrafficNetwork:
 
 
 def _validate_topology(nodes: list[Node], links: list[Link]) -> None:
+    from .scenario import MAX_VEHICLES  # scenario imports this module
+
     if not nodes:
         raise ConfigError("network has no nodes")
     ids = sorted(n.node_id for n in nodes)
@@ -162,15 +171,19 @@ def _validate_topology(nodes: list[Node], links: list[Link]) -> None:
         if l.pair in seen_pairs:
             raise ConfigError(f"{where}: duplicate link for this ordered pair")
         seen_pairs.add(l.pair)
-        # Chained comparisons are False for NaN: one test per value rejects
-        # NaN, infinite and non-positive numbers.
-        if not END_TOLERANCE_M < l.length_m < INF:
-            raise ConfigError(
-                f"{where}: length_m must be finite and > {END_TOLERANCE_M}")
-        if not 0 < l.v_free_mps < INF:
-            raise ConfigError(f"{where}: free-flow speed must be finite and > 0")
-        if not 0 < l.k_max_veh_per_m < INF:
-            raise ConfigError(f"{where}: k_max_veh_per_m must be finite and > 0")
+        # Comparisons are False for NaN: one test per value rejects NaN,
+        # infinite, non-positive and too large numbers.
+        if not END_TOLERANCE_M < l.length_m <= MAX_LENGTH_M:
+            raise ConfigError(f"{where}: length_m must be within "
+                              f"({END_TOLERANCE_M}, {MAX_LENGTH_M:g}]")
+        if not 0 < l.v_free_mps <= MAX_V_FREE_MPS:
+            raise ConfigError(f"{where}: free-flow speed must be within "
+                              f"(0, {MAX_V_FREE_MPS:g}] m/s")
+        # length_m > 0 here, so this rejects k_max <= 0 and NaN too. A
+        # capacity past the vehicle cap gates nothing, or overflows to +inf.
+        if not 0 < l.k_max_veh_per_m * l.length_m <= MAX_VEHICLES:
+            raise ConfigError(f"{where}: the capacity k_max_veh_per_m * length_m "
+                              f"must be within (0, {MAX_VEHICLES}]")
 
 
 def traffic_density(volume: float, length_m: float) -> float:

@@ -46,6 +46,9 @@ routes, so runs on one network (a sweep) search each origin once. RSU
 coverage is decided once per engine, by `Scenario.rsu_coverage`. A step still
 does O(links) work in numpy (link speeds, masked journey times, the head and
 closed-link scans).
+
+The engine writes no files: observers read it through `on_step` after each
+step's bookkeeping (see `Engine`), and `journal_writer` writes the journals.
 """
 
 from __future__ import annotations
@@ -174,23 +177,24 @@ def shortest_distance_route(
 
 
 class Engine:
+    """One run of a scenario. The engine writes no files: observers read it
+    through `on_step(engine, step)`, which runs after each step's
+    bookkeeping. `applied_routes` holds that step's routes as (vehicle,
+    "new" | "replan") in the order they were applied: new users first, then
+    re-plans, each in vid order."""
+
     def __init__(
         self,
         scenario: Scenario,
         *,
         single_v2c: bool = False,
-        twin_journal_path: str | None = None,
-        routes_journal_path: str | None = None,
         on_step=None,
     ):
         self.scenario = scenario
         self.seed = scenario.sim.seed
         self.single_v2c = single_v2c
         self.on_step = on_step
-        self._twin_journal_path = twin_journal_path
-        self._routes_journal_path = routes_journal_path
-        self._twin_fh = None
-        self._routes_fh = None
+        self.applied_routes: list[tuple[Vehicle, str]] = []
 
         net = scenario.network
         self.net = net
@@ -601,61 +605,28 @@ class Engine:
                     if cursor < len(nodes) - 1 and nodes[cursor + 1] == to:
                         veh.blocked = True
 
-    # ---------------------------------------------------------------- journals
-
     def _journal_route(self, step: int, veh: Vehicle, reason: str) -> None:
-        if self._routes_fh is not None:
-            self._routes_fh.write(
-                json.dumps(
-                    {
-                        "step": step,
-                        "vehicle": veh.vid,
-                        "route": list(veh.route.nodes),
-                        "reason": reason,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-
-    def _journal_twin(self, step: int) -> None:
-        if self._twin_fh is not None:
-            doc = {"step": step, "time_s": step * self.dt}
-            doc.update(self.twin.snapshot_dict())
-            self._twin_fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        """Record a route applied this step, once per route."""
+        self.applied_routes.append((veh, reason))
 
     # --------------------------------------------------------------------- run
 
     def run(self) -> MetricsSummary:
-        self._twin_fh = (
-            open(self._twin_journal_path, "w", encoding="utf-8")
-            if self._twin_journal_path
-            else None
-        )
-        self._routes_fh = (
-            open(self._routes_journal_path, "w", encoding="utf-8")
-            if self._routes_journal_path
-            else None
-        )
-        try:
-            for step in range(self.n_steps):
-                self.step = step
-                self._spawn(step)
-                self._update_events(step)
-                self._compute_speeds()
-                self._sense_and_ingest(step)
-                self._detect(step)
-                self._plan(step)
-                self._move(step)
-                self._bookkeep(step)
-                self._journal_twin(step)
-                if self.on_step is not None:
-                    self.on_step(self, step)
-        finally:
-            if self._twin_fh is not None:
-                self._twin_fh.close()
-            if self._routes_fh is not None:
-                self._routes_fh.close()
+        """Run every step and return the metrics. `on_step`, if given,
+        observes the engine after each step's bookkeeping."""
+        for step in range(self.n_steps):
+            self.step = step
+            self.applied_routes = []
+            self._spawn(step)
+            self._update_events(step)
+            self._compute_speeds()
+            self._sense_and_ingest(step)
+            self._detect(step)
+            self._plan(step)
+            self._move(step)
+            self._bookkeep(step)
+            if self.on_step is not None:
+                self.on_step(self, step)
         return self.metrics()
 
     def metrics(self) -> MetricsSummary:
@@ -697,15 +668,31 @@ def run(
     scenario: Scenario,
     *,
     single_v2c: bool = False,
-    twin_journal_path: str | None = None,
-    routes_journal_path: str | None = None,
     on_step=None,
 ) -> MetricsSummary:
-    """Run one simulation to completion and return its metrics."""
-    return Engine(
-        scenario,
-        single_v2c=single_v2c,
-        twin_journal_path=twin_journal_path,
-        routes_journal_path=routes_journal_path,
-        on_step=on_step,
-    ).run()
+    """Run one simulation to completion and return its metrics. The engine
+    writes no files: `on_step(engine, step)`, if given, observes it after
+    each step's bookkeeping and may read that step's routes off
+    `Engine.applied_routes`. `journal_writer` builds one that writes the
+    journals."""
+    return Engine(scenario, single_v2c=single_v2c, on_step=on_step).run()
+
+
+def journal_writer(twin_fh=None, routes_fh=None):
+    """An `on_step` that writes one twin snapshot per step to `twin_fh` and
+    each route applied that step to `routes_fh`, one JSON object a line.
+    Either file may be None, and then that journal is not written."""
+
+    def on_step(eng: Engine, step: int) -> None:
+        if twin_fh is not None:
+            doc = {"step": step, "time_s": step * eng.dt}
+            doc.update(eng.twin.snapshot_dict())
+            twin_fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        if routes_fh is not None:
+            for veh, reason in eng.applied_routes:
+                routes_fh.write(json.dumps(
+                    {"step": step, "vehicle": veh.vid,
+                     "route": list(veh.route.nodes), "reason": reason},
+                    separators=(",", ":")) + "\n")
+
+    return on_step

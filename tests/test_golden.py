@@ -82,14 +82,19 @@ def criterion7_doc():
     }
 
 
-def journal_digests(tmp_path, doc):
-    scenario = write_json(tmp_path / "scenario.json", doc)
+def journal_digests(tmp_path, name):
+    """The SHA-256 of both journals of the GRID_DOCS[name] run. Observers
+    change no output: its metrics.csv equals the golden of the run without
+    journals."""
+    scenario = write_json(tmp_path / "scenario.json", GRID_DOCS[name]())
     out = tmp_path / "out"
     assert main(["run", "--scenario", scenario, "--out", str(out),
                  "--twin-journal", "--routes-journal"]) == 0
+    with open(os.path.join(DATA, f"{name}_metrics.csv"), "rb") as fh:
+        assert (out / "metrics.csv").read_bytes() == fh.read()
     return {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("twin_journal.jsonl", "routes_journal.jsonl")
+        journal: hashlib.sha256((out / journal).read_bytes()).hexdigest()
+        for journal in ("twin_journal.jsonl", "routes_journal.jsonl")
     }
 
 
@@ -99,13 +104,11 @@ def golden_digests(name):
 
 
 def test_journals_match_golden_digests(tmp_path, capsys):
-    assert journal_digests(tmp_path, grid_with_events_doc()) == \
-        golden_digests("grid_events")
+    assert journal_digests(tmp_path, "grid_events") == golden_digests("grid_events")
 
 
 def test_multi_rsu_journals_match_golden_digests(tmp_path, capsys):
-    assert journal_digests(tmp_path, grid_with_rsus_doc()) == \
-        golden_digests("grid_rsus")
+    assert journal_digests(tmp_path, "grid_rsus") == golden_digests("grid_rsus")
 
 
 def test_criterion7_sweep_csv_matches_golden(tmp_path, capsys):

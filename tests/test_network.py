@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 
 import numpy as np
@@ -24,6 +25,9 @@ from twinnav.network import (
 )
 
 from conftest import diamond_doc, link, write_json
+
+DEMO_NETWORK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "scenarios", "demo_network.json")
 
 
 def test_traffic_density():
@@ -217,6 +221,58 @@ def test_run_exits_2_on_non_finite_network_number(tmp_path, capsys, case):
         "traffic": {"n_vel": 5, "p_user": 0.5},
     })
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+
+
+# Each sets one number of link 1->2 (100 m) past its documented range: the
+# capacity k_max_veh_per_m * length_m at most 1e6 vehicles (the scenario's
+# vehicle cap), length_m at most 1e6 m, v_free_mps at most 1e3 m/s. Every
+# value is finite, so only the ranges reject them.
+PAST_RANGE = {
+    "k_max overflowing the capacity": lambda d: d["links"][0].update(
+        k_max_veh_per_m=1e308),
+    "capacity just past the vehicle cap": lambda d: d["links"][0].update(
+        k_max_veh_per_m=10_000.5),
+    "length_m 1e308": lambda d: d["links"][0].update(length_m=1e308),
+    "length_m just past 1e6": lambda d: d["links"][0].update(
+        length_m=1_000_000.5, k_max_veh_per_m=1e-3),
+    "v_free_mps 1e308": lambda d: d["links"][0].update(v_free_mps=1e308),
+    "v_free_mps just past 1e3": lambda d: d["links"][0].update(v_free_mps=1000.5),
+    "v_free_kmh past 3600": lambda d: d["links"].__setitem__(0, {
+        "from": 1, "to": 2, "length_m": 100.0, "v_free_kmh": 3602.0,
+        "k_max_veh_per_m": 0.2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_RANGE))
+def test_loader_rejects_a_link_number_past_its_range(case):
+    doc = diamond_doc()
+    PAST_RANGE[case](doc)
+    with pytest.raises(ConfigError, match=r"links\[0\] \(1->2\)"):
+        network_from_dict(doc)
+
+
+def test_loader_admits_link_numbers_at_their_range_limits():
+    doc = diamond_doc()
+    doc["links"][0].update(length_m=1e6, k_max_veh_per_m=1.0, v_free_mps=1e3)
+    doc["links"][1].update(k_max_veh_per_m=10_000.0)  # 100 m: 1e6 vehicles
+    net = network_from_dict(doc)
+    assert (net.k_max * net.lengths)[:2].tolist() == [1e6, 1e6]
+
+
+@pytest.mark.parametrize("case", sorted(PAST_RANGE))
+def test_run_exits_2_on_a_link_number_past_its_range(tmp_path, capsys, case):
+    with open(DEMO_NETWORK, encoding="utf-8") as fh:
+        net = json.load(fh)
+    assert net["links"][0]["from"] == 1 and net["links"][0]["to"] == 2
+    PAST_RANGE[case](net)
+    write_json(tmp_path / "net.json", net)
+    sc = write_json(tmp_path / "scenario.json", {
+        "network_file": "net.json",
+        "sim": {"dt_s": 1.0, "t_sim_s": 60.0, "seed": 3},
+        "traffic": {"n_vel": 5, "p_user": 0.5},
+    })
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+    assert "links[0] (1->2)" in capsys.readouterr().err
 
 
 def sized_network_doc(n_nodes, n_links):

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -424,3 +426,84 @@ def test_sweep_helpers():
     no_random = scenario_from_dict(minimal_doc())
     with pytest.raises(ConfigError):
         no_random.with_event_count(3)
+
+
+# ------------------------------------------------- mutated demo documents
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "scenarios")
+
+
+def inlined_demo_doc():
+    """scenarios/demo.json with its network document inlined."""
+    with open(os.path.join(SCENARIOS, "demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(os.path.join(SCENARIOS, doc.pop("network_file")), encoding="utf-8") as fh:
+        doc["network"] = json.load(fh)
+    return doc
+
+
+def document_paths(value, path=()):
+    """(path, is_leaf) for every value below `value`, as key and index paths."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,), not isinstance(child, (dict, list))
+        yield from document_paths(child, path + (key,))
+
+
+DEMO_DOC = inlined_demo_doc()
+# Every path, split into the network document's and the rest's, so that the
+# scenario blocks are mutated as often as the much larger network.
+DEMO_PATHS = {
+    part: [(p, leaf) for p, leaf in document_paths(DEMO_DOC)
+           if (p[0] == "network") == (part == "network")]
+    for part in ("scenario", "network")
+}
+JSON_VALUES = (0, -1, 1, 2, 0.5, -0.5, 1.5, 1e-9, 1e308, -1e308, 10**400, 2**63,
+               True, False, None, "x", [], {})
+
+
+@st.composite
+def mutated_demo_docs(draw):
+    """The inlined demo document with one mutation: a leaf replaced by one of
+    JSON_VALUES, a key or list item deleted, or a value wrapped in a list."""
+    doc = copy.deepcopy(DEMO_DOC)
+    paths = DEMO_PATHS[draw(st.sampled_from(sorted(DEMO_PATHS)))]
+    op = draw(st.sampled_from(["replace", "delete", "wrap"]))
+    path, _ = draw(st.sampled_from([p for p in paths if p[1] or op != "replace"]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "replace":
+        parent[key] = draw(st.sampled_from(JSON_VALUES))
+    elif op == "delete":
+        del parent[key]
+    else:
+        parent[key] = [parent[key]]
+    return doc
+
+
+class StopRun(Exception):
+    """Ends a run from its observer."""
+
+
+def stop_after_20_steps(eng, step):
+    if step == 19:
+        raise StopRun
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_demo_docs())
+def test_a_mutated_demo_document_is_rejected_or_runs(doc):
+    """Bad input fails at load with ConfigError, or during the run with
+    ConfigError; no other exception and no numpy warning."""
+    try:
+        sc = scenario_from_dict(doc, source="demo")
+    except ConfigError:
+        return
+    try:
+        Engine(sc, on_step=stop_after_20_steps).run()
+    except (ConfigError, StopRun):
+        pass

@@ -1,7 +1,6 @@
+import io
 import math
-import os
 import random
-import tempfile
 from collections import Counter
 
 import numpy as np
@@ -434,22 +433,18 @@ class ReferenceEngine(Engine):
             self._journal_route(step, veh, "replan")
 
 
-def run_outputs(engine_cls, scenario, directory):
+def run_outputs(engine_cls, scenario):
     """Everything a run leaves that the step phases decide: the metrics row,
     both journals, the twin's final arrays and source stamps, and each
     vehicle's encounters and blocking (which the row's rounding could hide)."""
-    twin_path = os.path.join(directory, f"{engine_cls.__name__}_twin.jsonl")
-    routes_path = os.path.join(directory, f"{engine_cls.__name__}_routes.jsonl")
-    eng = engine_cls(scenario, twin_journal_path=twin_path,
-                     routes_journal_path=routes_path)
+    twin_journal, routes_journal = io.StringIO(), io.StringIO()
+    eng = engine_cls(scenario,
+                     on_step=sim.journal_writer(twin_journal, routes_journal))
     row = eng.run().csv_row()
-    with open(twin_path, "rb") as fh:
-        twin_journal = fh.read()
-    with open(routes_path, "rb") as fh:
-        routes_journal = fh.read()
     twin = eng.twin
     per_vehicle = [(v.vid, sorted(v.encountered), v.blocked) for v in eng.vehicles]
-    return (row, twin_journal, routes_journal, twin.link_volume.tobytes(),
+    return (row, twin_journal.getvalue(), routes_journal.getvalue(),
+            twin.link_volume.tobytes(),
             twin.low_speed_since.tobytes(), twin.last_update, per_vehicle)
 
 
@@ -463,8 +458,7 @@ def test_engine_matches_reference_step(data):
     sc = draw_grid_scenario(data, rsu_count=st.integers(2, 3),
                             radius_m=st.floats(150.0, 400.0),
                             pdr_ssms=st.floats(0.5, 1.0))
-    with tempfile.TemporaryDirectory() as tmp:
-        assert run_outputs(Engine, sc, tmp) == run_outputs(ReferenceEngine, sc, tmp)
+    assert run_outputs(Engine, sc) == run_outputs(ReferenceEngine, sc)
 
 
 # ------------------------------------------------- caches and per-step counts
@@ -485,15 +479,14 @@ def lossy_grid_doc(**overrides):
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
-def test_engine_matches_reference_step_on_a_lossy_grid(tmp_path, seed):
+def test_engine_matches_reference_step_on_a_lossy_grid(seed):
     """Longer routes than the random grids give: a flag several links ahead."""
     sc = scenario_from_dict(lossy_grid_doc()).with_seed(seed)
-    assert run_outputs(Engine, sc, str(tmp_path)) == \
-        run_outputs(ReferenceEngine, sc, str(tmp_path))
+    assert run_outputs(Engine, sc) == run_outputs(ReferenceEngine, sc)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_engine_matches_reference_step_on_a_jammed_grid(tmp_path, seed):
+def test_engine_matches_reference_step_on_a_jammed_grid(seed):
     """Jam capacity of 2 to 4 vehicles a link: queues back up to link ends,
     so events close links whose head waits at the end, which must then
     release nobody until the event ends."""
@@ -503,20 +496,16 @@ def test_engine_matches_reference_step_on_a_jammed_grid(tmp_path, seed):
         traffic={"n_vel": 600, "p_user": 0.6},
     )
     sc = scenario_from_dict(doc).with_seed(seed)
-    assert run_outputs(Engine, sc, str(tmp_path)) == \
-        run_outputs(ReferenceEngine, sc, str(tmp_path))
+    assert run_outputs(Engine, sc) == run_outputs(ReferenceEngine, sc)
 
 
-def test_cache_warm_network_runs_like_a_fresh_one(tmp_path):
+def test_cache_warm_network_runs_like_a_fresh_one():
     warm = scenario_from_dict(lossy_grid_doc())
     run(warm)  # fills the network's static-route cache
     assert warm.network._static_preds
     fresh = scenario_from_dict(lossy_grid_doc())
     assert not fresh.network._static_preds
-    (tmp_path / "warm").mkdir()
-    (tmp_path / "fresh").mkdir()
-    assert run_outputs(Engine, warm, str(tmp_path / "warm")) == \
-        run_outputs(Engine, fresh, str(tmp_path / "fresh"))
+    assert run_outputs(Engine, warm) == run_outputs(Engine, fresh)
 
 
 def test_second_run_on_a_network_searches_no_static_tree(monkeypatch):
