@@ -29,19 +29,32 @@ every reading of a repeated link or node is checked, and the last counts),
 `links` and `nodes`, when given, JSON arrays; anything else answers
 `bad_request` and leaves the twin unchanged.
 
-Sensor updates feed a live twin through `twin.ingest_readings`; a source
-covers exactly what it reports. The service clock follows the largest
+Sensor updates feed a live twin; a source covers exactly what it reports.
+An update is read in one pass over its readings that tests each value's JSON
+type inline, resolves each (from, to) pair to a link index and builds the
+reading columns; `twin.ingest_readings` then range-checks the columns with
+numpy, every reading of a repeated link or node included, and writes them
+with one `ingest_arrays` call. The service clock follows the largest
 `time_s` seen; an update without `time_s` is taken one step after the clock,
 and one whose `time_s` is older than the clock is taken at the clock. Each
-update re-runs event detection against the twin's own thresholds and clears
-every flag whose latest reading no longer meets its criterion (the service
-has no scheduled causes). Route requests plan over event-masked journey-time
-rows of the twin's current volumes and flags; the rows' keys are the graph.
+update then runs event detection against the twin's own thresholds, which
+judges only the nodes written since the last detection and the slow runs
+that came due on the twin's run heap, so an update costs what it carries,
+not what the network holds. It clears every flag whose latest reading no
+longer meets its criterion (the service has no scheduled causes).
+
+Route requests plan over event-masked journey-time rows of the twin's
+current volumes and flags; the rows' keys are the graph.
 The state keeps one `nav.PlannerState` under its lock, so a request patches
 only the links whose journey time changed since the last request, and a pair
 found to have no path answers unreachable without a search until the set of
 +inf links changes. A request whose position is its destination answers
 `degenerate_request`.
+
+At most MAX_CONNECTIONS connections are served at once; one more is answered
+{"type": "error", "code": "busy"} and closed. A connection whose client sends
+no line (or takes no reply) for IDLE_TIMEOUT_S seconds is closed, and its
+handler thread ends.
 """
 
 from __future__ import annotations
@@ -67,6 +80,17 @@ log = logging.getLogger(__name__)
 # Longest line read, newline included. A sensor update of a large RSU (about
 # 100 links) is ~10 KB.
 MAX_LINE_BYTES = 1 << 20
+
+# Connections served at once. One past the limit is answered with one
+# {"type": "error", "code": "busy"} line and closed.
+MAX_CONNECTIONS = 64
+
+# Seconds a connection may wait for its client's next line (or for the client
+# to take a reply) before it is closed.
+IDLE_TIMEOUT_S = 300.0
+
+# The JSON number types; a boolean is an int subclass but not a number here.
+_NUMBER = frozenset((int, float))
 
 
 class ServiceError(Exception):
@@ -110,26 +134,54 @@ class ServiceState:
         node_items = msg.get("nodes", [])
         if not isinstance(link_items, list) or not isinstance(node_items, list):
             raise ServiceError("bad_request", "links and nodes must be JSON arrays")
-        # ((from, to), (volume, speed_mps, occupied)) in arrival order; the
-        # twin checks every reading and keeps a repeated link's last.
-        links: list[tuple[tuple[int, int], tuple[float, float, bool]]] = []
+        # One pass builds the reading columns, testing each value's JSON type
+        # inline; the twin range-checks every reading and keeps a repeated
+        # link's last.
+        link_index = self.net.link_index
+        link_idx: list[int] = []
+        volumes: list = []
+        speeds: list = []
+        occupied: list[bool] = []
         for item in link_items:
             try:
-                pair = (json_int(item["from"]), json_int(item["to"]))
-                occupied = item["occupied"]
-                if occupied is not True and occupied is not False:
-                    raise ValueError(f"occupied must be true or false, got {occupied!r}")
-                links.append((pair, (json_number(item["volume"]),
-                                     json_number(item["speed_mps"]), occupied)))
-            except (KeyError, TypeError, ValueError) as exc:
+                pair = (item["from"], item["to"])
+                volume = item["volume"]
+                speed = item["speed_mps"]
+                occ = item["occupied"]
+            except (KeyError, TypeError) as exc:
                 raise ServiceError("bad_request", "link readings need from, to, volume, "
-                                   f"speed_mps, occupied ({exc})")
-        nodes: list[tuple[int, float]] = []
+                                   f"speed_mps, occupied ({exc!r})")
+            if type(pair[0]) is not int or type(pair[1]) is not int:
+                raise ServiceError("bad_request", f"link from and to must be integers, "
+                                   f"got {pair}")
+            if type(volume) not in _NUMBER or type(speed) not in _NUMBER:
+                raise ServiceError("bad_request", "volume and speed_mps must be JSON "
+                                   f"numbers, got {volume!r} and {speed!r}")
+            if occ is not True and occ is not False:
+                raise ServiceError("bad_request",
+                                   f"occupied must be true or false, got {occ!r}")
+            idx = link_index.get(pair)
+            if idx is None:
+                raise ServiceError("bad_request",
+                                   f"observation references unknown link {pair}")
+            link_idx.append(idx)
+            volumes.append(volume)
+            speeds.append(speed)
+            occupied.append(occ)
+        node_ids: list[int] = []
+        densities: list = []
         for item in node_items:
             try:
-                nodes.append((json_int(item["id"]), json_number(item["density"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ServiceError("bad_request", f"node readings need id and density ({exc})")
+                node = item["id"]
+                density = item["density"]
+            except (KeyError, TypeError) as exc:
+                raise ServiceError("bad_request",
+                                   f"node readings need id and density ({exc!r})")
+            if type(node) is not int or type(density) not in _NUMBER:
+                raise ServiceError("bad_request", "a node id must be an integer and its "
+                                   f"density a JSON number, got {node!r} and {density!r}")
+            node_ids.append(node)
+            densities.append(density)
 
         with self.lock:
             # A reading older than the clock is taken at the clock, so no slow
@@ -139,7 +191,9 @@ class ServiceState:
             else:
                 now = max(self.clock_s, time_s)
             try:
-                link_idx = ingest_readings(self.twin, (kind, [source_id]), links, nodes, now)
+                written = ingest_readings(self.twin, (kind, [source_id]), link_idx,
+                                           volumes, speeds, occupied, node_ids,
+                                           densities, now)
             except ContractError as exc:
                 raise ServiceError("bad_request", str(exc))
             self.clock_s = now
@@ -148,7 +202,7 @@ class ServiceState:
             # No scheduled causes here, so any flag may clear on recovery
             # evidence. Only what this update read can have recovered: every
             # other flag already failed the test after its last reading.
-            clear_resolved_events(self.twin, (n for n, _ in nodes), link_idx)
+            clear_resolved_events(self.twin, node_ids, written)
 
     def plan_route(self, msg: dict) -> dict:
         try:
@@ -188,17 +242,28 @@ class ServiceState:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    def setup(self):
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
+
     def handle(self):
+        try:
+            self._serve_lines()
+        except TimeoutError:
+            log.info("closing a connection idle for %s s", self.timeout)
+
+    def _serve_lines(self):
         state: ServiceState = self.server.state
         while True:
             raw = self.rfile.readline(MAX_LINE_BYTES + 1)
             if not raw:
                 break
+            too_long = len(raw) > MAX_LINE_BYTES
+            while too_long and raw and not raw.endswith(b"\n"):  # discard the rest
+                raw = self.rfile.readline(MAX_LINE_BYTES + 1)
             reply = None
             try:
-                if len(raw) > MAX_LINE_BYTES:
-                    while raw and not raw.endswith(b"\n"):  # discard the rest
-                        raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+                if too_long:
                     raise ServiceError(
                         "line_too_long", f"lines are limited to {MAX_LINE_BYTES} bytes"
                     )
@@ -224,10 +289,12 @@ class _Handler(socketserver.StreamRequestHandler):
                 log.exception("internal error handling message")
                 reply = {"type": "error", "code": "internal", "detail": str(exc)}
             if reply is not None:
-                self.wfile.write(
-                    (json.dumps(reply, separators=(",", ":")) + "\n").encode("utf-8")
-                )
+                self.wfile.write(_reply_line(reply))
                 self.wfile.flush()
+
+
+def _reply_line(reply: dict) -> bytes:
+    return (json.dumps(reply, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 class RouteService(socketserver.ThreadingTCPServer):
@@ -237,6 +304,39 @@ class RouteService(socketserver.ThreadingTCPServer):
     def __init__(self, scenario: Scenario, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _Handler)
         self.state = ServiceState(scenario)
+        self.open_connections = 0  # handler threads not yet ended
+        self._count_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._count_lock:
+            admitted = self.open_connections < MAX_CONNECTIONS
+            if admitted:
+                self.open_connections += 1
+        if not admitted:
+            try:
+                request.sendall(_reply_line({
+                    "type": "error", "code": "busy",
+                    "detail": f"the service serves at most {MAX_CONNECTIONS} "
+                              "connections at once"}))
+            except OSError:
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._release()
+
+    def _release(self):
+        with self._count_lock:
+            self.open_connections -= 1
 
     @property
     def port(self) -> int:

@@ -1,6 +1,7 @@
 """End-to-end acceptance checks. Run with `pytest tests/test_acceptance.py -v -s`
 to see one pass/fail line per criterion. The trend criteria (6) replay two full
-sweeps on a generated 90-node network and take a few minutes on one core.
+sweeps on a generated 90-node network and take a few minutes on one core; they
+are marked `slow`, so `pytest -m "not slow"` leaves them out.
 """
 
 import contextlib
@@ -235,6 +236,7 @@ def slope(xs, ys):
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+@pytest.mark.slow
 def test_c6_efficiency_and_safety_trends(trend_sweeps):
     with criterion(6, "efficiency and safety trends"):
         p_rows, e_rows, t_single, t_sweeps = trend_sweeps

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinnav import nav, service
-from twinnav.errors import ContractError, json_number
+from twinnav.errors import ContractError
 from twinnav.service import RouteService, ServiceError, ServiceState
 from twinnav.twin import (
     TwinState,
@@ -23,13 +23,19 @@ from conftest import diamond_doc, make_scenario
 
 @pytest.fixture
 def server():
+    srv = start_service()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+def start_service():
+    """A route service on the diamond, serving from a thread of its own."""
     sc = make_scenario(diamond_doc(), traffic={"n_vel": 0, "p_user": 0.0})
     srv = RouteService(sc, port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
+    return srv
 
 
 class Client:
@@ -52,6 +58,7 @@ class Client:
         return self.recv()
 
     def close(self):
+        self.file.close()
         self.sock.close()
 
 
@@ -155,6 +162,61 @@ def test_over_long_line_answers_one_error_and_keeps_connection(server):
     c.send_raw(at_cap)
     assert c.recv()["vehicle"] == "y" * pad
     c.close()
+
+
+ROUTE = {"type": "route_request", "vehicle": "x", "position": 1, "destination": 4}
+
+
+def handler_threads():
+    return {t for t in threading.enumerate() if "process_request_thread" in t.name}
+
+
+def test_a_connection_past_the_limit_is_answered_busy_and_closed(monkeypatch):
+    monkeypatch.setattr(service, "MAX_CONNECTIONS", 1)
+    srv = start_service()
+    try:
+        before = handler_threads()
+        first = Client(srv.port)
+        assert first.request(ROUTE)["type"] == "route_response"
+        handlers = handler_threads() - before
+        assert len(handlers) == 1 and srv.open_connections == 1
+        second = Client(srv.port)
+        assert second.recv()["code"] == "busy"
+        assert second.file.readline() == b""  # closed by the server
+        second.close()
+        assert handler_threads() - before == handlers  # no thread for the second
+        first.close()
+        for t in handlers:
+            t.join(timeout=5)
+            assert not t.is_alive()
+        assert srv.open_connections == 0
+        third = Client(srv.port)  # the freed place is served
+        assert third.request(ROUTE)["type"] == "route_response"
+        third.close()
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+def test_an_idle_connection_is_closed(monkeypatch):
+    monkeypatch.setattr(service, "IDLE_TIMEOUT_S", 0.2)
+    srv = start_service()
+    try:
+        before = handler_threads()
+        c = Client(srv.port)
+        assert c.request(ROUTE)["type"] == "route_response"
+        handlers = handler_threads() - before
+        c.file.write(b'{"type": "route_req')  # no newline ever follows
+        c.file.flush()
+        assert c.file.readline() == b""  # closed by the server
+        c.close()
+        for t in handlers:
+            t.join(timeout=5)
+            assert not t.is_alive()
+        assert srv.open_connections == 0
+    finally:
+        srv.shutdown()
+        srv.server_close()
 
 
 def test_unknown_type(server):
@@ -507,21 +569,21 @@ def reading_streams(draw):
 
 
 def ingest_directly(twin, clock, msg):
-    """The service's handling of `msg`: every reading's numbers read by the
-    JSON number rule, then ingest_readings on every reading in arrival order
-    plus detection and clearing of what the update read. Returns the new
-    clock."""
-    links = [((r["from"], r["to"]), (json_number(r["volume"]), json_number(r["speed_mps"]),
-                                     r["occupied"]))
-             for r in msg["links"]]
-    nodes = [(n["id"], json_number(n["density"])) for n in msg["nodes"]]
+    """The service's handling of `msg`: every reading's pair resolved to a
+    link index (-1 when the network has no such link), then ingest_readings
+    on the columns of every reading in arrival order plus detection and
+    clearing of what the update read. Returns the new clock."""
+    links = msg["links"]
+    link_idx = [twin.net.link_index.get((r["from"], r["to"]), -1) for r in links]
+    nodes = [n["id"] for n in msg["nodes"]]
     now = max(clock, msg["time_s"])
-    ingest_readings(twin, (msg["source"]["kind"], [msg["source"]["id"]]), links, nodes,
-                    now)
+    ingest_readings(twin, (msg["source"]["kind"], [msg["source"]["id"]]), link_idx,
+                    [r["volume"] for r in links], [r["speed_mps"] for r in links],
+                    [r["occupied"] for r in links], nodes,
+                    [n["density"] for n in msg["nodes"]], now)
     detect_pedestrian_gathering(twin)
     detect_accident(twin, now)
-    clear_resolved_events(twin, {n for n, _ in nodes},
-                          {twin.net.link_index[p] for p, _ in links})
+    clear_resolved_events(twin, set(nodes), set(link_idx))
     return now
 
 
@@ -548,7 +610,7 @@ def test_service_update_and_ingest_readings_share_one_law(stream):
         try:
             clock = ingest_directly(twin, clock, msg)
             direct_ok = True
-        except (ContractError, ValueError):  # ValueError: a non-finite number
+        except ContractError:
             direct_ok = False
         assert service_ok == direct_ok, msg
         if not service_ok:

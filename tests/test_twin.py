@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinnav.errors import ContractError
 from twinnav.twin import (
@@ -27,11 +28,21 @@ RSU = ("rsu", [0])
 
 def read_link(state, pair, volume, now, speed=5.0, occupied=None, source=RSU):
     occ = occupied if occupied is not None else volume > 0
-    ingest_readings(state, source, [(pair, (volume, speed, occ))], [], now)
+    ingest_readings(state, source, [state.net.link_index[pair]], [volume], [speed], [occ],
+                    [], [], now)
 
 
 def read_node(state, node, density, now):
-    ingest_readings(state, RSU, [], [(node, density)], now)
+    ingest_readings(state, RSU, [], [], [], [], [node], [density], now)
+
+
+def ingest_pairs(state, links, nodes, now):
+    """ingest_readings on ((from, to), (volume, speed, occupied)) and
+    (node, density) readings."""
+    idx = [state.net.link_index.get(pair, -1) for pair, _ in links]
+    vol, speed, occ = zip(*(r for _, r in links)) if links else ((), (), ())
+    return ingest_readings(state, RSU, idx, vol, speed, occ, [n for n, _ in nodes],
+                           [d for _, d in nodes], now)
 
 
 def test_ingest_overwrites_when_delivered(net):
@@ -51,14 +62,17 @@ def test_ingest_last_writer_wins(net):
 def test_ingest_readings_checks_superseded_readings_and_keeps_the_last(net):
     state = TwinState(net, TH)
     for links, nodes in (([((1, 2), (-1.0, 5.0, True)), ((1, 2), (3.0, 5.0, True))], []),
-                         ([], [(3, float("nan")), (3, 0.2)])):
+                         ([], [(3, float("nan")), (3, 0.2)]),
+                         ([((1, 2), (10**400, 5.0, True))], []),
+                         ([((4, 1), (1.0, 5.0, True))], []),
+                         ([], [(5, 0.2)]), ([], [(10**400, 0.2)])):
         with pytest.raises(ContractError):
-            ingest_readings(state, RSU, links, nodes, 1.0)
+            ingest_pairs(state, links, nodes, 1.0)
     assert not state.link_volume.any() and not state.node_observed.any()
     assert not state.last_update
-    written = ingest_readings(
-        state, RSU, [((1, 2), (1.0, 5.0, True)), ((2, 4), (2.0, 5.0, True)),
-                     ((1, 2), (3.0, 5.0, True))], [(3, 0.2), (3, 0.1)], 1.0)
+    written = ingest_pairs(
+        state, [((1, 2), (1.0, 5.0, True)), ((2, 4), (2.0, 5.0, True)),
+                ((1, 2), (3.0, 5.0, True))], [(3, 0.2), (3, 0.1)], 1.0)
     assert written == [net.link_index[(1, 2)], net.link_index[(2, 4)]]
     assert state.link_volume[net.link_index[(1, 2)]] == 3
     assert state.node_density[3] == 0.1
@@ -192,3 +206,86 @@ def test_thresholds_validate():
         EventThresholds(speed_threshold=-1.0)
     with pytest.raises(ContractError):
         EventThresholds(accident_window_s=0.0)
+
+
+# ------------------------------------------- incremental detection = full scan
+
+
+def full_scan_gathering(state):
+    """Gathering detection over every observed node."""
+    threshold = state.thresholds.density_threshold
+    mask = state.node_observed & (state.node_density > threshold)
+    flagged = {int(n) for n in np.nonzero(mask)[0]}
+    state.event_nodes |= flagged
+    return flagged
+
+
+def full_scan_accident(state, now):
+    """Accident detection over every link's slow run."""
+    run = state.low_speed_since
+    mask = ~np.isnan(run) & (now - run >= state.thresholds.accident_window_s)
+    flagged = set(np.flatnonzero(mask).tolist())
+    state.event_links |= flagged
+    return flagged
+
+
+# (volume, speed, occupied): slow, free-flowing, empty
+KINDS = {"slow": (2.0, 0.1, True), "fast": (2.0, 5.0, True), "empty": (0.0, 0.0, False)}
+LINKS = range(5)
+NODES = [1, 2, 3, 4]
+
+
+@st.composite
+def ingest_steps(draw):
+    """Calls of ingest_arrays at an equal or later `now`, each reading a link
+    or node any number of times with equal values, then clearable sets."""
+    kind = draw(st.fixed_dictionaries({i: st.sampled_from(sorted(KINDS)) for i in LINKS}))
+    density = draw(st.fixed_dictionaries(
+        {n: st.sampled_from([0.0, 0.3, 0.5, 0.6, 2.0]) for n in NODES}))
+    links = draw(st.lists(st.sampled_from(LINKS), max_size=6))
+    nodes = draw(st.lists(st.sampled_from(NODES), max_size=4))
+    return (draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 5.0, 10.0])),
+            [(i, KINDS[kind[i]]) for i in links], [(n, density[n]) for n in nodes],
+            draw(st.sets(st.sampled_from(NODES))), draw(st.sets(st.sampled_from(LINKS))))
+
+
+def ingest_step(state, links, nodes, now):
+    vol, speed, occ = (np.array(col) for col in zip(*(r for _, r in links))) \
+        if links else (np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+    state.ingest_arrays(("cav", [1]), np.array([i for i, _ in links], dtype=int), vol,
+                        speed, occ, np.array([n for n, _ in nodes], dtype=int),
+                        np.array([d for _, d in nodes], dtype=float), now)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ingest_steps(), min_size=1, max_size=40))
+def test_incremental_detection_equals_a_full_scan(steps):
+    net = network_from_dict(diamond_doc())
+    inc, ref = TwinState(net, TH), TwinState(net, TH)
+    now = 0.0
+    for dt, links, nodes, clear_nodes, clear_links in steps:
+        now += dt
+        for state in (inc, ref):
+            ingest_step(state, links, nodes, now)
+        assert detect_pedestrian_gathering(inc) <= full_scan_gathering(ref)
+        assert detect_accident(inc, now) <= full_scan_accident(ref, now)
+        assert (inc.event_nodes, inc.event_links) == (ref.event_nodes, ref.event_links)
+        for state in (inc, ref):
+            clear_resolved_events(state, clear_nodes, clear_links)
+        assert (inc.event_nodes, inc.event_links) == (ref.event_nodes, ref.event_links)
+        assert len(inc.run_heap) <= 2 * net.link_count
+
+
+def test_run_heap_stays_bounded_when_the_clock_stands_still(net):
+    """Slow and fast readings in turn at one time open a run, and leave its
+    heap entry behind, on every second reading; a run opened before them on
+    another link survives the rebuilds."""
+    state = TwinState(net, TH)
+    read_link(state, (2, 4), 2, now=100.0, speed=0.1)
+    for k in range(10_000):
+        read_link(state, (1, 2), 2, now=100.0, speed=0.1 if k % 2 == 0 else 5.0)
+        detect_accident(state, 100.0)
+        assert len(state.run_heap) <= 2 * net.link_count
+    read_link(state, (1, 2), 2, now=100.0, speed=0.1)
+    assert detect_accident(state, 109.0) == set()
+    assert detect_accident(state, 110.0) == {net.link_index[(1, 2)], net.link_index[(2, 4)]}
