@@ -34,7 +34,7 @@ from .network import (
     traffic_density,
 )
 from .scenario import Scenario, load_scenario, scenario_from_dict
-from .sim import Engine, MetricsSummary, Vehicle, run, shortest_distance_route
+from .sim import Engine, MetricsSummary, Vehicle, run
 from .twin import (
     EventThresholds,
     TwinState,

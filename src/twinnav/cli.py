@@ -23,7 +23,7 @@ from .comms import (
 from .errors import ConfigError
 from .scenario import Scenario, load_scenario
 from .sim import MetricsSummary, journal_writer, run
-from .sweep import SweepSpec, run_sweep, sweep_csv
+from .sweep import SWEEP_PARAMS, SweepSpec, run_sweep, sweep_csv
 
 log = logging.getLogger(__name__)
 
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="run a parameter sweep and write sweep.csv")
     common(sp)
-    sp.add_argument("--param", required=True, choices=("p_user", "events"))
+    sp.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     sp.add_argument("--values", required=True,
                     help="comma-separated sweep values")
     sp.add_argument("--seeds", type=int, default=1, help="replicates per value")

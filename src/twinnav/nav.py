@@ -2,7 +2,7 @@
 
 The planner searches per-node rows: `rows[u]` maps each out-neighbor v of
 node u to the journey time of link u->v, so the rows are the graph.
-`journey_rows` builds them from one link-indexed journey-time vector
+`net.link_rows` builds them from one link-indexed journey-time vector
 (`masked_journey_times`), one small mapping per node. The dense (M+1, M+1)
 matrices of `build_journey_matrix` and `mask_events` index the same way and
 remain the reference the tests compare against; the planner's entry points
@@ -16,8 +16,11 @@ A `PlannerState` carries the planner from one plan to the next, for the
 engine and for the route service. Each plan hands it that plan's masked
 journey times. It keeps the rows and patches into them only the links whose
 time changed since they were last read, keeps the set of +inf links, and
-keeps a memo of the (origin, destination) pairs that no chain of finite links
-joins. Reachability depends on the +inf link set alone, so the memo is
+keeps a memo of the (origin, destination) pairs whose search found no path.
+The search alone decides that no chain of finite links joins a pair: a finite
+masked journey time is below MAX_LENGTH_M / SPEED_FLOOR_MPS = 1e12 s and a
+path has fewer than MAX_NODES = 1e4 links, so no sum reaches float range.
+Reachability depends on the +inf link set alone, so the memo is
 cleared exactly when that set changes, and until then `plan_new_users` and
 `replan_affected` answer a remembered pair unreachable without a search.
 """
@@ -85,10 +88,12 @@ class PlanningInput:
     """Snapshot handed to the planner: event-masked journey-time rows, the
     users waiting for an initial route and the pairs known to have no path."""
 
-    matrix: object  # rows[u][v], id-indexed: journey_rows() or a dense matrix
+    matrix: object  # rows[u][v], id-indexed: net.link_rows() or a dense matrix
     new_users: dict = field(default_factory=dict)  # vid -> (position, destination)
-    # (start, destination) pairs known to have no path on `matrix`; searches
-    # that find none are added. A fresh set forgets nothing between calls.
+    # (start, destination) pairs known to have no path on `matrix`; a search
+    # that finds none adds its pair, sound while sums of finite links stay in
+    # float range (masked journey times: see the module docstring). A fresh
+    # set forgets nothing between calls.
     no_path: set = field(default_factory=set)
 
 
@@ -160,32 +165,14 @@ def dijkstra_fastest(matrix, start: int, end: int) -> PathResult | None:
     return PathResult(nodes=tuple(tree_path(pred, start, end)), cost=dist[end])
 
 
-def _reaches(rows, start: int, end: int) -> bool:
-    """Whether a chain of finite links leads from start to end, whatever its
-    total: a search can miss a path whose finite times add up past float
-    range."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        row = rows[stack.pop()]
-        for v in row:
-            if v not in seen and row[v] != INF:
-                if v == end:
-                    return True
-                seen.add(v)
-                stack.append(v)
-    return False
-
-
 def fastest_unless_cut_off(rows, start: int, end: int, no_path: set):
     """dijkstra_fastest on rows, but None at once for a pair in `no_path`;
-    a pair the search finds no path for joins `no_path` when no chain of
-    finite links joins it. A degenerate or out-of-range pair raises in the
-    search, so it never joins the memo."""
+    a pair the search finds no path for joins `no_path`. A degenerate or
+    out-of-range pair raises in the search, so it never joins the memo."""
     if (start, end) in no_path:
         return None
     found = dijkstra_fastest(rows, start, end)
-    if found is None and not _reaches(rows, start, end):
+    if found is None:
         no_path.add((start, end))
     return found
 
@@ -219,19 +206,6 @@ def masked_journey_times(
     for n in event_nodes:
         times[net.in_links[n]] = INF
     return times
-
-
-def journey_rows(
-    net: TrafficNetwork,
-    volumes: np.ndarray,
-    event_nodes: set[int],
-    event_links: set[int],
-) -> list[dict[int, float]]:
-    """Event-masked journey-time rows for the planner: rows[u][v] is
-    `masked_journey_times` of link u->v. Equal, entry for entry on every
-    link, to mask_events(build_journey_matrix(net, volumes), ...)."""
-    times = masked_journey_times(net, volumes, event_nodes, event_links)
-    return net.link_rows(times)
 
 
 def mask_events(
@@ -296,8 +270,9 @@ class PlannerState:
     plan's masked journey times; `rows` are those times as journey rows,
     patched on demand where a link's time changed since they were last read
     and built in full only on first use. `blocked` is the set of +inf link
-    pairs and `no_path` the memo of pairs with no path, cleared whenever
-    `blocked` changes."""
+    pairs and `no_path` the memo of pairs whose search found no path (so no
+    chain of finite links joins them, by the module docstring's bound),
+    cleared whenever `blocked` changes."""
 
     def __init__(self, net: TrafficNetwork):
         self.net = net

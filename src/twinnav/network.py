@@ -5,7 +5,7 @@ per-link quantities (lengths, volumes, speeds, journey times) are arrays in
 that order. The speed-density law has one implementation, `_speed_law`,
 elementwise on arrays; `link_speeds` and the scalar `journey_speed` call it.
 Likewise the journey-time law, `_journey_time_law`, serves `link_journey_times`
-and the scalar `link_journey_time`.
+and the scalar `journey_time`.
 The planner reads per-node rows (`TrafficNetwork.link_rows`): rows[u][v] is
 the value of link u->v, one small mapping per node keyed by its out-neighbors,
 so the rows are the graph and planning costs O(L) per snapshot instead of
@@ -17,7 +17,8 @@ answers which nodes an origin reaches. Scenarios derived from one another
 share their network, and so these caches.
 A network has at most MAX_NODES nodes and MAX_LINKS links. A link is at most
 MAX_LENGTH_M long, its free-flow speed at most MAX_V_FREE_MPS, and its
-capacity k_max_veh_per_m * length_m at most scenario.MAX_VEHICLES.
+capacity k_max_veh_per_m * length_m at most scenario.MAX_VEHICLES. Node
+coordinates are at most MAX_COORD_M in absolute value.
 Node ids and link endpoints in network JSON must be JSON integers, and
 coordinates, lengths, speeds and jam densities finite JSON numbers (an integer
 or a float; not a boolean or a string).
@@ -52,6 +53,8 @@ MAX_LINKS = 100_000
 # committed network's (~141 m and ~15 m/s at most).
 MAX_LENGTH_M = 1e6
 MAX_V_FREE_MPS = 1e3
+# Range of a node's |x_m| and |y_m| (400 m at most in committed networks).
+MAX_COORD_M = 1e7
 
 # Links whose journey speed falls at or below this floor behave as closed:
 # avoids division by ~0 and makes jammed links look like +inf to the planner.
@@ -158,8 +161,9 @@ def _validate_topology(nodes: list[Node], links: list[Link]) -> None:
             else f"node ids must be dense 1..{len(nodes)}, got {ids}"
         )
     for n in nodes:
-        if not (abs(n.x_m) < INF and abs(n.y_m) < INF):
-            raise ConfigError(f"node {n.node_id}: x_m and y_m must be finite")
+        if not (abs(n.x_m) <= MAX_COORD_M and abs(n.y_m) <= MAX_COORD_M):
+            raise ConfigError(f"node {n.node_id}: x_m and y_m must be within "
+                              f"[-{MAX_COORD_M:g}, {MAX_COORD_M:g}]")
     id_set = set(ids)
     seen_pairs: set[tuple[int, int]] = set()
     for k, l in enumerate(links):
@@ -217,18 +221,11 @@ def _journey_time_law(length_m, speed):
                      where=speed > SPEED_FLOOR_MPS)
 
 
-def link_journey_time(
-    length_m: float, v_free_mps: float, k_max: float, volume: float
-) -> float:
-    v = journey_speed(traffic_density(volume, length_m), v_free_mps, k_max)
-    return float(_journey_time_law(length_m, v))
-
-
 def journey_time(link: Link, volume: float) -> float:
     """Seconds to traverse `link` at the speed implied by `volume`, +inf if jammed."""
-    return link_journey_time(
-        link.length_m, link.v_free_mps, link.k_max_veh_per_m, volume
-    )
+    v = journey_speed(traffic_density(volume, link.length_m), link.v_free_mps,
+                      link.k_max_veh_per_m)
+    return float(_journey_time_law(link.length_m, v))
 
 
 def link_journey_times(net: TrafficNetwork, volumes: np.ndarray) -> np.ndarray:

@@ -64,7 +64,7 @@ import numpy as np
 from . import nav
 from .comms import FlowStreams, check_deadline, deliver, sample_service_latency
 from .errors import ConfigError
-from .network import END_TOLERANCE_M, TrafficNetwork, link_speeds
+from .network import END_TOLERANCE_M, link_speeds
 from .scenario import Scenario, EventSpec
 from .twin import TwinState, clear_resolved_events, detect_accident, \
     detect_pedestrian_gathering
@@ -163,17 +163,6 @@ def poisson_draw(rng: random.Random, lam: float) -> int:
             p *= rng.random()
         lam -= chunk
     return k
-
-
-def shortest_distance_route(
-    net: TrafficNetwork, start: int, end: int, vehicle_id=None
-) -> nav.Route | None:
-    """Static route minimizing total length in meters; ties break exactly like
-    the journey-time planner. Read off the network's cached trees."""
-    nodes = net.static_route(start, end)
-    if nodes is None:
-        return None
-    return nav.Route(nodes=nodes, vehicle_id=vehicle_id)
 
 
 class Engine:

@@ -34,10 +34,6 @@ class SweepSpec:
             raise ConfigError("sweep needs a non-empty value list")
         if self.seeds_per_point < 1:
             raise ConfigError("seeds_per_point must be >= 1")
-        if self.param == "events" and self.base.events_random is None:
-            raise ConfigError(
-                "sweeping the event count needs an events_random block in the scenario"
-            )
 
 
 @dataclass(frozen=True)

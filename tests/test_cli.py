@@ -106,11 +106,17 @@ def test_sweep_determinism(tmp_path):
     assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
 
-def test_sweep_events_requires_random_block(tmp_path):
+def test_sweep_events_requires_random_block(tmp_path, monkeypatch):
     sc = scenario_file(tmp_path)
+    out = tmp_path / "s"
+    runs = []
+    monkeypatch.setattr(sweep, "run", lambda *a, **kw: runs.append(a))
     assert main([
         "sweep", "--scenario", sc, "--param", "events", "--values", "0,1",
+        "--out", str(out),
     ]) == 2
+    assert not (out / "sweep.csv").exists()
+    assert runs == []  # rejected before the first run
 
 
 def test_kpi_command(tmp_path, capsys):

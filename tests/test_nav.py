@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -12,15 +13,16 @@ from twinnav.nav import (
     Route,
     dijkstra_fastest,
     fastest_unless_cut_off,
-    journey_rows,
     mask_events,
+    masked_journey_times,
     plan_new_users,
     replan_affected,
     request_distance,
     spliced_route,
 )
 from twinnav.netgen import generate_grid_network
-from twinnav.network import build_journey_matrix, network_from_dict
+from twinnav.network import MAX_LENGTH_M, MAX_NODES, MAX_V_FREE_MPS, \
+    SPEED_FLOOR_MPS, build_journey_matrix, network_from_dict
 
 
 def matrix_from_edges(n, edges):
@@ -261,7 +263,7 @@ def test_journey_rows_plan_like_the_dense_matrix(data):
     event_nodes = set(data.draw(st.lists(st.integers(1, m), max_size=3)))
     event_links = set(data.draw(st.lists(st.integers(0, n_links - 1), max_size=4)))
 
-    sparse = journey_rows(net, volumes, event_nodes, event_links)
+    sparse = net.link_rows(masked_journey_times(net, volumes, event_nodes, event_links))
     dense = mask_events(
         build_journey_matrix(net, volumes), event_nodes,
         {net.links[i].pair for i in event_links},
@@ -273,7 +275,8 @@ def test_journey_rows_plan_like_the_dense_matrix(data):
                 assert dijkstra_fastest(sparse, start, end) == \
                     dijkstra_fastest(dense, start, end)
 
-    free_flow = journey_rows(net, np.zeros(n_links), set(), set())
+    free_flow = net.link_rows(
+        masked_journey_times(net, np.zeros(n_links), set(), set()))
     routes = {}
     for vid in range(data.draw(st.integers(1, 6))):
         start, end = data.draw(st.sampled_from(
@@ -333,16 +336,79 @@ def test_planner_state_clears_the_memo_only_when_blocked_changes(diamond_net):
     assert fastest_unless_cut_off(state.rows(), 1, 4, state.no_path).nodes == (1, 2, 4)
 
 
-def test_memo_keeps_no_pair_whose_finite_times_overflow():
-    """1 -> 2 -> 3 costs 1e308 + 1e308 = +inf: the search finds no path, but
-    a chain of finite links joins the pair, so it is not remembered."""
+def test_memo_keeps_every_pair_its_search_finds_no_path_for():
+    """The search alone decides: 1 -> 2 -> 3 costs 1e308 + 1e308 = +inf, so
+    the pair is remembered like the pair with no link at all. Masked journey
+    times never sum so high (see the next test)."""
     rows = [{}, {2: 1e308}, {3: 1e308}, {}]
     no_path = set()
     assert fastest_unless_cut_off(rows, 1, 3, no_path) is None
     assert fastest_unless_cut_off(rows, 3, 1, no_path) is None
-    assert no_path == {(3, 1)}
+    assert no_path == {(1, 3), (3, 1)}
     out = plan_new_users(PlanningInput(matrix=rows, new_users={1: (1, 3), 2: (3, 1)}))
     assert out.unreachable == {1, 2}
+
+
+def test_journey_time_sums_stay_far_inside_float_range():
+    """A finite masked journey time is below MAX_LENGTH_M / SPEED_FLOOR_MPS
+    and a path has fewer than MAX_NODES links, so no path of finite links
+    sums to +inf and a search that finds no path proves the pair cut off.
+    Raising a cap far enough to break that fails here."""
+    assert MAX_LENGTH_M / SPEED_FLOOR_MPS * MAX_NODES < sys.float_info.max / 1e100
+
+
+def finite_reach(net, times, start):
+    """Nodes that a chain of finite links leads to from `start`."""
+    out = {u: [] for u in range(1, net.node_count + 1)}
+    for (u, v), t in zip(net.pairs, times.tolist()):
+        if t != INF:
+            out[u].append(v)
+    seen, stack = {start}, [start]
+    while stack:
+        for v in out[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_memo_holds_no_pair_a_chain_of_finite_links_joins(data):
+    """Plans on random grids whose links reach the range limits (1e6 m at a
+    free-flow speed just above the floor, or at the top speed), with volumes
+    past jam and random flags: after every query, no remembered pair has a
+    path on the current rows, and no chain of finite links joins it."""
+    n_rows, n_cols = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+    doc = generate_grid_network(
+        rows=n_rows, cols=n_cols,
+        n_links=2 * (n_rows * (n_cols - 1) + n_cols * (n_rows - 1)),
+        seed=data.draw(st.integers(0, 10_000)))
+    for item in doc["links"]:
+        item.update(data.draw(st.sampled_from([
+            {},
+            {"length_m": MAX_LENGTH_M, "v_free_mps": SPEED_FLOOR_MPS * 1.5},
+            {"length_m": MAX_LENGTH_M, "v_free_mps": MAX_V_FREE_MPS},
+        ])))
+    net = network_from_dict(doc)
+    m, n_links = net.node_count, net.link_count
+    pairs = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
+    volume = st.sampled_from([0.0, 0.0, 0.1]) | st.floats(0.0, 32.0)
+    state = PlannerState(net)
+    for _ in range(data.draw(st.integers(1, 6))):
+        state.update(masked_journey_times(
+            net,
+            np.array(data.draw(st.lists(volume, min_size=n_links, max_size=n_links))),
+            set(data.draw(st.lists(st.integers(1, m), max_size=3))),
+            set(data.draw(st.lists(st.integers(0, n_links - 1), max_size=4)))))
+        for _ in range(data.draw(st.integers(1, 8))):
+            a, b = data.draw(st.sampled_from(pairs))
+            found = fastest_unless_cut_off(state.rows(), a, b, state.no_path)
+            assert (found is None) == ((a, b) in state.no_path)
+            fresh = net.link_rows(state.times)
+            for start, end in state.no_path:
+                assert dijkstra_fastest(fresh, start, end) is None
+                assert end not in finite_reach(net, state.times, start)
 
 
 def test_remembered_pairs_are_not_searched(monkeypatch):

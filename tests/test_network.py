@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from twinnav.network import (
     build_journey_matrix,
     journey_speed,
     journey_time,
-    link_journey_time,
     load_network,
     network_from_dict,
     traffic_density,
@@ -77,10 +77,11 @@ def test_journey_time_non_decreasing_in_volume():
 def test_journey_time_finiteness_boundary():
     # Finite exactly while x < k_max * s * (1 - floor / v_free).
     s, v_free, k_max = 100.0, 10.0, 0.2
+    l = Link(1, 2, s, v_free, k_max)
     bound = k_max * s * (1.0 - SPEED_FLOOR_MPS / v_free)
-    assert link_journey_time(s, v_free, k_max, bound * 0.999999) < INF
-    assert link_journey_time(s, v_free, k_max, bound) == INF
-    assert link_journey_time(s, v_free, k_max, bound * 1.000001) == INF
+    assert journey_time(l, bound * 0.999999) < INF
+    assert journey_time(l, bound) == INF
+    assert journey_time(l, bound * 1.000001) == INF
 
 
 def two_node_net():
@@ -223,10 +224,11 @@ def test_run_exits_2_on_non_finite_network_number(tmp_path, capsys, case):
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
 
 
-# Each sets one number of link 1->2 (100 m) past its documented range: the
-# capacity k_max_veh_per_m * length_m at most 1e6 vehicles (the scenario's
-# vehicle cap), length_m at most 1e6 m, v_free_mps at most 1e3 m/s. Every
-# value is finite, so only the ranges reject them.
+# Each sets one number of link 1->2 (100 m) or of node 1 past its documented
+# range: the capacity k_max_veh_per_m * length_m at most 1e6 vehicles (the
+# scenario's vehicle cap), length_m at most 1e6 m, v_free_mps at most 1e3 m/s,
+# |x_m| and |y_m| at most 1e7 m. Every value is finite, so only the ranges
+# reject them.
 PAST_RANGE = {
     "k_max overflowing the capacity": lambda d: d["links"][0].update(
         k_max_veh_per_m=1e308),
@@ -240,14 +242,22 @@ PAST_RANGE = {
     "v_free_kmh past 3600": lambda d: d["links"].__setitem__(0, {
         "from": 1, "to": 2, "length_m": 100.0, "v_free_kmh": 3602.0,
         "k_max_veh_per_m": 0.2}),
+    "node x_m 1e308": lambda d: d["nodes"][0].update(x_m=1e308),
+    "node y_m -1e308": lambda d: d["nodes"][0].update(y_m=-1e308),
+    "node x_m just past 1e7": lambda d: d["nodes"][0].update(x_m=1.0000001e7),
 }
+
+
+def past_range_where(case):
+    """What the error for a PAST_RANGE case names."""
+    return "node 1:" if case.startswith("node") else "links[0] (1->2)"
 
 
 @pytest.mark.parametrize("case", sorted(PAST_RANGE))
 def test_loader_rejects_a_link_number_past_its_range(case):
     doc = diamond_doc()
     PAST_RANGE[case](doc)
-    with pytest.raises(ConfigError, match=r"links\[0\] \(1->2\)"):
+    with pytest.raises(ConfigError, match=re.escape(past_range_where(case))):
         network_from_dict(doc)
 
 
@@ -255,8 +265,11 @@ def test_loader_admits_link_numbers_at_their_range_limits():
     doc = diamond_doc()
     doc["links"][0].update(length_m=1e6, k_max_veh_per_m=1.0, v_free_mps=1e3)
     doc["links"][1].update(k_max_veh_per_m=10_000.0)  # 100 m: 1e6 vehicles
+    doc["nodes"][0].update(x_m=1e7, y_m=-1e7)
+    doc["nodes"][1].update(x_m=-1e7, y_m=1e7)
     net = network_from_dict(doc)
     assert (net.k_max * net.lengths)[:2].tolist() == [1e6, 1e6]
+    assert [(n.x_m, n.y_m) for n in net.nodes[:2]] == [(1e7, -1e7), (-1e7, 1e7)]
 
 
 @pytest.mark.parametrize("case", sorted(PAST_RANGE))
@@ -264,6 +277,7 @@ def test_run_exits_2_on_a_link_number_past_its_range(tmp_path, capsys, case):
     with open(DEMO_NETWORK, encoding="utf-8") as fh:
         net = json.load(fh)
     assert net["links"][0]["from"] == 1 and net["links"][0]["to"] == 2
+    assert net["nodes"][0]["id"] == 1
     PAST_RANGE[case](net)
     write_json(tmp_path / "net.json", net)
     sc = write_json(tmp_path / "scenario.json", {
@@ -272,7 +286,7 @@ def test_run_exits_2_on_a_link_number_past_its_range(tmp_path, capsys, case):
         "traffic": {"n_vel": 5, "p_user": 0.5},
     })
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
-    assert "links[0] (1->2)" in capsys.readouterr().err
+    assert past_range_where(case) in capsys.readouterr().err
 
 
 def sized_network_doc(n_nodes, n_links):

@@ -349,6 +349,16 @@ def test_sweep_rejects_an_event_count_that_cannot_fit_before_any_run(monkeypatch
     assert runs == []
 
 
+def test_sweep_of_the_event_count_needs_events_random_before_any_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(sweep, "run", lambda *a, **k: runs.append(a))
+    spec = sweep.SweepSpec(base=scenario_from_dict(minimal_doc()), param="events",
+                           values=(0, 1))
+    with pytest.raises(ConfigError, match="events_random"):
+        sweep.run_sweep(spec)
+    assert runs == []
+
+
 def test_rsu_validation_and_coverage():
     doc = minimal_doc(sensing={"rsus": [{"node": 1, "radius_m": 150.0}]})
     sc = scenario_from_dict(doc)

@@ -628,8 +628,8 @@ def fresh_route(state, position, destination):
     """The route a fresh plan gives: rows built from the twin's current
     volumes and flags, then one search."""
     twin = state.twin
-    rows = nav.journey_rows(state.net, twin.link_volume, twin.event_nodes,
-                            twin.event_links)
+    rows = state.net.link_rows(nav.masked_journey_times(
+        state.net, twin.link_volume, twin.event_nodes, twin.event_links))
     found = nav.dijkstra_fastest(rows, position, destination)
     return [] if found is None else list(found.nodes)
 

@@ -13,8 +13,7 @@ from twinnav.errors import ContractError, DegenerateRouteRequest
 from twinnav.netgen import generate_grid_network
 from twinnav.network import network_from_dict
 from twinnav.scenario import scenario_from_dict
-from twinnav.sim import CAV, Engine, MetricsSummary, poisson_draw, run, \
-    shortest_distance_route
+from twinnav.sim import CAV, Engine, MetricsSummary, poisson_draw, run
 from twinnav.sweep import SweepSpec, run_sweep
 from twinnav.twin import TwinState
 
@@ -69,11 +68,11 @@ def test_shortest_distance_route_picks_shorter_total():
         ],
     }
     net = network_from_dict(doc)
-    assert shortest_distance_route(net, 1, 4).nodes == [1, 3, 4]
+    assert net.static_route(1, 4) == [1, 3, 4]
 
 
 def test_shortest_distance_route_single_path(corridor_net):
-    assert shortest_distance_route(corridor_net, 1, 4).nodes == [1, 2, 3, 4]
+    assert corridor_net.static_route(1, 4) == [1, 2, 3, 4]
 
 
 def test_shortest_distance_route_tie_prefers_lower_node():
@@ -87,19 +86,19 @@ def test_shortest_distance_route_tie_prefers_lower_node():
         ],
     }
     net = network_from_dict(doc)
-    assert shortest_distance_route(net, 1, 4).nodes == [1, 2, 4]
+    assert net.static_route(1, 4) == [1, 2, 4]
 
 
 def test_shortest_distance_route_unreachable(corridor_net):
-    assert shortest_distance_route(corridor_net, 4, 1) is None
+    assert corridor_net.static_route(4, 1) is None
 
 
 def test_shortest_distance_route_rejects_like_the_planner(corridor_net):
     with pytest.raises(DegenerateRouteRequest):
-        shortest_distance_route(corridor_net, 2, 2)
+        corridor_net.static_route(2, 2)
     for start, end in ((1, 0), (1, -1), (1, 5), (0, 2)):
         with pytest.raises(ContractError):
-            shortest_distance_route(corridor_net, start, end)
+            corridor_net.static_route(start, end)
 
 
 # ------------------------------------------------------------------- free flow
@@ -396,9 +395,9 @@ class ReferenceEngine(Engine):
     def _plan(self, step):
         net = self.net
         latency = self.scenario.latency
-        rows = nav.journey_rows(
+        rows = net.link_rows(nav.masked_journey_times(
             net, self.twin.link_volume, self.twin.event_nodes, self.twin.event_links
-        )
+        ))
         inp = nav.PlanningInput(
             matrix=rows,
             new_users={v.vid: (v.origin, v.destination) for v in self._live()
