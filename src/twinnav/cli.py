@@ -15,6 +15,7 @@ import os
 import sys
 
 from .comms import (
+    MAX_SAMPLES,
     FlowStreams,
     KpiBudget,
     collect_latency_samples,
@@ -106,8 +107,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_kpi(args) -> int:
-    if args.samples < 1:
-        raise ConfigError("--samples must be >= 1")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise ConfigError(f"--samples must be within [1, {MAX_SAMPLES}], got {args.samples}")
     if not 0 < args.v_free_kmh < math.inf:  # False for NaN too
         raise ConfigError(f"--v-free-kmh must be finite and > 0, got {args.v_free_kmh}")
     scenario = _load(args.scenario, args.seed)
@@ -175,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("kpi", help="Monte-Carlo latency/KPI evaluation")
     common(sp, needs_out=False)
     sp.add_argument("--out", default=None, help="directory for kpi.csv")
-    sp.add_argument("--samples", type=int, default=100_000)
+    sp.add_argument("--samples", type=int, default=100_000,
+                    help=f"Monte-Carlo samples (1 to {MAX_SAMPLES})")
     sp.add_argument("--v-free-kmh", type=float, default=20.0,
                     help="speed used for the service deadline check "
                          "(finite, > 0)")

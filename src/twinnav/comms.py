@@ -24,11 +24,21 @@ per-route draws of the engine take one value at a time; the KPI Monte-Carlo
 SAMPLE_BLOCK samples in one pass and composes the totals with array sums. Its
 samples are bit-identical to drawing one value at a time with the same seed,
 and every stream ends in the same state.
+
+The Monte-Carlo draws those blocks in C. CPython's `random.Random` and
+numpy's `MT19937` are the same Mersenne Twister, and both make a double from
+two 32-bit outputs a, b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53
+(`genrand_res53` in CPython, `mt19937_next_double` in numpy). So a numpy
+generator set to a stream's 624-word key and position yields the values the
+stream's `random()` would, in order; its key and position are written back
+into the stream afterwards, which keeps the stream's version and
+`gauss_next`. `numpy.random` is imported only when the Monte-Carlo runs:
+numpy loads it lazily, and the engine, the sweeps and the route service never
+need it, so they do not pay its memory.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import Counter
@@ -186,20 +196,44 @@ class FlowStreams:
 
 
 # Samples per block of collect_latency_samples. Each stream's draws for a
-# block are held as one float array of at most 4 * SAMPLE_BLOCK values.
+# block are held as one float array of at most 4 * SAMPLE_BLOCK values, taken
+# from the stream's numpy twin in one call.
 SAMPLE_BLOCK = 1024
+
+# Most samples one collect_latency_samples call takes: 10x the `twinnav kpi`
+# default. The five output lists hold about 160 MB at the cap.
+MAX_SAMPLES = 1_000_000
 
 
 def _draw_block(
-    flow: FlowLatency, rng: random.Random, rows: int, per_row: int
+    flow: FlowLatency, gen: np.random.RandomState | None, rows: int, per_row: int
 ) -> np.ndarray:
-    """(rows, per_row) milliseconds from the stream's next rows * per_row
-    draws, row by row. A pinned flow draws nothing, as `sample_ms`."""
+    """(rows, per_row) milliseconds from the next rows * per_row uniforms of
+    `gen`, a numpy RandomState that stands in for the flow's stream, row by
+    row. A pinned flow draws nothing, as `sample_ms`, and takes gen=None."""
     if flow.min_ms == flow.max_ms:
         return np.full((rows, per_row), flow.min_ms, dtype=float)
-    n = rows * per_row
-    u = np.fromiter(itertools.starmap(rng.random, itertools.repeat((), n)), float, count=n)
+    u = gen.random_sample(rows * per_row)
     return flow.ms_from_uniform(u).reshape(rows, per_row)
+
+
+def _numpy_twin(rng: random.Random) -> np.random.RandomState:
+    """A numpy RandomState whose MT19937 is in `rng`'s state: its
+    `random_sample` yields the values `rng.random()` would, in order."""
+    from numpy.random import MT19937, RandomState
+
+    internal = rng.getstate()[1]  # 624 key words, then the position
+    gen = RandomState(MT19937(0))
+    gen.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+    return gen
+
+
+def _hand_back(gen: np.random.RandomState, rng: random.Random) -> None:
+    """Put `gen`'s MT19937 key and position into `rng`, keeping its version
+    and `gauss_next`."""
+    version, _, gauss_next = rng.getstate()
+    _, key, pos = gen.get_state()[:3]
+    rng.setstate((version, (*key.tolist(), pos), gauss_next))
 
 
 def sample_dt_latency(model: LatencyModel, streams: FlowStreams) -> float:
@@ -246,22 +280,29 @@ def collect_latency_samples(
     model: LatencyModel, streams: FlowStreams, n_samples: int
 ) -> dict[str, list[float]]:
     """Monte-Carlo draws (seconds) for the KPI report: the two E2E flows, the
-    twin-modeling total, and the service total in both V2C counting modes."""
-    if n_samples < 1:
-        raise ContractError("n_samples must be >= 1")
+    twin-modeling total, and the service total in both V2C counting modes.
+    Takes 1 to MAX_SAMPLES samples."""
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ContractError(f"n_samples must be within [1, {MAX_SAMPLES}], got {n_samples}")
     # A series takes a flow's next column each time it lists the flow, and
     # adds its columns in the listed order from -0.0, as `_sample_s` does.
     draws = Counter(f for flows in KPI_SERIES.values() for f in flows)
+    gens = {
+        f: _numpy_twin(streams.rng(f))
+        for f in draws if model.flows[f].min_ms != model.flows[f].max_ms
+    }
     out: dict[str, list[float]] = {series: [] for series in KPI_SERIES}
     for start in range(0, n_samples, SAMPLE_BLOCK):
         rows = min(SAMPLE_BLOCK, n_samples - start)
         columns = {
-            f: iter(_draw_block(model.flows[f], streams.rng(f), rows, k).T)
+            f: iter(_draw_block(model.flows[f], gens.get(f), rows, k).T)
             for f, k in draws.items()
         }
         for series, flows in KPI_SERIES.items():
             total = sum((next(columns[f]) for f in flows), -0.0)
             out[series] += (total / 1000.0).tolist()
+    for f, gen in gens.items():
+        _hand_back(gen, streams.rng(f))
     return out
 
 

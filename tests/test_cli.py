@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from twinnav import sweep
+from twinnav import cli, sweep
 from twinnav.cli import main
+from twinnav.comms import MAX_SAMPLES, collect_latency_samples
 
 from conftest import diamond_doc, write_json
 
@@ -135,6 +136,29 @@ def test_kpi_command(tmp_path, capsys):
 def test_kpi_rejects_nonpositive_samples(tmp_path):
     sc = scenario_file(tmp_path)
     assert main(["kpi", "--scenario", sc, "--samples", "0"]) == 2
+
+
+def test_kpi_rejects_samples_above_the_cap(tmp_path, monkeypatch, capsys):
+    sc = scenario_file(tmp_path)
+    loads, draws = [], []
+    monkeypatch.setattr(cli, "_load", lambda *a: loads.append(a))
+    monkeypatch.setattr(cli, "collect_latency_samples", lambda *a: draws.append(a))
+    assert main(["kpi", "--scenario", sc, "--samples", str(MAX_SAMPLES + 1)]) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert loads == [] and draws == []  # rejected before loading anything
+
+
+def test_kpi_accepts_samples_at_the_cap(tmp_path, monkeypatch):
+    sc = scenario_file(tmp_path)
+    asked = []
+
+    def few_samples(model, streams, n):
+        asked.append(n)
+        return collect_latency_samples(model, streams, 100)
+
+    monkeypatch.setattr(cli, "collect_latency_samples", few_samples)
+    assert main(["kpi", "--scenario", sc, "--samples", str(MAX_SAMPLES)]) == 0
+    assert asked == [MAX_SAMPLES]
 
 
 @pytest.mark.parametrize("values", ["-3,0", "0,-3"])

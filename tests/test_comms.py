@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from twinnav import comms
 from twinnav.comms import (
     FLOW_NAMES,
+    MAX_SAMPLES,
     SAMPLE_BLOCK,
     FlowLatency,
     FlowStreams,
@@ -267,6 +272,83 @@ def test_block_samples_equal_per_draw_samples(overrides, seed, n):
     assert collect_latency_samples(model, block, n) == per_draw_samples(model, reference, n)
     assert stream_states(block) == stream_states(reference)
     assert sample_service_latency(model, block) == sample_service_latency(model, reference)
+
+
+# Per-draw calls made before the hand-over: every position in the 624-word
+# buffer, with the twist boundaries named.
+SKIPS = st.sampled_from([0, 1, 622, 623, 624, 625, 1247, 1248, 1249]) | st.integers(0, 1300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(FLOW_NAMES), flows()),
+    SEEDS,
+    st.lists(SKIPS, min_size=len(FLOW_NAMES), max_size=len(FLOW_NAMES)),
+    st.booleans(),
+    SAMPLE_COUNTS,
+)
+def test_block_samples_equal_per_draw_samples_from_any_buffer_position(
+    overrides, seed, skips, gauss, n
+):
+    """Streams drawn from before the Monte-Carlo: it takes over at any of the
+    624 buffer positions, keeps a cached `gauss_next`, and hands back states
+    that draw on as the per-draw streams do."""
+    model = LatencyModel(flows={**LatencyModel().flows, **overrides})
+    block, reference = FlowStreams(seed), FlowStreams(seed)
+    for streams in (block, reference):
+        for name, skip in zip(FLOW_NAMES, skips):
+            rng = streams.rng(name)
+            for _ in range(skip):
+                rng.random()
+            if gauss:
+                rng.gauss(0.0, 1.0)  # leaves the pair's second value cached
+    assert collect_latency_samples(model, block, n) == per_draw_samples(model, reference, n)
+    assert stream_states(block) == stream_states(reference)
+    for name in FLOW_NAMES:
+        got, ref = block.rng(name), reference.rng(name)
+        assert [got.random() for _ in range(700)] == [ref.random() for _ in range(700)]
+        assert got.gauss(0.0, 1.0) == ref.gauss(0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_SAMPLES + 1])
+def test_collect_latency_samples_rejects_counts_outside_the_cap(n):
+    with pytest.raises(ContractError):
+        collect_latency_samples(LatencyModel(), FlowStreams(0), n)
+
+
+def test_collect_latency_samples_accepts_the_cap(monkeypatch):
+    # One series keeps the output to one list of MAX_SAMPLES floats.
+    monkeypatch.setattr(comms, "KPI_SERIES", {"ssms_e2e": ("i2c",)})
+    samples = collect_latency_samples(LatencyModel(), FlowStreams(0), MAX_SAMPLES)
+    assert len(samples["ssms_e2e"]) == MAX_SAMPLES
+
+
+def test_numpy_random_stays_unloaded_outside_the_kpi_monte_carlo():
+    """The engine, sweeps, CLI and route service never load numpy.random;
+    only collect_latency_samples does."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    demo = os.path.join(os.path.dirname(src), "scenarios", "demo.json")
+    script = f"""
+import sys
+import numpy
+eager = "numpy.random" in sys.modules
+import twinnav.cli, twinnav.service, twinnav.sim, twinnav.sweep
+from twinnav.scenario import load_scenario
+twinnav.sim.Engine(load_scenario({demo!r})).run()
+after_run = "numpy.random" in sys.modules
+from twinnav.comms import FlowStreams, LatencyModel, collect_latency_samples
+collect_latency_samples(LatencyModel(), FlowStreams(0), 10)
+print(eager, after_run, "numpy.random" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    eager, after_run, after_kpi = done.stdout.split()
+    assert after_run == eager  # numpy 1.x loads numpy.random with numpy itself
+    assert after_kpi == "True"
 
 
 @settings(max_examples=100, deadline=None)
