@@ -40,7 +40,6 @@ from .twin import (
     TwinState,
     detect_accident,
     detect_pedestrian_gathering,
-    ingest_readings,
 )
 
 __version__ = "0.1.0"

@@ -137,6 +137,13 @@ def cmd_serve(args) -> int:
     return EXIT_OK
 
 
+def _port(text: str) -> int:
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be within 0..65535, got {port}")
+    return port
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="twinnav",
@@ -186,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("serve", help="line-delimited JSON route service")
     common(sp, needs_out=False)
     sp.add_argument("--host", default="127.0.0.1")
-    sp.add_argument("--port", type=int, default=8700)
+    sp.add_argument("--port", type=_port, default=8700,
+                    help="TCP port, 0..65535 (0: any free port)")
     sp.set_defaults(func=cmd_serve)
 
     return p

@@ -79,6 +79,11 @@ def _service_flows(single_v2c: bool) -> tuple[str, ...]:
     return KPI_SERIES["service_total_single" if single_v2c else "service_total"]
 
 
+# Largest max_ms a flow takes: one minute, over 100x the slowest bundled flow
+# (501.35 ms), so every sum of flows stays far inside float range.
+MAX_FLOW_MS = 60_000.0
+
+
 @dataclass(frozen=True)
 class FlowLatency:
     min_ms: float
@@ -87,9 +92,10 @@ class FlowLatency:
     mean_ms: float | None = None  # required target mean for dist="triangular"
 
     def __post_init__(self):
-        if not 0 <= self.min_ms <= self.max_ms:
+        if not 0 <= self.min_ms <= self.max_ms <= MAX_FLOW_MS:
             raise ConfigError(
-                f"latency range needs 0 <= min <= max, got [{self.min_ms}, {self.max_ms}]"
+                f"latency range needs 0 <= min <= max <= {MAX_FLOW_MS:g}, "
+                f"got [{self.min_ms}, {self.max_ms}]"
             )
         if self.dist not in ("uniform", "triangular"):
             raise ConfigError(f"unknown latency distribution {self.dist!r}")

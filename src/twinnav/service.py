@@ -30,17 +30,17 @@ every reading of a repeated link or node is checked, and the last counts),
 `bad_request` and leaves the twin unchanged.
 
 Sensor updates feed a live twin; a source covers exactly what it reports.
-An update is read in one pass over its readings that tests each value's JSON
-type inline, resolves each (from, to) pair to a link index and builds the
-reading columns; `twin.ingest_readings` then range-checks the columns with
-numpy, every reading of a repeated link or node included, and writes them
-with one `ingest_arrays` call. The service clock follows the largest
-`time_s` seen; an update without `time_s` is taken one step after the clock,
-and one whose `time_s` is older than the clock is taken at the clock. Each
-update then runs event detection against the twin's own thresholds, which
-judges only the nodes written since the last detection and the slow runs
-that came due on the twin's run heap, so an update costs what it carries,
-not what the network holds. It clears every flag whose latest reading no
+An update is read in one pass over its readings that checks each value inline
+(its JSON type and range, and that its pair or node id names a network
+element), resolves each (from, to) pair to a link index and keeps a repeated
+link's or node's last reading; the columns then enter the twin with one
+`TwinState.ingest_arrays` call, the engine's entry. The service clock
+follows the largest `time_s` seen; an update without `time_s` is taken one
+step after the clock, and one whose `time_s` is older than the clock is taken
+at the clock. Each update then runs event detection against the twin's own
+thresholds, which judges only the nodes written since the last detection and
+the slow runs that came due on the twin's run heap, so an update costs what
+it carries, not what the network holds. It clears every flag whose latest reading no
 longer meets its criterion (the service has no scheduled causes).
 
 Route requests plan over event-masked journey-time rows of the twin's
@@ -64,15 +64,16 @@ import logging
 import socketserver
 import threading
 
+import numpy as np
+
 from . import nav
-from .errors import ContractError, json_int, json_number
+from .errors import json_int, json_number
 from .scenario import Scenario
 from .twin import (
     TwinState,
     clear_resolved_events,
     detect_accident,
     detect_pedestrian_gathering,
-    ingest_readings,
 )
 
 log = logging.getLogger(__name__)
@@ -89,8 +90,8 @@ MAX_CONNECTIONS = 64
 # to take a reply) before it is closed.
 IDLE_TIMEOUT_S = 300.0
 
-# The JSON number types; a boolean is an int subclass but not a number here.
-_NUMBER = frozenset((int, float))
+# The reading columns of an update without link readings.
+_NO_READINGS = np.empty(0)
 
 
 class ServiceError(Exception):
@@ -134,29 +135,25 @@ class ServiceState:
         node_items = msg.get("nodes", [])
         if not isinstance(link_items, list) or not isinstance(node_items, list):
             raise ServiceError("bad_request", "links and nodes must be JSON arrays")
-        # One pass builds the reading columns, testing each value's JSON type
-        # inline; the twin range-checks every reading and keeps a repeated
-        # link's last.
+        # One pass checks every reading, a superseded one included. A repeated
+        # link or node keeps its last reading at its first arrival's place.
         link_index = self.net.link_index
-        link_idx: list[int] = []
-        volumes: list = []
-        speeds: list = []
-        occupied: list[bool] = []
+        links: dict[int, tuple[float, float, bool]] = {}
         for item in link_items:
             try:
                 pair = (item["from"], item["to"])
-                volume = item["volume"]
-                speed = item["speed_mps"]
+                volume = json_number(item["volume"])
+                speed = json_number(item["speed_mps"])
                 occ = item["occupied"]
-            except (KeyError, TypeError) as exc:
-                raise ServiceError("bad_request", "link readings need from, to, volume, "
-                                   f"speed_mps, occupied ({exc!r})")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ServiceError("bad_request", "link readings need from, to, occupied "
+                                   f"and finite JSON numbers volume, speed_mps ({exc!r})")
             if type(pair[0]) is not int or type(pair[1]) is not int:
                 raise ServiceError("bad_request", f"link from and to must be integers, "
                                    f"got {pair}")
-            if type(volume) not in _NUMBER or type(speed) not in _NUMBER:
-                raise ServiceError("bad_request", "volume and speed_mps must be JSON "
-                                   f"numbers, got {volume!r} and {speed!r}")
+            if volume < 0 or speed < 0:
+                raise ServiceError("bad_request", "volume and speed_mps must be >= 0, "
+                                   f"got {volume} and {speed}")
             if occ is not True and occ is not False:
                 raise ServiceError("bad_request",
                                    f"occupied must be true or false, got {occ!r}")
@@ -164,24 +161,29 @@ class ServiceState:
             if idx is None:
                 raise ServiceError("bad_request",
                                    f"observation references unknown link {pair}")
-            link_idx.append(idx)
-            volumes.append(volume)
-            speeds.append(speed)
-            occupied.append(occ)
-        node_ids: list[int] = []
-        densities: list = []
+            links[idx] = (volume, speed, occ)
+        node_count = self.net.node_count
+        nodes: dict[int, float] = {}
         for item in node_items:
             try:
                 node = item["id"]
-                density = item["density"]
-            except (KeyError, TypeError) as exc:
-                raise ServiceError("bad_request",
-                                   f"node readings need id and density ({exc!r})")
-            if type(node) is not int or type(density) not in _NUMBER:
-                raise ServiceError("bad_request", "a node id must be an integer and its "
-                                   f"density a JSON number, got {node!r} and {density!r}")
-            node_ids.append(node)
-            densities.append(density)
+                density = json_number(item["density"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ServiceError("bad_request", "node readings need an integer id and "
+                                   f"a finite JSON number density ({exc!r})")
+            if type(node) is not int or not 1 <= node <= node_count:
+                raise ServiceError("bad_request", "node id must be an integer in "
+                                   f"1..{node_count}, got {node!r}")
+            if density < 0:
+                raise ServiceError("bad_request", f"density must be >= 0, got {density}")
+            nodes[node] = density
+        if links:
+            volumes, speeds, occupied = map(np.array, zip(*links.values()))
+        else:
+            volumes = speeds = occupied = _NO_READINGS
+        link_idx = np.fromiter(links, np.intp, len(links))
+        node_idx = np.fromiter(nodes, np.intp, len(nodes))
+        densities = np.fromiter(nodes.values(), float, len(nodes))
 
         with self.lock:
             # A reading older than the clock is taken at the clock, so no slow
@@ -190,19 +192,15 @@ class ServiceState:
                 now = self.clock_s + self.dt_s
             else:
                 now = max(self.clock_s, time_s)
-            try:
-                written = ingest_readings(self.twin, (kind, [source_id]), link_idx,
-                                           volumes, speeds, occupied, node_ids,
-                                           densities, now)
-            except ContractError as exc:
-                raise ServiceError("bad_request", str(exc))
+            self.twin.ingest_arrays((kind, [source_id]), link_idx, volumes, speeds,
+                                    occupied, node_idx, densities, now)
             self.clock_s = now
             detect_pedestrian_gathering(self.twin)
             detect_accident(self.twin, self.clock_s)
             # No scheduled causes here, so any flag may clear on recovery
             # evidence. Only what this update read can have recovered: every
             # other flag already failed the test after its last reading.
-            clear_resolved_events(self.twin, node_ids, written)
+            clear_resolved_events(self.twin, nodes, links)
 
     def plan_route(self, msg: dict) -> dict:
         try:

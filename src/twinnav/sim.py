@@ -267,6 +267,14 @@ class Engine:
                     specs.append(EventSpec(kind=kind, node=next(it_gat),
                                            onset_s=onset, end_s=end,
                                            density=er.density))
+        t_end = sc.sim.t_sim_s
+
+        def to_step(t: float) -> int:
+            # A time before 0 means step 0 and one at or past the run's end is
+            # never reached, so clamping to the run changes no step's events
+            # and keeps the quotient inside float range.
+            return int(round(min(max(t, 0.0), t_end) / dt))
+
         out = []
         for idx, spec in enumerate(specs):
             link_idx = (
@@ -278,10 +286,8 @@ class Engine:
                     kind=spec.kind,
                     link_idx=link_idx,
                     node=spec.node,
-                    onset_step=int(round(spec.onset_s / dt)),
-                    end_step=(
-                        None if spec.end_s is None else int(round(spec.end_s / dt))
-                    ),
+                    onset_step=to_step(spec.onset_s),
+                    end_step=None if spec.end_s is None else to_step(spec.end_s),
                     density=spec.density,
                 )
             )

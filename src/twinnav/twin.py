@@ -10,15 +10,12 @@ link, when the current uninterrupted slow-and-occupied run started), so a
 TwinState is bound to the thresholds it was created with; the detectors read
 them from the state and take none of their own.
 
-The twin is entered two ways: the engine, whose readings are its own truth,
-calls `TwinState.ingest_arrays` with link indices and node ids; the route
-service resolves each reading's (from, to) pair to a link index and calls
-`ingest_readings` with columns (link indices, volumes, speeds, occupied, node
-ids, densities). That function range-checks every column with numpy, every
-reading of a repeated key included, keeps the last of a repeated key and then
-makes one `ingest_arrays` call. Event sets, `detect_accident`'s result and
-`clear_resolved_events`'s clearable links are link indices; pairs appear only
-in `snapshot_dict` and `event_link_pairs`.
+The twin has one entry, `TwinState.ingest_arrays`, which takes columns of
+link indices and node ids with their readings and trusts them: the engine
+passes its own truth, and the route service first checks each reading it was
+sent (`ServiceState.apply_sensor_update`). Event sets, `detect_accident`'s
+result and `clear_resolved_events`'s clearable links are link indices; pairs
+appear only in `snapshot_dict` and `event_link_pairs`.
 
 Detection costs what was written, not the size of the network. The state
 keeps the node ids written since the last detection (`pending_nodes`), and
@@ -37,15 +34,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
 from .network import TrafficNetwork
-
-INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -150,59 +145,6 @@ class TwinState:
             "event_nodes": sorted(self.event_nodes),
             "event_links": sorted(self.event_link_pairs()),
         }
-
-
-def ingest_readings(
-    state: TwinState,
-    sources: tuple[str, list[int]],
-    link_idx: Sequence[int],
-    volumes: Sequence[float],
-    speeds: Sequence[float],
-    occupied: Sequence[bool],
-    node_ids: Sequence[int],
-    densities: Sequence[float],
-    now: float,
-) -> list[int]:
-    """Validate delivered readings, then apply them in one `ingest_arrays` call.
-    Link readings are the columns `link_idx`, `volumes`, `speeds` and
-    `occupied`, node readings `node_ids` and `densities`, each in arrival
-    order; a repeated link or node keeps its last reading. An index outside
-    the network or a value outside [0, inf) in any reading, superseded or
-    not, raises ContractError before anything changes. Returns the link
-    indices written, in order of first arrival."""
-    net = state.net
-    n_links, n_nodes = len(link_idx), len(node_ids)
-    if n_links and not (0 <= min(link_idx) and max(link_idx) < net.link_count):
-        raise ContractError("observation references a link index outside "
-                            f"0..{net.link_count - 1}")
-    if n_nodes and not (1 <= min(node_ids) and max(node_ids) <= net.node_count):
-        raise ContractError(f"observation references a node outside 1..{net.node_count}")
-    try:
-        values = np.array([*volumes, *speeds, *densities], dtype=float)
-    except OverflowError:
-        raise ContractError("a volume, speed or density is out of float range") from None
-    # min and max propagate NaN, which fails both tests.
-    if values.size and not (0 <= values.min() and values.max() < INF):
-        k = int(np.flatnonzero(~((values >= 0) & (values < INF)))[0])
-        what = ("volume" if k < n_links else "speed" if k < 2 * n_links
-                else "pedestrian density")
-        raise ContractError(f"{what} must be finite and >= 0, got {values[k]}")
-
-    li = np.array(link_idx, dtype=np.intp)
-    vol, spd, dens = values[:n_links], values[n_links:2 * n_links], values[2 * n_links:]
-    occ = np.array(occupied, dtype=bool)
-    ni = np.array(node_ids, dtype=np.intp)
-    # dict keeps each key's first-arrival position and its last reading's index.
-    last = dict(zip(link_idx, range(n_links)))
-    if len(last) < n_links:
-        keep = np.fromiter(last.values(), dtype=np.intp, count=len(last))
-        li, vol, spd, occ = li[keep], vol[keep], spd[keep], occ[keep]
-    last = dict(zip(node_ids, range(n_nodes)))
-    if len(last) < n_nodes:
-        keep = np.fromiter(last.values(), dtype=np.intp, count=len(last))
-        ni, dens = ni[keep], dens[keep]
-    state.ingest_arrays(sources, li, vol, spd, occ, ni, dens, now)
-    return li.tolist()
 
 
 def detect_pedestrian_gathering(state: TwinState) -> set[int]:

@@ -161,6 +161,14 @@ def test_kpi_accepts_samples_at_the_cap(tmp_path, monkeypatch):
     assert asked == [MAX_SAMPLES]
 
 
+def test_kpi_rejects_flows_past_the_cap(tmp_path, capsys):
+    """Two flows of 1e308 ms each would sum to an infinite service total."""
+    huge = {"min_ms": 1e308, "max_ms": 1e308}
+    sc = scenario_file(tmp_path, latency={"route_load": huge, "cloud_plan": huge})
+    assert main(["kpi", "--scenario", sc, "--samples", "100"]) == 2
+    assert "latency range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("values", ["-3,0", "0,-3"])
 def test_sweep_rejects_negative_event_count(tmp_path, monkeypatch, values):
     sc = scenario_file(tmp_path, events_random={"count": 1})
@@ -182,6 +190,17 @@ def test_kpi_rejects_bad_v_free(tmp_path, capsys, v_free_kmh):
         "kpi", "--scenario", sc, "--samples", "100", f"--v-free-kmh={v_free_kmh}",
     ]) == 2
     assert "--v-free-kmh" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["70000", "-1", "65536"])
+def test_serve_rejects_a_port_out_of_range(tmp_path, monkeypatch, capsys, port):
+    served = []
+    monkeypatch.setattr(cli, "_load", lambda *a: served.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--scenario", scenario_file(tmp_path), f"--port={port}"])
+    assert exc.value.code == 2
+    assert "0..65535" in capsys.readouterr().err
+    assert served == []  # rejected while the arguments are parsed
 
 
 def test_unknown_subcommand_usage_error():

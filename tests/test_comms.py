@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from twinnav import comms
 from twinnav.comms import (
     FLOW_NAMES,
+    MAX_FLOW_MS,
     MAX_SAMPLES,
     SAMPLE_BLOCK,
     FlowLatency,
@@ -150,6 +151,11 @@ def test_flow_latency_validation():
         FlowLatency(5.0, 1.0)
     with pytest.raises(ConfigError):
         FlowLatency(-1.0, 1.0)
+    FlowLatency(MAX_FLOW_MS, MAX_FLOW_MS)
+    with pytest.raises(ConfigError):
+        FlowLatency(1.0, MAX_FLOW_MS * 1.001)
+    with pytest.raises(ConfigError):
+        FlowLatency(1e308, 1e308)  # sums of such flows overflow to inf
     with pytest.raises(ConfigError):
         FlowLatency(1.0, 2.0, dist="gaussian")
     with pytest.raises(ConfigError):

@@ -4,18 +4,17 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinnav import nav, service
-from twinnav.errors import ContractError
 from twinnav.service import RouteService, ServiceError, ServiceState
 from twinnav.twin import (
     TwinState,
     clear_resolved_events,
     detect_accident,
     detect_pedestrian_gathering,
-    ingest_readings,
 )
 
 from conftest import diamond_doc, make_scenario
@@ -391,7 +390,49 @@ BAD_UPDATES = {
     "negative speed superseded": {"links": [reading(speed_mps=-0.5), reading()]},
     "negative density superseded": {"nodes": [{"id": 3, "density": -0.1},
                                               {"id": 3, "density": 0.2}]},
+    "NaN density superseded": {"nodes": [{"id": 3, "density": math.nan},
+                                         {"id": 3, "density": 0.2}]},
+    "volume past float range superseded": {"links": [reading(volume=10**400),
+                                                     reading(volume=3)]},
+    "speed past float range": {"links": [reading(speed_mps=10**400)]},
+    "unknown link": {"links": [reading(**{"from": 4, "to": 1})]},
+    "unknown node": {"nodes": [{"id": 5, "density": 0.2}]},
+    "node id past float range": {"nodes": [{"id": 10**400, "density": 0.2}]},
 }
+
+
+def spy_ingest(state):
+    """The columns of each ingest_arrays call the state's twin gets from here
+    on, as lists."""
+    calls = []
+    ingest = state.twin.ingest_arrays
+
+    def spy(sources, *columns):
+        calls.append([c.tolist() if isinstance(c, np.ndarray) else c for c in columns])
+        return ingest(sources, *columns)
+
+    state.twin.ingest_arrays = spy
+    return calls
+
+
+def test_repeated_readings_keep_the_last_at_first_arrival():
+    """One ingest_arrays call per accepted update and none for a rejected
+    one; a repeated link or node keeps its last reading at the place it
+    first arrived."""
+    state = diamond_state()
+    calls = spy_ingest(state)
+    with pytest.raises(ServiceError):
+        state.apply_sensor_update({**node_update(1.0, 3, 0.2),
+                                   "links": [reading(volume=-1), reading(volume=3)]})
+    assert calls == []
+    state.apply_sensor_update({
+        "source": {"kind": "rsu", "id": 0}, "time_s": 1.0,
+        "links": [reading(volume=1), reading(**{"from": 2, "to": 4}, volume=2),
+                  reading(volume=3)],
+        "nodes": [{"id": 3, "density": 0.2}, {"id": 3, "density": 0.1}]})
+    link_index = state.net.link_index
+    assert calls == [[[link_index[(1, 2)], link_index[(2, 4)]], [3.0, 2.0], [0.1, 0.1],
+                      [True, True], [3], [0.1], 1.0]]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_UPDATES))
@@ -568,22 +609,34 @@ def reading_streams(draw):
     return stream
 
 
-def ingest_directly(twin, clock, msg):
-    """The service's handling of `msg`: every reading's pair resolved to a
-    link index (-1 when the network has no such link), then ingest_readings
-    on the columns of every reading in arrival order plus detection and
-    clearing of what the update read. Returns the new clock."""
-    links = msg["links"]
+def reference_update(twin, clock, msg):
+    """The law a sensor update follows, on columns of every reading in arrival
+    order: any unknown pair or node id, or any volume, speed or density not
+    finite and >= 0, superseded or not, rejects the update (None, the twin
+    untouched). Else a repeated link or node keeps its last reading at its
+    first arrival's place, in one ingest_arrays call, followed by detection
+    and clearing of what the update read. Returns the new clock."""
+    links, nodes = msg["links"], msg["nodes"]
     link_idx = [twin.net.link_index.get((r["from"], r["to"]), -1) for r in links]
-    nodes = [n["id"] for n in msg["nodes"]]
+    node_ids = [n["id"] for n in nodes]
+    values = np.array([r["volume"] for r in links] + [r["speed_mps"] for r in links]
+                      + [n["density"] for n in nodes], dtype=float)
+    if (-1 in link_idx or not all(1 <= n <= twin.net.node_count for n in node_ids)
+            or not np.all((values >= 0) & (values < math.inf))):
+        return None
+    k = len(links)
+    keep_links = list(dict(zip(link_idx, range(k))).values())
+    keep_nodes = list(dict(zip(node_ids, range(len(nodes)))).values())
     now = max(clock, msg["time_s"])
-    ingest_readings(twin, (msg["source"]["kind"], [msg["source"]["id"]]), link_idx,
-                    [r["volume"] for r in links], [r["speed_mps"] for r in links],
-                    [r["occupied"] for r in links], nodes,
-                    [n["density"] for n in msg["nodes"]], now)
+    twin.ingest_arrays((msg["source"]["kind"], [msg["source"]["id"]]),
+                       np.array(link_idx, dtype=np.intp)[keep_links],
+                       values[:k][keep_links], values[k:2 * k][keep_links],
+                       np.array([r["occupied"] for r in links], dtype=bool)[keep_links],
+                       np.array(node_ids, dtype=np.intp)[keep_nodes],
+                       values[2 * k:][keep_nodes], now)
     detect_pedestrian_gathering(twin)
     detect_accident(twin, now)
-    clear_resolved_events(twin, set(nodes), set(link_idx))
+    clear_resolved_events(twin, set(node_ids), set(link_idx))
     return now
 
 
@@ -595,7 +648,7 @@ def twin_law_view(twin):
 
 @settings(max_examples=100, deadline=None)
 @given(reading_streams())
-def test_service_update_and_ingest_readings_share_one_law(stream):
+def test_service_update_follows_the_reference_law(stream):
     state = diamond_state()
     twin = TwinState(state.net, state.twin.thresholds)
     clock = 0.0
@@ -607,13 +660,11 @@ def test_service_update_and_ingest_readings_share_one_law(stream):
         except ServiceError as exc:
             assert exc.code == "bad_request"
             service_ok = False
-        try:
-            clock = ingest_directly(twin, clock, msg)
-            direct_ok = True
-        except ContractError:
-            direct_ok = False
-        assert service_ok == direct_ok, msg
-        if not service_ok:
+        now = reference_update(twin, clock, msg)
+        assert service_ok == (now is not None), msg
+        if service_ok:
+            clock = now
+        else:
             assert twin_law_view(state.twin) == before
         assert twin_law_view(state.twin) == twin_law_view(twin)
         assert state.clock_s == clock

@@ -635,6 +635,25 @@ def test_blocked_vehicles_resume_after_event_clears():
             assert veh.encountered  # and the contact was counted
 
 
+def test_event_times_far_outside_the_run_act_as_the_run_bounds():
+    """At dt 0.5 s a time of 1e308 s is past float range in steps: an event
+    from -1e308 to 1e308 s runs like one from 0 s that never ends, one
+    starting at 1e308 s like no event, and a random duration of 1e308 s like
+    none."""
+    def outputs(**overrides):
+        return run_outputs(Engine, make_scenario(
+            diamond_doc(), traffic={"n_vel": 12, "p_user": 0.5},
+            sim={"dt_s": 0.5, "t_sim_s": 60.0, "seed": 3},
+            sensing={"rsus": [{"node": 2, "radius_m": 10000}]}, **overrides))
+
+    acc = {"kind": "accident", "link": [1, 2]}
+    assert outputs(events=[{**acc, "onset_s": -1e308, "end_s": 1e308}]) == \
+        outputs(events=[{**acc, "onset_s": 0, "end_s": None}])
+    assert outputs(events=[{**acc, "onset_s": 1e308}]) == outputs(events=[])
+    assert outputs(events_random={"count": 2, "duration_s": 1e308}) == \
+        outputs(events_random={"count": 2, "duration_s": None})
+
+
 def test_unconnected_never_replan_cavs_do():
     # Corridor with a bypass 2 -> 5 -> 4; closing (3,4) re-routes only CAVs.
     doc = {

@@ -9,7 +9,6 @@ from twinnav.twin import (
     clear_resolved_events,
     detect_accident,
     detect_pedestrian_gathering,
-    ingest_readings,
 )
 
 from conftest import diamond_doc
@@ -24,25 +23,19 @@ def net():
 
 
 RSU = ("rsu", [0])
+NO_IDS, NO_VALUES = np.empty(0, dtype=np.intp), np.empty(0)
 
 
 def read_link(state, pair, volume, now, speed=5.0, occupied=None, source=RSU):
     occ = occupied if occupied is not None else volume > 0
-    ingest_readings(state, source, [state.net.link_index[pair]], [volume], [speed], [occ],
-                    [], [], now)
+    state.ingest_arrays(source, np.array([state.net.link_index[pair]]),
+                        np.array([volume], dtype=float), np.array([speed], dtype=float),
+                        np.array([occ]), NO_IDS, NO_VALUES, now)
 
 
 def read_node(state, node, density, now):
-    ingest_readings(state, RSU, [], [], [], [], [node], [density], now)
-
-
-def ingest_pairs(state, links, nodes, now):
-    """ingest_readings on ((from, to), (volume, speed, occupied)) and
-    (node, density) readings."""
-    idx = [state.net.link_index.get(pair, -1) for pair, _ in links]
-    vol, speed, occ = zip(*(r for _, r in links)) if links else ((), (), ())
-    return ingest_readings(state, RSU, idx, vol, speed, occ, [n for n, _ in nodes],
-                           [d for _, d in nodes], now)
+    state.ingest_arrays(RSU, NO_IDS, NO_VALUES, NO_VALUES, NO_VALUES, np.array([node]),
+                        np.array([density], dtype=float), now)
 
 
 def test_ingest_overwrites_when_delivered(net):
@@ -59,40 +52,20 @@ def test_ingest_last_writer_wins(net):
     assert state.link_volume[net.link_index[(1, 2)]] == 1
 
 
-def test_ingest_readings_checks_superseded_readings_and_keeps_the_last(net):
-    state = TwinState(net, TH)
-    for links, nodes in (([((1, 2), (-1.0, 5.0, True)), ((1, 2), (3.0, 5.0, True))], []),
-                         ([], [(3, float("nan")), (3, 0.2)]),
-                         ([((1, 2), (10**400, 5.0, True))], []),
-                         ([((4, 1), (1.0, 5.0, True))], []),
-                         ([], [(5, 0.2)]), ([], [(10**400, 0.2)])):
-        with pytest.raises(ContractError):
-            ingest_pairs(state, links, nodes, 1.0)
-    assert not state.link_volume.any() and not state.node_observed.any()
-    assert not state.last_update
-    written = ingest_pairs(
-        state, [((1, 2), (1.0, 5.0, True)), ((2, 4), (2.0, 5.0, True)),
-                ((1, 2), (3.0, 5.0, True))], [(3, 0.2), (3, 0.1)], 1.0)
-    assert written == [net.link_index[(1, 2)], net.link_index[(2, 4)]]
-    assert state.link_volume[net.link_index[(1, 2)]] == 3
-    assert state.node_density[3] == 0.1
-
-
 def test_batched_ingest_equals_one_call_per_source(net):
     """Vehicles 3, 5 and 8 on links 0, 2 and 0 (slow and occupied), then
     vehicle 5 alone reports link 2 free: batched and one-by-one agree."""
     ids, links = [3, 5, 8], [0, 2, 0]
     vols, speeds, occ = [2.0, 1.0, 2.0], [0.1, 0.2, 0.1], [True, True, True]
-    none_i, none_f = np.empty(0, dtype=int), np.empty(0)
     one, batch = TwinState(net, TH), TwinState(net, TH)
     for k in range(3):
         one.ingest_arrays(("cav", [ids[k]]), np.array([links[k]]), np.array([vols[k]]),
-                          np.array([speeds[k]]), np.array([occ[k]]), none_i, none_f, 4.0)
+                          np.array([speeds[k]]), np.array([occ[k]]), NO_IDS, NO_VALUES, 4.0)
     batch.ingest_arrays(("cav", ids), np.array(links), np.array(vols),
-                        np.array(speeds), np.array(occ), none_i, none_f, 4.0)
+                        np.array(speeds), np.array(occ), NO_IDS, NO_VALUES, 4.0)
     for state in (one, batch):
         state.ingest_arrays(("cav", [5]), np.array([2]), np.array([0.0]),
-                            np.array([9.0]), np.array([False]), none_i, none_f, 5.0)
+                            np.array([9.0]), np.array([False]), NO_IDS, NO_VALUES, 5.0)
     assert one.last_update == batch.last_update == {
         ("cav", 3): 4.0, ("cav", 5): 5.0, ("cav", 8): 4.0}
     assert np.array_equal(one.link_volume, batch.link_volume)
