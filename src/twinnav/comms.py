@@ -276,9 +276,7 @@ def check_deadline(t_svc_s: float, v_free_mps: float) -> bool:
 
 
 def deliver(pdr: float, rng: random.Random) -> bool:
-    """Bernoulli packet delivery."""
-    if not 0.0 <= pdr <= 1.0:
-        raise ContractError(f"pdr must be within [0, 1], got {pdr}")
+    """Bernoulli packet delivery; `pdr` is in [0, 1], as `LatencyModel` checks."""
     return rng.random() < pdr
 
 

@@ -1,5 +1,7 @@
-"""Exception types, the JSON file reader and the JSON integer and number
-rules shared across the package."""
+"""Exception types, the JSON rules, and the one reader of each input:
+`decode_json` decodes every file and service line, and `json_field` reads each
+field of a scenario block and the network document's top level, naming the
+file, the block and the key when the field's rule rejects it."""
 
 import json
 import math
@@ -43,16 +45,72 @@ def json_number(value) -> float:
     return x
 
 
+def json_str(value) -> str:
+    """`value` if it is a JSON string; TypeError for anything else."""
+    if type(value) is not str:
+        raise TypeError(f"expected a JSON string, got {value!r:.40}")
+    return value
+
+
+_REQUIRED = object()
+
+
+def json_field(doc: dict, key: str, read, where: str, default=_REQUIRED):
+    """`doc[key]` as `read` takes it: a JSON rule, or a block type (dict for
+    an object, list for an array), which returns the value itself. A missing
+    key gives `default`, as is; without one it is an error. ConfigError
+    `where: key: reason` when `doc` is not an object, the key is missing, or
+    `read` rejects the value."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {doc!r:.40}")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+        return default
+    value = doc[key]
+    try:
+        if read is dict or read is list:
+            if not isinstance(value, read):
+                kind = "object" if read is dict else "array"
+                raise TypeError(f"expected a JSON {kind}, got {value!r:.40}")
+            return value
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {key}: {exc}") from exc
+
+
+def build_params(cls, where: str, **fields):
+    """`cls(**fields)`, its range-check error (ConfigError or ValueError)
+    re-raised as ConfigError `where: reason`."""
+    try:
+        return cls(**fields)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def decode_json(data: bytes):
+    """The JSON value in the UTF-8 bytes `data`; ValueError for bytes that are
+    not UTF-8, invalid JSON (json.JSONDecodeError), an integer literal past
+    the interpreter's digit limit and nesting too deep for the decoder."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def read_json(path: str, what: str):
     """The JSON document in the file at `path`; ConfigError naming the
-    `what` file when it cannot be read, or the line and column of invalid
-    JSON."""
+    `what` file when it cannot be read, the line and column of a syntax
+    error, or the file and reason of any other `decode_json` failure."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from exc
+    try:
+        return decode_json(data)
+    except ValueError as exc:
+        if isinstance(exc, json.JSONDecodeError):
+            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: "
+                              f"{exc.msg}") from exc
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc

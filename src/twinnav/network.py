@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DegenerateRouteRequest, json_int, \
-    json_number, read_json
+from .errors import ConfigError, ContractError, DegenerateRouteRequest, json_field, \
+    json_int, json_number, read_json
 
 INF = math.inf
 # A vehicle this close to a link's end counts as at the end. Every link must be
@@ -252,14 +252,10 @@ def build_journey_matrix(net: TrafficNetwork, volumes) -> np.ndarray:
 
 
 def network_from_dict(doc: dict, source: str = "network") -> TrafficNetwork:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{source}: top level must be a JSON object")
-    raw_nodes = doc.get("nodes")
-    raw_links = doc.get("links")
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise ConfigError(f"{source}: 'nodes' must be a non-empty array")
-    if not isinstance(raw_links, list):
-        raise ConfigError(f"{source}: 'links' must be an array")
+    raw_nodes = json_field(doc, "nodes", list, source)
+    raw_links = json_field(doc, "links", list, source)
+    if not raw_nodes:
+        raise ConfigError(f"{source}: nodes: expected a non-empty array")
     for what, items, cap in (("nodes", raw_nodes, MAX_NODES),
                              ("links", raw_links, MAX_LINKS)):
         if len(items) > cap:

@@ -2,19 +2,22 @@
 document. See README for the full schema. Paths inside the file resolve
 relative to the file's directory. Ids and counts (event nodes and links, RSU
 nodes, sim.seed, traffic.n_vel, events_random.count) must be JSON integers,
-and every other number a finite JSON number (`errors.json_number`).
+and every other number a finite JSON number (`errors.json_number`). Every
+field is read by the one field reader, `errors.json_field`, so an error names
+the file, the block and the key; `errors.build_params` builds each parameter
+class and names the block of its range error.
 
 The parameter classes check their own ranges, so the loader and the
 `Scenario.with_*` helpers share one check each. `Scenario` itself checks that
 its random events fit: no more than the links and nodes their kinds can use,
 in a non-empty onset window; a sweep builds every point, and so runs this
-check, before its first run. Four caps bound one run: MAX_STEPS steps,
+check, before its first run. Five caps bound one run: MAX_STEPS steps,
 MAX_VEHICLES vehicles, MAX_SPAWN_RATE spawns a step (`Scenario.spawn_rate`,
-the engine's Poisson rate) and MAX_EVENTS explicit events; the network loader
-caps nodes and links. Random events take the explicit events' ranges:
-no negative duration or density. The scenario owns the run seed (`sim.seed`,
-set by `with_seed`). `Scenario.rsu_coverage` is the one place that decides
-what an RSU covers.
+the engine's Poisson rate), MAX_EVENTS explicit events and MAX_RSUS RSUs;
+the network loader caps nodes and links. Random events take the explicit
+events' ranges: no negative duration or density. The scenario owns the run
+seed (`sim.seed`, set by `with_seed`). `Scenario.rsu_coverage` is the one
+place that decides what an RSU covers.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .comms import FlowLatency, LatencyModel, DEFAULT_FLOWS
-from .errors import ConfigError, json_int, json_number, read_json
+from .errors import ConfigError, build_params, json_field, json_int, json_number, \
+    json_str, read_json
 from .network import TrafficNetwork, load_network, network_from_dict
 from .twin import EventThresholds
 
@@ -39,6 +43,7 @@ MAX_STEPS = 1_000_000  # t_sim_s / dt_s
 MAX_VEHICLES = 1_000_000  # traffic.n_vel
 MAX_SPAWN_RATE = 10_000  # mean spawns per step while the spawn window is open
 MAX_EVENTS = 10_000  # explicit events; each step walks every event
+MAX_RSUS = 10_000  # sensing.rsus; coverage costs one distance per RSU and node
 
 
 @dataclass(frozen=True)
@@ -199,88 +204,62 @@ class Scenario:
         return out
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return doc[key]
+def _number_or_null(value) -> float | None:
+    """A JSON number, or None for null."""
+    return None if value is None else json_number(value)
 
 
-def _typed(value, kind: type, where: str):
-    """`value`, checked to be a JSON object (kind dict) or array (kind list)."""
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "an array"
-        raise ConfigError(f"{where} must be {name}, got {value!r:.40}")
-    return value
+def _node_pair(value) -> tuple[int, int]:
+    """A [from, to] pair of node ids."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise TypeError(f"expected a [from, to] pair, got {value!r:.40}")
+    return json_int(value[0]), json_int(value[1])
 
 
 def _parse_event(item: dict, k: int, net: TrafficNetwork, where: str) -> EventSpec:
     w = f"{where}: events[{k}]"
-    kind = _require(_typed(item, dict, w), "kind", w)
+    kind = json_field(item, "kind", json_str, w)
     if kind not in EVENT_KINDS:
         raise ConfigError(f"{w}: kind must be one of {EVENT_KINDS}, got {kind!r}")
-    try:
-        onset = json_number(item.get("onset_s", 0.0))
-        end = item.get("end_s")
-        end_s = None if end is None else json_number(end)
-        density = json_number(item.get("density", DEFAULT_GATHERING_DENSITY))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{w}: onset_s, end_s and density must be numbers ({exc})") from exc
+    onset = json_field(item, "onset_s", json_number, w, 0.0)
+    end_s = json_field(item, "end_s", _number_or_null, w, None)
+    density = json_field(item, "density", json_number, w, DEFAULT_GATHERING_DENSITY)
     if end_s is not None and end_s < onset:
         raise ConfigError(f"{w}: end_s precedes onset_s")
     if density < 0:
         raise ConfigError(f"{w}: density must be >= 0, got {density}")
     if kind == "gathering":
-        try:
-            node = json_int(_require(item, "node", w))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{w}: node must be a node id ({exc})") from exc
+        node = json_field(item, "node", json_int, w)
         if node not in net.node_by_id:
             raise ConfigError(f"{w}: unknown node {node}")
         return EventSpec(kind=kind, node=node, onset_s=onset, end_s=end_s, density=density)
-    raw = _require(item, "link", w)
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-        raise ConfigError(f"{w}: link must be a [from, to] pair")
-    try:
-        pair = (json_int(raw[0]), json_int(raw[1]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{w}: link must be a [from, to] pair ({exc})") from exc
+    pair = json_field(item, "link", _node_pair, w)
     if net.link_between(*pair) is None:
         raise ConfigError(f"{w}: no link {pair[0]}->{pair[1]} in the network")
     return EventSpec(kind=kind, link=pair, onset_s=onset, end_s=end_s, density=density)
 
 
-def _parse_latency(doc: dict, where: str) -> LatencyModel:
-    doc = _typed(doc, dict, f"{where}: latency")
-    flows = dict(DEFAULT_FLOWS)
-    known = set(flows) | {"pdr_ssms", "pdr_info"}
-    unknown = set(doc) - known
+def _parse_latency(doc: dict, source: str) -> LatencyModel:
+    where = f"{source}: latency"
+    unknown = set(doc) - set(DEFAULT_FLOWS) - {"pdr_ssms", "pdr_info"}
     if unknown:
-        raise ConfigError(f"{where}: unknown latency keys {sorted(unknown)}")
+        raise ConfigError(f"{source}: unknown latency keys {sorted(unknown)}")
+    flows = dict(DEFAULT_FLOWS)
     for name in DEFAULT_FLOWS:
         if name in doc:
-            w = f"{where}: latency.{name}"
-            spec = _typed(doc[name], dict, w)
-            try:
-                flows[name] = FlowLatency(
-                    min_ms=json_number(spec["min_ms"]),
-                    max_ms=json_number(spec["max_ms"]),
-                    dist=spec.get("dist", "uniform"),
-                    mean_ms=(
-                        json_number(spec["mean_ms"]) if "mean_ms" in spec else None
-                    ),
-                )
-            except KeyError as exc:
-                raise ConfigError(f"{w}: missing {exc}") from exc
-            except (ConfigError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{w}: {exc}") from exc
-    try:
-        return LatencyModel(
-            flows=flows,
-            pdr_ssms=json_number(doc.get("pdr_ssms", 0.9953)),
-            pdr_info=json_number(doc.get("pdr_info", 1.0)),
-        )
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+            spec = json_field(doc, name, dict, where)
+            w = f"{where}.{name}"
+            flows[name] = build_params(
+                FlowLatency, w,
+                min_ms=json_field(spec, "min_ms", json_number, w),
+                max_ms=json_field(spec, "max_ms", json_number, w),
+                dist=json_field(spec, "dist", json_str, w, "uniform"),
+                mean_ms=json_field(spec, "mean_ms", json_number, w, None))
+    return build_params(
+        LatencyModel, source,
+        flows=flows,
+        pdr_ssms=json_field(doc, "pdr_ssms", json_number, where, 0.9953),
+        pdr_info=json_field(doc, "pdr_info", json_number, where, 1.0))
 
 
 def scenario_from_dict(
@@ -292,107 +271,72 @@ def scenario_from_dict(
     if "network" in doc:
         net = network_from_dict(doc["network"], source=f"{source}: network")
     else:
-        rel = _require(doc, "network_file", source)
+        rel = json_field(doc, "network_file", json_str, source)
         net = load_network(os.path.join(base_dir, rel))
 
-    sim_doc = _typed(_require(doc, "sim", source), dict, f"{source}: sim")
-    try:
-        sim = SimParams(
-            dt_s=json_number(sim_doc["dt_s"]),
-            t_sim_s=json_number(sim_doc["t_sim_s"]),
-            seed=json_int(sim_doc.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{source}: sim block needs dt_s and t_sim_s ({exc})") from exc
-    except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+    sim_doc = json_field(doc, "sim", dict, source)
+    w = f"{source}: sim"
+    sim = build_params(
+        SimParams, source,
+        dt_s=json_field(sim_doc, "dt_s", json_number, w),
+        t_sim_s=json_field(sim_doc, "t_sim_s", json_number, w),
+        seed=json_field(sim_doc, "seed", json_int, w, 0))
 
-    tr_doc = _typed(_require(doc, "traffic", source), dict, f"{source}: traffic")
-    spawn_doc = _typed(tr_doc.get("spawn", {}), dict, f"{source}: traffic.spawn")
-    try:
-        traffic = TrafficParams(
-            n_vel=json_int(tr_doc["n_vel"]),
-            p_user=json_number(tr_doc["p_user"]),
-            spawn_window_frac=json_number(spawn_doc.get("window_frac", 0.8)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{source}: traffic block needs n_vel and p_user ({exc})") from exc
-    except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+    tr_doc = json_field(doc, "traffic", dict, source)
+    w = f"{source}: traffic"
+    traffic = build_params(
+        TrafficParams, source,
+        n_vel=json_field(tr_doc, "n_vel", json_int, w),
+        p_user=json_field(tr_doc, "p_user", json_number, w),
+        spawn_window_frac=json_field(json_field(tr_doc, "spawn", dict, w, {}),
+                                     "window_frac", json_number, f"{w}.spawn", 0.8))
 
     if "events" in doc and "events_random" in doc:
         raise ConfigError(f"{source}: give events or events_random, not both")
-    events: tuple[EventSpec, ...] = ()
+    items = json_field(doc, "events", list, source, [])
+    if len(items) > MAX_EVENTS:
+        raise ConfigError(f"{source}: {len(items)} events, more than {MAX_EVENTS}")
+    events = tuple(_parse_event(item, k, net, source) for k, item in enumerate(items))
     events_random = None
-    if "events" in doc:
-        items = _typed(doc["events"], list, f"{source}: events")
-        if len(items) > MAX_EVENTS:
-            raise ConfigError(
-                f"{source}: {len(items)} events, more than {MAX_EVENTS}")
-        events = tuple(_parse_event(item, k, net, source)
-                       for k, item in enumerate(items))
-    elif "events_random" in doc:
-        er = _typed(doc["events_random"], dict, f"{source}: events_random")
-        try:
-            events_random = RandomEvents(
-                count=json_int(er["count"]),
-                kinds=tuple(er.get("kinds", EVENT_KINDS)),
-                onset_min_s=(
-                    json_number(er["onset_min_s"]) if "onset_min_s" in er else None
-                ),
-                onset_max_s=(
-                    json_number(er["onset_max_s"]) if "onset_max_s" in er else None
-                ),
-                duration_s=(
-                    json_number(er["duration_s"])
-                    if er.get("duration_s") is not None else None
-                ),
-                density=json_number(er.get("density", DEFAULT_GATHERING_DENSITY)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{source}: events_random needs count ({exc})") from exc
-        except ConfigError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
+    if "events_random" in doc:
+        er = json_field(doc, "events_random", dict, source)
+        w = f"{source}: events_random"
+        events_random = build_params(
+            RandomEvents, source,
+            count=json_field(er, "count", json_int, w),
+            kinds=tuple(json_field(er, "kinds", list, w, EVENT_KINDS)),
+            onset_min_s=json_field(er, "onset_min_s", json_number, w, None),
+            onset_max_s=json_field(er, "onset_max_s", json_number, w, None),
+            duration_s=json_field(er, "duration_s", _number_or_null, w, None),
+            density=json_field(er, "density", json_number, w, DEFAULT_GATHERING_DENSITY))
 
-    sensing = _typed(doc.get("sensing", {}), dict, f"{source}: sensing")
-    rsu_docs = _typed(sensing.get("rsus", []), list, f"{source}: sensing.rsus")
+    sensing = json_field(doc, "sensing", dict, source, {})
+    rsu_docs = json_field(sensing, "rsus", list, f"{source}: sensing", [])
+    if len(rsu_docs) > MAX_RSUS:
+        raise ConfigError(f"{source}: {len(rsu_docs)} RSUs, more than {MAX_RSUS}")
     rsus = []
     for k, item in enumerate(rsu_docs):
         w = f"{source}: sensing.rsus[{k}]"
-        try:
-            rsu = RsuSpec(node=json_int(item["node"]),
-                          radius_m=json_number(item["radius_m"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{w}: expected {{node, radius_m}} ({exc})") from exc
+        rsu = RsuSpec(node=json_field(item, "node", json_int, w),
+                      radius_m=json_field(item, "radius_m", json_number, w))
         if rsu.node not in net.node_by_id:
             raise ConfigError(f"{w}: unknown node {rsu.node}")
         if rsu.radius_m <= 0:
             raise ConfigError(f"{w}: radius_m must be > 0")
         rsus.append(rsu)
 
-    th_doc = _typed(doc.get("thresholds", {}), dict, f"{source}: thresholds")
-    try:
-        thresholds = EventThresholds(
-            density_threshold=json_number(th_doc.get("density_threshold", 0.5)),
-            speed_threshold=json_number(th_doc.get("speed_threshold", 0.5)),
-            accident_window_s=json_number(th_doc.get("accident_window_s", 10.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{source}: bad thresholds block ({exc})") from exc
+    th_doc = json_field(doc, "thresholds", dict, source, {})
+    w = f"{source}: thresholds"
+    thresholds = build_params(
+        EventThresholds, w,
+        density_threshold=json_field(th_doc, "density_threshold", json_number, w, 0.5),
+        speed_threshold=json_field(th_doc, "speed_threshold", json_number, w, 0.5),
+        accident_window_s=json_field(th_doc, "accident_window_s", json_number, w, 10.0))
 
-    latency = _parse_latency(doc.get("latency", {}), source)
-
-    return Scenario(
-        network=net,
-        sim=sim,
-        traffic=traffic,
-        events=events,
-        events_random=events_random,
-        rsus=tuple(rsus),
-        thresholds=thresholds,
-        latency=latency,
-        source_path=source,
-    )
+    latency = _parse_latency(json_field(doc, "latency", dict, source, {}), source)
+    return Scenario(network=net, sim=sim, traffic=traffic, events=events,
+                    events_random=events_random, rsus=tuple(rsus),
+                    thresholds=thresholds, latency=latency, source_path=source)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -13,8 +13,8 @@ One UTF-8 JSON message per line over a plain TCP stream. Incoming types:
 
 A sensor_update gets no reply on success (errors are reported); a
 route_request gets exactly one route_response or error. Unknown types answer
-{"type": "error", "code": "unknown_type"}; unparsable lines answer
-{"type": "error", "code": "parse"} and keep the connection open. A line longer
+{"type": "error", "code": "unknown_type"}; lines that `errors.decode_json`
+rejects answer {"type": "error", "code": "parse"} and keep the connection open. A line longer
 than MAX_LINE_BYTES, its newline included, is discarded unread up to its
 newline and answers {"type": "error", "code": "line_too_long"}; the connection
 stays open.
@@ -67,7 +67,7 @@ import threading
 import numpy as np
 
 from . import nav
-from .errors import json_int, json_number
+from .errors import decode_json, json_int, json_number
 from .scenario import Scenario
 from .twin import (
     TwinState,
@@ -269,8 +269,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 if not line:
                     continue
                 try:
-                    msg = json.loads(line.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    msg = decode_json(line)
+                except ValueError as exc:
                     raise ServiceError("parse", f"not a JSON line: {exc}")
                 if not isinstance(msg, dict):
                     raise ServiceError("parse", "message must be a JSON object")

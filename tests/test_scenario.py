@@ -81,6 +81,10 @@ def test_scenario_missing_network_file(tmp_path):
                      id="one vehicle past the cap"),
         pytest.param(lambda d: d.update(events=[{"kind": "gathering", "node": 2}] * 10_001),
                      "10001 events, more than 10000", id="one event past the cap"),
+        # Checked before any RSU item is read: the bad item is never reached.
+        pytest.param(lambda d: d.update(sensing={"rsus": [{"node": 2, "radius_m": 1.0}]
+                                                 * 10_000 + ["not an RSU"]}),
+                     "10001 RSUs, more than 10000", id="one RSU past the cap"),
         pytest.param(lambda d: d["traffic"].update(spawn={"window_frac": 1e-320}),
                      "spawn rate", id="window_frac 1e-320"),
         pytest.param(lambda d: d["traffic"].update(n_vel=300_001, spawn={"window_frac": 0.5}),
@@ -105,6 +109,8 @@ def test_scenario_validation_errors(mutate, pattern):
 def test_caps_admit_their_limits():
     doc = minimal_doc(events=[{"kind": "gathering", "node": 2}] * 10_000)
     assert len(scenario_from_dict(doc).events) == 10_000
+    doc = minimal_doc(sensing={"rsus": [{"node": 2, "radius_m": 1.0}] * 10_000})
+    assert len(scenario_from_dict(doc).rsus) == 10_000
     doc = minimal_doc()
     doc["sim"].update(t_sim_s=1_000_000.0)
     doc["traffic"].update(n_vel=1_000_000)
@@ -175,6 +181,13 @@ def test_run_exits_2_on_more_events_than_the_cap(tmp_path, capsys):
     assert "more than 10000" in capsys.readouterr().err
 
 
+def test_run_exits_2_on_more_rsus_than_the_cap(tmp_path, capsys):
+    doc = minimal_doc(sensing={"rsus": [{"node": 2, "radius_m": 1.0}] * 10_001})
+    sc = write_json(tmp_path / "scenario.json", doc)
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+    assert "10001 RSUs, more than 10000" in capsys.readouterr().err
+
+
 # Each sets one number to an integer past float range, which json reads as
 # an int; the number rule rejects it, so no handler needs OverflowError.
 PAST_FLOAT_RANGE = {
@@ -207,7 +220,19 @@ MISTYPED = {
     "event not an object": lambda d: d.update(events=[5]),
     "events_random kind not a string": lambda d: d.update(
         events_random={"count": 2, "kinds": [{}]}),
+    "events_random kinds an object": lambda d: d.update(
+        events_random={"count": 1, "kinds": {"accident": 0}}),
+    "network_file a number": lambda d: network_file_set_to(d, 5),
+    "network_file an array": lambda d: network_file_set_to(d, ["a"]),
+    "network_file null": lambda d: network_file_set_to(d, None),
+    # A string, but no path: open() refuses a NUL byte.
+    "network_file with a NUL byte": lambda d: network_file_set_to(d, "\u0000x"),
 }
+
+
+def network_file_set_to(doc, value):
+    del doc["network"]
+    doc["network_file"] = value
 
 
 @pytest.mark.parametrize("case", sorted(MISTYPED))
@@ -419,6 +444,37 @@ def test_rsu_coverage_matches_brute_force(data):
     assert other not in coverage[-1][1]
 
 
+# Each turns the text of a scenario or network file, whose one number is the
+# placeholder "BIG", into bytes that the JSON decoder rejects with an error
+# other than a syntax error: an integer literal past CPython's 4300-digit
+# limit (and past float range where no limit applies), bytes that are not
+# UTF-8, and nesting past the recursion limit.
+UNDECODABLE = {
+    "5000-digit integer": lambda text: text.replace('"BIG"', "9" * 5000).encode(),
+    "not UTF-8": lambda text: b"\xff\xfe" + text.encode(),
+    "deep nesting": lambda text: b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("bad_file", ["scenario.json", "net.json"])
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_run_exits_2_on_undecodable_json(tmp_path, capsys, case, bad_file):
+    net = diamond_doc()
+    doc = minimal_doc(network_file="net.json")
+    del doc["network"]
+    if bad_file == "scenario.json":
+        doc["sim"]["dt_s"] = "BIG"
+    else:
+        net["links"][0]["length_m"] = "BIG"
+    for name, value in (("scenario.json", doc), ("net.json", net)):
+        text = json.dumps(value)
+        (tmp_path / name).write_bytes(
+            UNDECODABLE[case](text) if name == bad_file else text.encode())
+    sc = str(tmp_path / "scenario.json")
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+    assert "runtime failure" not in capsys.readouterr().err
+
+
 def test_scenario_bad_json_reports_position(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{\n  'sim': }")
@@ -444,10 +500,14 @@ SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "scenarios")
 
 
+def demo_doc():
+    with open(os.path.join(SCENARIOS, "demo.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def inlined_demo_doc():
     """scenarios/demo.json with its network document inlined."""
-    with open(os.path.join(SCENARIOS, "demo.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = demo_doc()
     with open(os.path.join(SCENARIOS, doc.pop("network_file")), encoding="utf-8") as fh:
         doc["network"] = json.load(fh)
     return doc
@@ -470,16 +530,22 @@ DEMO_PATHS = {
            if (p[0] == "network") == (part == "network")]
     for part in ("scenario", "network")
 }
+# The demo document as committed, which names its network file, so that the
+# network_file key is mutated too.
+FILE_DEMO_DOC = demo_doc()
+DEMO_PATHS["network_file"] = [(("network_file",), True)]
 JSON_VALUES = (0, -1, 1, 2, 0.5, -0.5, 1.5, 1e-9, 1e308, -1e308, 10**400, 2**63,
                True, False, None, "x", [], {})
 
 
 @st.composite
 def mutated_demo_docs(draw):
-    """The inlined demo document with one mutation: a leaf replaced by one of
-    JSON_VALUES, a key or list item deleted, or a value wrapped in a list."""
-    doc = copy.deepcopy(DEMO_DOC)
-    paths = DEMO_PATHS[draw(st.sampled_from(sorted(DEMO_PATHS)))]
+    """The inlined demo document, or the committed one for its network_file
+    key, with one mutation: a leaf replaced by one of JSON_VALUES, a key or
+    list item deleted, or a value wrapped in a list."""
+    part = draw(st.sampled_from(sorted(DEMO_PATHS)))
+    doc = copy.deepcopy(FILE_DEMO_DOC if part == "network_file" else DEMO_DOC)
+    paths = DEMO_PATHS[part]
     op = draw(st.sampled_from(["replace", "delete", "wrap"]))
     path, _ = draw(st.sampled_from([p for p in paths if p[1] or op != "replace"]))
     parent = doc
@@ -510,7 +576,7 @@ def test_a_mutated_demo_document_is_rejected_or_runs(doc):
     """Bad input fails at load with ConfigError, or during the run with
     ConfigError; no other exception and no numpy warning."""
     try:
-        sc = scenario_from_dict(doc, source="demo")
+        sc = scenario_from_dict(doc, base_dir=SCENARIOS, source="demo")
     except ConfigError:
         return
     try:

@@ -131,6 +131,9 @@ def test_degenerate_request(server):
     c.close()
 
 
+ROUTE = {"type": "route_request", "vehicle": "x", "position": 1, "destination": 4}
+
+
 def test_garbage_line_keeps_connection(server):
     c = Client(server.port)
     c.send_raw(b"{not json")
@@ -141,6 +144,25 @@ def test_garbage_line_keeps_connection(server):
          "destination": 4}
     )
     assert reply["type"] == "route_response"
+    c.close()
+
+
+# Lines the JSON decoder rejects with an error other than a syntax error: the
+# position is an integer literal past CPython's 4300-digit limit.
+UNDECODABLE_LINES = {
+    "deep nesting": b"[" * 100_000,
+    "5000-digit position": b'{"type": "route_request", "vehicle": "x", "position": '
+                           + b"9" * 5000 + b', "destination": 4}',
+    "not UTF-8": b"\xff\xfe{}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_LINES))
+def test_undecodable_line_answers_parse_and_keeps_connection(server, case):
+    c = Client(server.port)
+    c.send_raw(UNDECODABLE_LINES[case])
+    assert c.recv()["code"] == "parse"
+    assert c.request(ROUTE)["type"] == "route_response"
     c.close()
 
 
@@ -161,9 +183,6 @@ def test_over_long_line_answers_one_error_and_keeps_connection(server):
     c.send_raw(at_cap)
     assert c.recv()["vehicle"] == "y" * pad
     c.close()
-
-
-ROUTE = {"type": "route_request", "vehicle": "x", "position": 1, "destination": 4}
 
 
 def handler_threads():
