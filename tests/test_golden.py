@@ -1,13 +1,15 @@
 """Outputs of fixed runs, byte for byte against committed files: metrics.csv
-of three runs, the SHA-256 of both journals of two, the criterion-7 sweep.csv,
+of four runs, the SHA-256 of both journals of three, the criterion-7 sweep.csv,
 the kpi.csv of `twinnav kpi` and the SHA-256 of latency Monte-Carlo series.
 
 The demo and grid_events metrics files under tests/data were written by the
 dense journey-matrix planner, the grid_events journal digests and the sweep
 by the engine that scanned every spawned vehicle and ingested one vehicle
 reading per call, the grid_rsus files by the engine that built planner rows
-on every step and ingested each delivered RSU in its own call, the KPI files
-by the sampler that drew one latency value per `random.Random` call. A change
+on every step and ingested each delivered RSU in its own call, the
+grid_incidents files by the engine whose detection and planning steps called
+the detectors and the masking law themselves, the KPI files by the sampler
+that drew one latency value per `random.Random` call. A change
 that alters a route, a float, an RNG draw or the order of bookkeeping or
 ingest shows here.
 Regenerate them only with a change that states why behaviour moved.
@@ -56,7 +58,22 @@ def grid_with_rsus_doc():
     }
 
 
-GRID_DOCS = {"grid_events": grid_with_events_doc, "grid_rsus": grid_with_rsus_doc}
+def grid_with_incidents_doc():
+    """6x6 grid, 120 random events of 90 s each, four lossy RSUs and lossy
+    route responses: overlapping closures open and close the whole run, many
+    searches find no path, and flags rise and clear on stale evidence."""
+    return {
+        "network": generate_grid_network(rows=6, cols=6, n_links=160, seed=17),
+        "sim": {"dt_s": 1.0, "t_sim_s": 400.0, "seed": 17},
+        "traffic": {"n_vel": 500, "p_user": 0.6},
+        "events_random": {"count": 120, "onset_max_s": 300.0, "duration_s": 90.0},
+        "sensing": {"rsus": [{"node": n, "radius_m": 300.0} for n in (8, 11, 26, 29)]},
+        "latency": {"pdr_ssms": 0.85, "pdr_info": 0.9},
+    }
+
+
+GRID_DOCS = {"grid_events": grid_with_events_doc, "grid_rsus": grid_with_rsus_doc,
+             "grid_incidents": grid_with_incidents_doc}
 
 
 @pytest.mark.parametrize("name", ["demo", "grid_events", "grid_rsus"])
@@ -109,6 +126,11 @@ def test_journals_match_golden_digests(tmp_path, capsys):
 
 def test_multi_rsu_journals_match_golden_digests(tmp_path, capsys):
     assert journal_digests(tmp_path, "grid_rsus") == golden_digests("grid_rsus")
+
+
+def test_heavy_incident_journals_match_golden_digests(tmp_path, capsys):
+    """Its metrics.csv is checked here too, in the same run."""
+    assert journal_digests(tmp_path, "grid_incidents") == golden_digests("grid_incidents")
 
 
 def test_criterion7_sweep_csv_matches_golden(tmp_path, capsys):

@@ -484,6 +484,16 @@ def test_engine_matches_reference_step_on_a_lossy_grid(seed):
     assert run_outputs(Engine, sc) == run_outputs(ReferenceEngine, sc)
 
 
+@pytest.mark.parametrize("count, seed", [(60, 4), (150, 5)])
+def test_engine_matches_reference_step_under_heavy_incidents(count, seed):
+    """Dozens of overlapping timed closures: links reopen under live flags,
+    many pairs have no path, and most steps keep closed links to book."""
+    doc = lossy_grid_doc(events_random={"count": count, "onset_max_s": 200.0,
+                                        "duration_s": 120.0})
+    sc = scenario_from_dict(doc).with_seed(seed)
+    assert run_outputs(Engine, sc) == run_outputs(ReferenceEngine, sc)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_engine_matches_reference_step_on_a_jammed_grid(seed):
     """Jam capacity of 2 to 4 vehicles a link: queues back up to link ends,
