@@ -50,6 +50,10 @@ def _setup_logging() -> None:
     )
 
 
+def _escape_unprintable(text: str) -> str:  # NUL as \x00, ESC as \x1b
+    return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in text)
+
+
 def _load(scenario_path: str, seed: int | None) -> Scenario:
     scenario = load_scenario(scenario_path)
     if seed is not None:
@@ -207,13 +211,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_escape_unprintable(str(exc))}", file=sys.stderr)
         return EXIT_CONFIG
     except KeyboardInterrupt:
         return EXIT_RUNTIME
     except Exception as exc:  # pragma: no cover - last-resort diagnostics
         log.exception("unhandled failure")
-        print(f"runtime failure: {exc}", file=sys.stderr)
+        print(f"runtime failure: {_escape_unprintable(str(exc))}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -37,19 +37,18 @@ link's or node's last reading; the columns then enter the twin with one
 `TwinState.ingest_arrays` call, the engine's entry. The service clock
 follows the largest `time_s` seen; an update without `time_s` is taken one
 step after the clock, and one whose `time_s` is older than the clock is taken
-at the clock. Each update then runs event detection against the twin's own
-thresholds, which judges only the nodes written since the last detection and
-the slow runs that came due on the twin's run heap, so an update costs what
-it carries, not what the network holds. It clears every flag whose latest reading no
-longer meets its criterion (the service has no scheduled causes).
+at the clock. Each update then runs one `TwinState.detect` pass, the engine's,
+which costs what the update wrote, not what the network holds (see
+`twinnav.twin`), and clears every flag whose latest reading no longer meets
+its criterion (the service has no scheduled causes).
 
-Route requests plan over event-masked journey-time rows of the twin's
-current volumes and flags; the rows' keys are the graph.
-The state keeps one `nav.PlannerState` under its lock, so a request patches
-only the links whose journey time changed since the last request, and a pair
-found to have no path answers unreachable without a search until the set of
-+inf links changes. A request whose position is its destination answers
-`degenerate_request`.
+A route request hands `TwinState.masked_journey_times` to
+`PlannerState.update`, as the engine's plan does, and searches the planner's
+rows, whose keys are the graph. The state keeps its one `nav.PlannerState`
+under its lock, so a request patches only the links whose journey time changed
+since the last request, and a pair found to have no path answers unreachable
+without a search until the set of +inf links changes. A request whose position
+is its destination answers `degenerate_request`.
 
 At most MAX_CONNECTIONS connections are served at once; one more is answered
 {"type": "error", "code": "busy"} and closed. A connection whose client sends
@@ -69,12 +68,7 @@ import numpy as np
 from . import nav
 from .errors import decode_json, json_int, json_number
 from .scenario import Scenario
-from .twin import (
-    TwinState,
-    clear_resolved_events,
-    detect_accident,
-    detect_pedestrian_gathering,
-)
+from .twin import TwinState
 
 log = logging.getLogger(__name__)
 
@@ -195,12 +189,10 @@ class ServiceState:
             self.twin.ingest_arrays((kind, [source_id]), link_idx, volumes, speeds,
                                     occupied, node_idx, densities, now)
             self.clock_s = now
-            detect_pedestrian_gathering(self.twin)
-            detect_accident(self.twin, self.clock_s)
             # No scheduled causes here, so any flag may clear on recovery
             # evidence. Only what this update read can have recovered: every
             # other flag already failed the test after its last reading.
-            clear_resolved_events(self.twin, nodes, links)
+            self.twin.detect(now, nodes, links)
 
     def plan_route(self, msg: dict) -> dict:
         try:
@@ -218,10 +210,7 @@ class ServiceState:
                 "degenerate_request", f"start and destination are both {position}")
         with self.lock:
             planner = self.planner
-            planner.update(nav.masked_journey_times(
-                self.net, self.twin.link_volume, self.twin.event_nodes,
-                self.twin.event_links,
-            ))
+            planner.update(self.twin.masked_journey_times())
             found = nav.fastest_unless_cut_off(
                 planner.rows(), position, destination, planner.no_path)
         if found is None:

@@ -4,7 +4,8 @@ Vehicles move link by link at the speed implied by their current link's true
 vehicle count (linear density-speed law); links hosting an active event force
 speed 0. Transfers between links are FIFO and capacity-gated, so a link never
 holds more than k_max * length vehicles. Connected vehicles are routed by the
-cloud loop (twin -> detection -> masked journey-time rows -> planner) while
+route service's cloud loop (`TwinState.ingest_arrays`, `TwinState.detect`,
+`TwinState.masked_journey_times` into `PlannerState.update`, the search);
 unconnected vehicles follow their static shortest-distance route. A planned
 route, new or re-planned, reaches its vehicle through one loop: a service
 latency (`comms.SERVICE_FLOWS`), a delivery draw and one in-time rule
@@ -66,8 +67,7 @@ from .comms import FlowStreams, check_deadline, deliver, sample_service_latency
 from .errors import ConfigError
 from .network import END_TOLERANCE_M, link_speeds
 from .scenario import Scenario, EventSpec
-from .twin import TwinState, clear_resolved_events, detect_accident, \
-    detect_pedestrian_gathering
+from .twin import TwinState
 
 CAV = "cav"
 UNCONNECTED = "unconnected"
@@ -224,7 +224,6 @@ class Engine:
         self.last_sensed_volumes = np.zeros(net.link_count, dtype=np.int64)
         self._events_on_link: dict[int, list[int]] = {}
         self._events_at_node: dict[int, list[int]] = {}
-        self._spawned = 0
         self._spawn_lam = scenario.spawn_rate()
         self.planner = nav.PlannerState(net)  # rows built on the first search
         # Connected vehicles whose route may cross the +inf link set while it
@@ -296,7 +295,7 @@ class Engine:
     # ------------------------------------------------------------- step phases
 
     def _spawn(self, step: int) -> None:
-        remaining = self.scenario.traffic.n_vel - self._spawned
+        remaining = self.scenario.traffic.n_vel - len(self.vehicles)
         if remaining <= 0:
             return
         n = min(poisson_draw(self.rng_spawn, self._spawn_lam), remaining)
@@ -315,7 +314,7 @@ class Engine:
                     "could not draw a reachable origin-destination pair; "
                     "the network is too disconnected"
                 )
-            vid = self._spawned + 1
+            vid = len(self.vehicles) + 1
             veh = Vehicle(
                 vid=vid, klass=klass, origin=origin, destination=dest,
                 entry_step=step,
@@ -324,7 +323,6 @@ class Engine:
                 veh.route = nav.Route(nodes=nodes, vehicle_id=vid)
             self.vehicles.append(veh)
             self._waiting.append(veh)
-            self._spawned += 1
 
     def _update_events(self, step: int) -> None:
         net = self.net
@@ -407,24 +405,17 @@ class Engine:
             )
 
     def _detect(self, step: int) -> None:
-        detect_pedestrian_gathering(self.twin)
-        detect_accident(self.twin, step * self.dt)
         # Flagged elements stay until their scheduled cause ends; elements with
         # no scheduled cause (emergent jams) may clear on any recovery evidence.
-        # _update_events keyed this step's active events by node and link.
-        clear_resolved_events(
-            self.twin,
-            self.twin.event_nodes.difference(self._events_at_node),
-            self.twin.event_links.difference(self._events_on_link),
-        )
+        # _update_events keyed this step's active events by node and link. A flag
+        # raised in this pass cannot clear in it, so the sets may be taken first.
+        twin = self.twin
+        twin.detect(step * self.dt, twin.event_nodes.difference(self._events_at_node),
+                    twin.event_links.difference(self._events_on_link))
 
     def _plan(self, step: int) -> None:
-        net = self.net
-        twin = self.twin
         planner = self.planner
-        reblocked = planner.update(nav.masked_journey_times(
-            net, twin.link_volume, twin.event_nodes, twin.event_links
-        ))
+        reblocked = planner.update(self.twin.masked_journey_times())
         new_users = {
             v.vid: (v.origin, v.destination) for v in self._waiting if v.klass == CAV
         }
@@ -470,7 +461,7 @@ class Engine:
                     continue
                 entering = veh.link_idx is None
                 veh.route = route if entering else nav.spliced_route(veh.route, route)
-                self._journal_route(step, veh, "new" if entering else "replan")
+                self._journal_route(veh, "new" if entering else "replan")
 
     def _in_time(self, veh: Vehicle, route: nav.Route, t_svc: float) -> bool:
         """Whether a route served after t_svc seconds can be applied. An
@@ -600,7 +591,7 @@ class Engine:
                     if cursor < len(nodes) - 1 and nodes[cursor + 1] == to:
                         veh.blocked = True
 
-    def _journal_route(self, step: int, veh: Vehicle, reason: str) -> None:
+    def _journal_route(self, veh: Vehicle, reason: str) -> None:
         """Record a route applied this step, once per route."""
         self.applied_routes.append((veh, reason))
 

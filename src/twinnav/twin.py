@@ -15,7 +15,9 @@ link indices and node ids with their readings and trusts them: the engine
 passes its own truth, and the route service first checks each reading it was
 sent (`ServiceState.apply_sensor_update`). Event sets, `detect_accident`'s
 result and `clear_resolved_events`'s clearable links are link indices; pairs
-appear only in `snapshot_dict` and `event_link_pairs`.
+appear only in `snapshot_dict` and `event_link_pairs`. The engine and the
+route service run one cloud loop on the twin: `ingest_arrays`, `detect`,
+`masked_journey_times` into `nav.PlannerState.update`, then the search.
 
 Detection costs what was written, not the size of the network. The state
 keeps the node ids written since the last detection (`pending_nodes`), and
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
+from .nav import masked_journey_times
 from .network import TrafficNetwork
 
 
@@ -118,6 +121,18 @@ class TwinState:
         kind, source_ids = sources
         for sid in source_ids:
             self.last_update[(kind, sid)] = now
+
+    def detect(self, now: float, clearable_nodes: Iterable[int],
+               clearable_links: Iterable[int]) -> None:
+        """One detection pass: gatherings, then accidents due at `now`, then clearing."""
+        detect_pedestrian_gathering(self)
+        detect_accident(self, now)
+        clear_resolved_events(self, clearable_nodes, clearable_links)
+
+    def masked_journey_times(self) -> np.ndarray:
+        """The planner's input: masked journey times of the last-known volumes."""
+        return masked_journey_times(self.net, self.link_volume, self.event_nodes,
+                                    self.event_links)
 
     def _push_runs(self, links: np.ndarray, start: float) -> None:
         heap = self.run_heap

@@ -46,6 +46,24 @@ def test_run_missing_network_file_exits_2(tmp_path):
     assert main(["run", "--scenario", sc]) == 2
 
 
+@pytest.mark.parametrize("network_file, shown", [
+    ("\u0000x", "\\x00x"),
+    ("\u001b[31m", "\\x1b[31m"),
+    ("r\u00e9seau.json", "r\u00e9seau.json"),  # printable non-ASCII stays as is
+], ids=["NUL", "escape", "non-ASCII"])
+def test_error_message_escapes_control_characters(tmp_path, capsys, network_file, shown):
+    doc = {
+        "network_file": network_file,
+        "sim": {"dt_s": 1.0, "t_sim_s": 10.0},
+        "traffic": {"n_vel": 1, "p_user": 0.0},
+    }
+    sc = write_json(tmp_path / "scenario.json", doc)
+    assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err[:-1].isprintable(), repr(err)
+    assert f"cannot read network file {tmp_path}{os.sep}{shown}: " in err
+
+
 def test_run_seed_determinism_byte_identical(tmp_path):
     sc = scenario_file(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -435,15 +435,23 @@ def spy_ingest(state):
 
 
 def test_repeated_readings_keep_the_last_at_first_arrival():
-    """One ingest_arrays call per accepted update and none for a rejected
-    one; a repeated link or node keeps its last reading at the place it
-    first arrived."""
+    """One ingest_arrays call and one detection pass per accepted update and
+    neither for a rejected one; a repeated link or node keeps its last
+    reading at the place it first arrived."""
     state = diamond_state()
     calls = spy_ingest(state)
+    passes = []  # the time of each detection pass
+    detect = state.twin.detect
+
+    def spy_detect(now, *clearable):
+        passes.append(now)
+        return detect(now, *clearable)
+
+    state.twin.detect = spy_detect
     with pytest.raises(ServiceError):
         state.apply_sensor_update({**node_update(1.0, 3, 0.2),
                                    "links": [reading(volume=-1), reading(volume=3)]})
-    assert calls == []
+    assert calls == [] and passes == []
     state.apply_sensor_update({
         "source": {"kind": "rsu", "id": 0}, "time_s": 1.0,
         "links": [reading(volume=1), reading(**{"from": 2, "to": 4}, volume=2),
@@ -452,6 +460,7 @@ def test_repeated_readings_keep_the_last_at_first_arrival():
     link_index = state.net.link_index
     assert calls == [[[link_index[(1, 2)], link_index[(2, 4)]], [3.0, 2.0], [0.1, 0.1],
                       [True, True], [3], [0.1], 1.0]]
+    assert passes == [1.0]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_UPDATES))

@@ -138,7 +138,6 @@ def check_step_invariants(eng, step):
     not increase from head to tail (the head-only transfer relies on it), and
     the waiting list holds the rest of the live vehicles in vid order."""
     vehicles = eng.vehicles
-    assert len(vehicles) == eng._spawned
     counts = eng.link_counts.tolist()
     assert counts == [len(q) for q in eng.link_queues]
     assert (eng.link_counts <= eng.link_capacity).all()
@@ -156,7 +155,7 @@ def check_step_invariants(eng, step):
             assert not veh.encountered and not veh.blocked  # still at its origin
         else:
             assert on_link.get(veh.vid) == veh.link_idx
-    assert waiting + len(on_link) + arrived == eng._spawned
+    assert waiting + len(on_link) + arrived == len(vehicles)
     n = eng._on
     slot_vids = eng._vid[:n].tolist()
     assert sorted(slot_vids) == sorted(on_link)
@@ -414,7 +413,7 @@ class ReferenceEngine(Engine):
             if not check_deadline(t_svc, first.v_free_mps):
                 continue
             veh.route = route
-            self._journal_route(step, veh, "new")
+            self._journal_route(veh, "new")
         current = {v.vid: v.route for v in self._live()
                    if v.klass == CAV and v.link_idx is not None and v.route is not None}
         replanned = nav.replan_affected(inp, current)
@@ -429,7 +428,7 @@ class ReferenceEngine(Engine):
                 if t_svc > budget:
                     continue
             veh.route = nav.spliced_route(veh.route, replanned.routes[vid])
-            self._journal_route(step, veh, "replan")
+            self._journal_route(veh, "replan")
 
 
 def run_outputs(engine_cls, scenario):
@@ -538,7 +537,7 @@ def test_rows_only_on_steps_that_search_and_two_ingests_per_step(monkeypatch):
     # Few connected users: most steps have no one to route or re-route.
     sc = scenario_from_dict(lossy_grid_doc(traffic={"n_vel": 60, "p_user": 0.2}))
     eng = Engine(sc)
-    rows_steps, search_steps, ingest_steps = [], [], []
+    rows_steps, search_steps, ingest_steps, detect_steps = [], [], [], []
 
     def spy(cls_or_module, name, record):
         original = getattr(cls_or_module, name)
@@ -552,7 +551,9 @@ def test_rows_only_on_steps_that_search_and_two_ingests_per_step(monkeypatch):
     spy(nav.PlannerState, "rows", rows_steps.append)  # built once, then patched
     spy(nav, "dijkstra_fastest", search_steps.append)
     spy(TwinState, "ingest_arrays", ingest_steps.append)
+    spy(TwinState, "detect", detect_steps.append)
     eng.run()
+    assert detect_steps == list(range(sc.sim.n_steps))  # one detection pass a step
     assert search_steps  # the scenario does route someone
     assert len(rows_steps) == len(set(rows_steps))  # rows at most once a step
     assert set(rows_steps) <= set(search_steps)
