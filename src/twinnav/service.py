@@ -23,11 +23,11 @@ Ids are JSON integers: a source's required `id`, a link's `from` and `to`, a
 node `id` and a route request's `position` and `destination` (a boolean, a
 float such as 2.0 or 2.9, or a string is not an id). A reading must name a
 link or node of the network, its volume, speed_mps and density must be finite,
-non-negative JSON numbers (a boolean or a numeric string is not a number;
-every reading of a repeated link or node is checked, and the last counts),
-`occupied` a JSON boolean, `time_s`, when given, a finite JSON number, and
-`links` and `nodes`, when given, JSON arrays; anything else answers
-`bad_request` and leaves the twin unchanged.
+non-negative JSON numbers, the volume at most scenario.MAX_VEHICLES (a boolean
+or a numeric string is not a number; every reading of a repeated link or node
+is checked, and the last counts), `occupied` a JSON boolean, `time_s`, when
+given, a finite JSON number, and `links` and `nodes`, when given, JSON arrays;
+anything else answers `bad_request` and leaves the twin unchanged.
 
 Sensor updates feed a live twin; a source covers exactly what it reports.
 An update is read in one pass over its readings that checks each value inline
@@ -67,7 +67,7 @@ import numpy as np
 
 from . import nav
 from .errors import decode_json, json_int, json_number
-from .scenario import Scenario
+from .scenario import MAX_VEHICLES, Scenario
 from .twin import TwinState
 
 log = logging.getLogger(__name__)
@@ -145,9 +145,9 @@ class ServiceState:
             if type(pair[0]) is not int or type(pair[1]) is not int:
                 raise ServiceError("bad_request", f"link from and to must be integers, "
                                    f"got {pair}")
-            if volume < 0 or speed < 0:
-                raise ServiceError("bad_request", "volume and speed_mps must be >= 0, "
-                                   f"got {volume} and {speed}")
+            if not 0 <= volume <= MAX_VEHICLES or speed < 0:
+                raise ServiceError("bad_request", f"volume must be within [0, {MAX_VEHICLES}] "
+                                   f"and speed_mps >= 0, got {volume} and {speed}")
             if occ is not True and occ is not False:
                 raise ServiceError("bad_request",
                                    f"occupied must be true or false, got {occ!r}")

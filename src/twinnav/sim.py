@@ -21,13 +21,16 @@ network live in packed engine arrays: slot k < `Engine._on` holds one
 vehicle's position, link, vid and connected flag (`Vehicle.slot` points back,
 `Engine.position` reads a position). A vehicle takes the next slot when it
 enters its first link, a transfer rewrites its slot's link and zeroes its
-position, and an arrival moves the last slot into its place. Movement
-advances every slot in one numpy step. Queues are FIFO and ordered by
-position, so only an open link with some vehicle at its end can release
-anyone; the transfer loop visits just those links, in index order (a vehicle
-moved in that loop lands at position 0, never at an end). Spawned vehicles
-not yet on a link wait in `Engine._waiting`, in vid order: movement enters
-them from there and planning takes its new users from there. Sensing and the
+position, and an arrival moves the last slot into its place. Movement writes
+only the queues and the slots: the capacity gate reads the target queue's
+length, and `Engine.link_counts` is derived from the slots' links once, at
+the end of movement. Movement advances every slot in one numpy step. Queues
+are FIFO and ordered by position, so only an open link with some vehicle at
+its end can release anyone; the transfer loop visits just those links, in
+index order (a vehicle moved in that loop lands at position 0, never at an
+end). Spawned vehicles not yet on a link wait in `Engine._waiting`, in vid
+order: movement enters them from there and planning takes its new users
+from there. Sensing and the
 full re-plan scan read the connected vehicles off the slots. Bookkeeping
 visits only closed links and the in-links of their start nodes. Every active
 event closes the links it is counted on, so only there can a vehicle
@@ -96,7 +99,6 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class ActiveEvent:
-    index: int
     kind: str  # "accident" | "gathering"
     link_idx: int | None
     node: int | None
@@ -210,9 +212,8 @@ class Engine:
         self.link_queues: list[deque[Vehicle]] = [
             deque() for _ in range(net.link_count)
         ]
-        self.link_capacity = net.k_max * net.lengths
+        self.link_capacity = (net.k_max * net.lengths).tolist()
         self._ends = net.lengths - _END_EPS  # at or past this, at the end
-        self._capacity = self.link_capacity.tolist()  # exact Python floats
 
         # RSU coverage is static: (link indices, node ids) per RSU, id = position.
         self._rsu_cov = scenario.rsu_coverage()
@@ -221,7 +222,6 @@ class Engine:
         self.speeds = np.zeros(net.link_count)
         self.closed = np.zeros(net.link_count, dtype=bool)
         self.truth_density = np.zeros(net.node_count + 1)
-        self.last_sensed_volumes = np.zeros(net.link_count, dtype=np.int64)
         self._events_on_link: dict[int, list[int]] = {}
         self._events_at_node: dict[int, list[int]] = {}
         self._spawn_lam = scenario.spawn_rate()
@@ -275,13 +275,12 @@ class Engine:
             return int(round(min(max(t, 0.0), t_end) / dt))
 
         out = []
-        for idx, spec in enumerate(specs):
+        for spec in specs:
             link_idx = (
                 self.net.link_index[spec.link] if spec.link is not None else None
             )
             out.append(
                 ActiveEvent(
-                    index=idx,
                     kind=spec.kind,
                     link_idx=link_idx,
                     node=spec.node,
@@ -330,19 +329,19 @@ class Engine:
         self.truth_density[:] = 0.0
         self._events_on_link = {}
         self._events_at_node = {}
-        for ev in self.events:
+        for idx, ev in enumerate(self.events):
             if not ev.active(step):
                 continue
             if ev.kind == "accident":
                 self.closed[ev.link_idx] = True
-                self._events_on_link.setdefault(ev.link_idx, []).append(ev.index)
+                self._events_on_link.setdefault(ev.link_idx, []).append(idx)
             else:
                 for li in net.in_links[ev.node]:
                     self.closed[li] = True
                 self.truth_density[ev.node] = max(
                     self.truth_density[ev.node], ev.density
                 )
-                self._events_at_node.setdefault(ev.node, []).append(ev.index)
+                self._events_at_node.setdefault(ev.node, []).append(idx)
 
     def _compute_speeds(self) -> None:
         v = link_speeds(self.net, self.link_counts)
@@ -352,7 +351,6 @@ class Engine:
     def _sense_and_ingest(self, step: int) -> None:
         now = step * self.dt
         occupied = self.link_counts > 0
-        self.last_sensed_volumes = self.link_counts.copy()
         model = self.scenario.latency
         ssms_rng = self.streams.rng("pdr_ssms")
         info_rng = self.streams.rng("pdr_info")
@@ -482,9 +480,8 @@ class Engine:
 
     def _move(self, step: int) -> None:
         net = self.net
-        capacity = self._capacity
+        capacity = self.link_capacity
         queues = self.link_queues
-        counts = self.link_counts
         pos, link = self._pos, self._link
         # One advance for every slot. Speeds are >= 0 (the law clamps at 0,
         # closed links are 0), so a stopped link's vehicles gain 0.0.
@@ -508,7 +505,6 @@ class Engine:
                 route = veh.route
                 if route.cursor == len(route.nodes) - 1:
                     dq.popleft()
-                    counts[li] -= 1
                     veh.link_idx = None
                     veh.arrival_step = step
                     self._vacate(veh)
@@ -517,14 +513,10 @@ class Engine:
                     (route.nodes[route.cursor], route.nodes[route.cursor + 1])
                 ]
                 # Strict gate: occupancy stays below jam capacity, so an open
-                # link always keeps a positive speed and can drain. (`item`
-                # compares Python numbers: a numpy int64 against a float is
-                # several times slower.)
-                if counts.item(nxt) + 1 > capacity[nxt] - _CAP_EPS:
+                # link always keeps a positive speed and can drain.
+                if len(queues[nxt]) + 1 > capacity[nxt] - _CAP_EPS:
                     break  # no room downstream; the whole queue waits
                 dq.popleft()
-                counts[li] -= 1
-                counts[nxt] += 1
                 route.cursor += 1
                 veh.link_idx = nxt
                 link[veh.slot] = nxt
@@ -541,10 +533,9 @@ class Engine:
                 waiting.append(veh)
                 continue
             first = net.link_index[(route.nodes[0], route.nodes[1])]
-            if counts.item(first) + 1 > capacity[first] - _CAP_EPS:
+            if len(queues[first]) + 1 > capacity[first] - _CAP_EPS:
                 waiting.append(veh)
                 continue
-            counts[first] += 1
             veh.link_idx = first
             queues[first].append(veh)
             k = veh.slot = self._on
@@ -556,6 +547,7 @@ class Engine:
             if veh.klass == CAV:
                 entered.append(veh)
         self._waiting = waiting
+        self.link_counts = np.bincount(link[:self._on], minlength=net.link_count)
 
     def _vacate(self, veh: Vehicle) -> None:
         """Free an arriving vehicle's slot: the last slot moves into it."""

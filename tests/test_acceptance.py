@@ -322,15 +322,18 @@ def test_c8_twin_soundness():
         )
         first_flag = {}
 
+        class MirrorCheckedEngine(Engine):
+            def _sense_and_ingest(self, step):
+                super()._sense_and_ingest(step)
+                assert np.array_equal(self.twin.volumes(), self.link_counts)
+
         def probe(eng, step):
-            assert np.array_equal(eng.twin.volumes(), eng.last_sensed_volumes)
             if "acc" not in first_flag and (2, 3) in eng.twin.event_link_pairs():
                 first_flag["acc"] = step
             if "gat" not in first_flag and 4 in eng.twin.event_nodes:
                 first_flag["gat"] = step
 
-        eng = Engine(sc, on_step=probe)
-        eng.run()
+        MirrorCheckedEngine(sc, on_step=probe).run()
         window = sc.thresholds.accident_window_s
         assert first_flag["acc"] - 30 <= window + 2 * sc.sim.dt_s
         assert first_flag["gat"] - 50 <= window + 2 * sc.sim.dt_s

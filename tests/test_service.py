@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinnav import nav, service
+from twinnav.scenario import MAX_VEHICLES
 from twinnav.service import RouteService, ServiceError, ServiceState
 from twinnav.twin import (
     TwinState,
@@ -413,11 +414,34 @@ BAD_UPDATES = {
                                          {"id": 3, "density": 0.2}]},
     "volume past float range superseded": {"links": [reading(volume=10**400),
                                                      reading(volume=3)]},
+    "volume past the vehicle cap": {"links": [reading(volume=MAX_VEHICLES + 1)]},
+    "volume past the vehicle cap superseded": {
+        "links": [reading(volume=MAX_VEHICLES + 1), reading(volume=3)]},
     "speed past float range": {"links": [reading(speed_mps=10**400)]},
     "unknown link": {"links": [reading(**{"from": 4, "to": 1})]},
     "unknown node": {"nodes": [{"id": 5, "density": 0.2}]},
     "node id past float range": {"nodes": [{"id": 10**400, "density": 0.2}]},
 }
+
+
+def test_volume_past_the_vehicle_cap_is_rejected_before_it_reaches_the_planner():
+    # 1.7e308 vehicles is a finite float, but no link holds more than
+    # MAX_VEHICLES, and the speed law overflows on it.
+    state = diamond_state()
+    state.apply_sensor_update(slow_link_update(5.0))
+    before = twin_view(state)
+    with pytest.raises(ServiceError) as err:
+        state.apply_sensor_update({"type": "sensor_update",
+                                   "source": {"kind": "rsu", "id": 0}, "time_s": 7.0,
+                                   "links": [reading(volume=1.7e308)]})
+    assert err.value.code == "bad_request"
+    assert twin_view(state) == before
+    assert state.plan_route(ROUTE)["status"] == "ok"
+    state.apply_sensor_update({"type": "sensor_update",
+                               "source": {"kind": "rsu", "id": 0}, "time_s": 8.0,
+                               "links": [reading(volume=MAX_VEHICLES)]})
+    assert state.twin.link_volume[state.net.link_index[(1, 2)]] == MAX_VEHICLES
+    assert state.plan_route(ROUTE)["status"] == "ok"
 
 
 def spy_ingest(state):
@@ -606,17 +630,19 @@ def test_fuzzed_messages_never_flag_without_slow_evidence(messages):
 # ------------------------------------------ one ingest law behind both entries
 
 UNKNOWN_PAIRS = [(4, 1), (9, 1), (2, 1)]
-READING_VALUES = st.floats(0.0, 12.0) | st.sampled_from(
-    [0.0, 0.1, 0.49, 0.5, 3.0, 9.0] * 3 + [math.nan, -1.0, math.inf])
+SAMPLED_VALUES = [0.0, 0.1, 0.49, 0.5, 3.0, 9.0] * 3 + [math.nan, -1.0, math.inf]
+READING_VALUES = st.floats(0.0, 12.0) | st.sampled_from(SAMPLED_VALUES)
+VOLUME_VALUES = st.floats(0.0, 12.0) | st.sampled_from(SAMPLED_VALUES + [1.7e308])
 
 
 @st.composite
 def reading_streams(draw):
     """Sensor updates with increasing time_s: repeated links with different
-    values, unknown links and nodes, and NaN, negative and infinite values."""
+    values, unknown links and nodes, NaN, negative and infinite values, and
+    volumes past the vehicle cap."""
     reading = st.fixed_dictionaries({
         "pair": st.sampled_from(DIAMOND_PAIRS * 3 + UNKNOWN_PAIRS),
-        "volume": READING_VALUES,
+        "volume": VOLUME_VALUES,
         "speed_mps": READING_VALUES,
         "occupied": st.booleans(),
     }).map(lambda r: {"from": r["pair"][0], "to": r["pair"][1], "volume": r["volume"],
@@ -639,20 +665,22 @@ def reading_streams(draw):
 
 def reference_update(twin, clock, msg):
     """The law a sensor update follows, on columns of every reading in arrival
-    order: any unknown pair or node id, or any volume, speed or density not
-    finite and >= 0, superseded or not, rejects the update (None, the twin
-    untouched). Else a repeated link or node keeps its last reading at its
-    first arrival's place, in one ingest_arrays call, followed by detection
-    and clearing of what the update read. Returns the new clock."""
+    order: any unknown pair or node id, any volume, speed or density not
+    finite and >= 0, or any volume past MAX_VEHICLES, superseded or not,
+    rejects the update (None, the twin untouched). Else a repeated link or
+    node keeps its last reading at its first arrival's place, in one
+    ingest_arrays call, followed by detection and clearing of what the update
+    read. Returns the new clock."""
     links, nodes = msg["links"], msg["nodes"]
     link_idx = [twin.net.link_index.get((r["from"], r["to"]), -1) for r in links]
     node_ids = [n["id"] for n in nodes]
     values = np.array([r["volume"] for r in links] + [r["speed_mps"] for r in links]
                       + [n["density"] for n in nodes], dtype=float)
-    if (-1 in link_idx or not all(1 <= n <= twin.net.node_count for n in node_ids)
-            or not np.all((values >= 0) & (values < math.inf))):
-        return None
     k = len(links)
+    if (-1 in link_idx or not all(1 <= n <= twin.net.node_count for n in node_ids)
+            or not np.all((values >= 0) & (values < math.inf))
+            or not np.all(values[:k] <= MAX_VEHICLES)):
+        return None
     keep_links = list(dict(zip(link_idx, range(k))).values())
     keep_nodes = list(dict(zip(node_ids, range(len(nodes)))).values())
     now = max(clock, msg["time_s"])

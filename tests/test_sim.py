@@ -140,7 +140,7 @@ def check_step_invariants(eng, step):
     vehicles = eng.vehicles
     counts = eng.link_counts.tolist()
     assert counts == [len(q) for q in eng.link_queues]
-    assert (eng.link_counts <= eng.link_capacity).all()
+    assert all(c <= cap for c, cap in zip(counts, eng.link_capacity))
     on_link = {veh.vid: li for li, q in enumerate(eng.link_queues) for veh in q}
     assert len(on_link) == sum(counts)  # no vehicle sits in two queues
     waiting = arrived = 0
@@ -288,7 +288,7 @@ class ReferenceEngine(Engine):
         net = self.net
         dt = self.dt
         lengths = net.lengths.tolist()
-        capacity = self.link_capacity.tolist()
+        capacity = self.link_capacity
         queues = self.link_queues
         counts = self.link_counts
         speeds = self.speeds.tolist()
@@ -343,7 +343,6 @@ class ReferenceEngine(Engine):
     def _sense_and_ingest(self, step):
         now = step * self.dt
         occupied = self.link_counts > 0
-        self.last_sensed_volumes = self.link_counts.copy()
         model = self.scenario.latency
         ssms_rng = self.streams.rng("pdr_ssms")
         info_rng = self.streams.rng("pdr_info")
