@@ -21,9 +21,17 @@ One law per distribution turns uniform draws into milliseconds
 (`FlowLatency.ms_from_uniform`), for one draw or for an array of them. The
 per-route draws of the engine take one value at a time; the KPI Monte-Carlo
 (`collect_latency_samples`) takes each stream's draws for a block of
-SAMPLE_BLOCK samples in one pass and composes the totals with array sums. Its
-samples are bit-identical to drawing one value at a time with the same seed,
-and every stream ends in the same state.
+SAMPLE_BLOCK samples in one pass and composes the totals with array sums,
+written straight into one float64 array per series. Its samples are
+bit-identical to drawing one value at a time with the same seed, and every
+stream ends in the same state. SAMPLE_BLOCK and `exact_sum`'s SUM_CHUNK keep
+every temporary under glibc's 128 KB mmap threshold (as the benchmark sets
+it), so no call page-faults fresh memory.
+
+`kpi_report` reads arrays (or lists) of samples. Its mean is exact: the
+correctly rounded sum of `exact_sum`, equal bit for bit to `math.fsum` of the
+same values, divided by the count. It takes finite samples within
++-MAX_SAMPLE_S seconds and rejects any other with ContractError.
 
 The Monte-Carlo draws those blocks in C. CPython's `random.Random` and
 numpy's `MT19937` are the same Mersenne Twister, and both make a double from
@@ -203,11 +211,15 @@ class FlowStreams:
 
 # Samples per block of collect_latency_samples. Each stream's draws for a
 # block are held as one float array of at most 4 * SAMPLE_BLOCK values, taken
-# from the stream's numpy twin in one call.
+# from the stream's numpy twin in one call. Keep every temporary of a block
+# under 128 KB (4 * 1024 doubles = 32 KB): glibc serves larger allocations
+# with mmap when MALLOC_MMAP_THRESHOLD_ is 131072, as in the benchmark, and
+# each call then page-faults its fresh pages. Blocks of 8192 made the
+# Monte-Carlo 1.5x to 2.4x slower (2-core VM, CPython 3.11, numpy 2.4).
 SAMPLE_BLOCK = 1024
 
 # Most samples one collect_latency_samples call takes: 10x the `twinnav kpi`
-# default. The five output lists hold about 160 MB at the cap.
+# default. The five output arrays hold 40 MB at the cap.
 MAX_SAMPLES = 1_000_000
 
 
@@ -282,10 +294,10 @@ def deliver(pdr: float, rng: random.Random) -> bool:
 
 def collect_latency_samples(
     model: LatencyModel, streams: FlowStreams, n_samples: int
-) -> dict[str, list[float]]:
+) -> dict[str, np.ndarray]:
     """Monte-Carlo draws (seconds) for the KPI report: the two E2E flows, the
-    twin-modeling total, and the service total in both V2C counting modes.
-    Takes 1 to MAX_SAMPLES samples."""
+    twin-modeling total, and the service total in both V2C counting modes,
+    each a float array of n_samples values. Takes 1 to MAX_SAMPLES samples."""
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ContractError(f"n_samples must be within [1, {MAX_SAMPLES}], got {n_samples}")
     # A series takes a flow's next column each time it lists the flow, and
@@ -295,7 +307,7 @@ def collect_latency_samples(
         f: _numpy_twin(streams.rng(f))
         for f in draws if model.flows[f].min_ms != model.flows[f].max_ms
     }
-    out: dict[str, list[float]] = {series: [] for series in KPI_SERIES}
+    out = {series: np.empty(n_samples) for series in KPI_SERIES}
     for start in range(0, n_samples, SAMPLE_BLOCK):
         rows = min(SAMPLE_BLOCK, n_samples - start)
         columns = {
@@ -304,7 +316,7 @@ def collect_latency_samples(
         }
         for series, flows in KPI_SERIES.items():
             total = sum((next(columns[f]) for f in flows), -0.0)
-            out[series] += (total / 1000.0).tolist()
+            np.divide(total, 1000.0, out=out[series][start:start + rows])
     for f, gen in gens.items():
         _hand_back(gen, streams.rng(f))
     return out
@@ -378,38 +390,98 @@ class KpiReport:
         return "\n".join(lines) + "\n"
 
 
+# Largest sample magnitude, in seconds, that kpi_report and exact_sum take:
+# exact_sum's grid offset 1.5 * 2**52 * g stays finite below 2**997 (about
+# 1.3e300). The Monte-Carlo's samples stay at or below 6 * MAX_FLOW_MS ms.
+MAX_SAMPLE_S = 1e300
+
+# Values exact_sum takes at a time: 8192 doubles are 64 KB, so no temporary
+# passes the 128 KB mmap threshold that SAMPLE_BLOCK's comment explains.
+SUM_CHUNK = 8192
+
+
+def exact_sum(x: np.ndarray) -> float:
+    """The correctly rounded sum of a one-dimensional float64 array: equal,
+    bit for bit, to `math.fsum(x.tolist())`, for finite values within
+    +-MAX_SAMPLE_S; any other value raises ContractError.
+
+    Each chunk is split into parts on ever finer grids (Rump, Ogita and
+    Oishi's error-free extraction). With every |r| <= 2**26 * g, adding and
+    then subtracting 1.5 * 2**52 * g rounds r to a multiple q of g, and r - q
+    is exact. The chunk's q values add up exactly, as every partial sum is an
+    integer multiple of g below 2**53 * g; the remainders, at most g / 2 each,
+    go on to the grid g * 2**-26, which is as fine as 2**-1074 takes them.
+    `math.fsum` of the part sums, which add up to the exact total, rounds it
+    once."""
+    parts = []
+    q = np.empty(SUM_CHUNK)
+    r = np.empty(SUM_CHUNK)
+    for start in range(0, x.size, SUM_CHUNK):
+        chunk = x[start:start + SUM_CHUNK]
+        big = max(float(chunk.max()), -float(chunk.min()))
+        if not big <= MAX_SAMPLE_S:  # False for NaN too
+            raise ContractError(
+                f"values must be finite and within +-{MAX_SAMPLE_S:g}, got {big}")
+        if big == 0.0:
+            continue
+        k = math.frexp(big)[1] - 26  # |chunk| < 2**26 * 2**k
+        rest, qs, rs = chunk, q[:chunk.size], r[:chunk.size]
+        while True:
+            offset = math.ldexp(1.5, 52 + max(k, -1074))
+            np.add(rest, offset, out=qs)
+            np.subtract(qs, offset, out=qs)
+            parts.append(float(qs.sum()))
+            np.subtract(rest, qs, out=rs)
+            if not rs.any():
+                break
+            rest, k = rs, k - 26
+    if not parts:  # no value, or only zeros: fsum decides the zero's sign
+        return math.fsum(x)
+    return math.fsum(parts)
+
+
 def _stats_row(
     metric: str,
-    samples: Sequence[float],
+    samples: Sequence[float] | np.ndarray,
     budget_s: float | None,
 ) -> tuple[KpiRow, float, float]:
     """The flow's row, plus its min and max in seconds."""
-    if len(samples) == 0:
+    x = np.asarray(samples, dtype=float)
+    if x.size == 0:
         raise ContractError(f"no samples for flow {metric!r}")
-    mn, mx = min(samples), max(samples)
+    try:
+        total = exact_sum(x)
+    except ContractError as e:
+        raise ContractError(f"samples of flow {metric!r}: {e}") from None
+    # The first minimum and maximum, as `min` and `max` of a list pick among
+    # equal values (0.0 and -0.0).
+    mn, mx = float(x[x.argmin()]), float(x[x.argmax()])
     checked = {} if budget_s is None else {
         "limit": budget_s * 1000.0, "observed": mx * 1000.0, "passed": mx <= budget_s,
     }
     row = KpiRow(
         metric=metric,
-        n=len(samples),
+        n=x.size,
         min_ms=mn * 1000.0,
         max_ms=mx * 1000.0,
-        mean_ms=math.fsum(samples) / len(samples) * 1000.0,
+        mean_ms=total / x.size * 1000.0,
         **checked,
     )
     return row, mn, mx
 
 
 def kpi_report(
-    samples: Mapping[str, Sequence[float]],
+    samples: Mapping[str, Sequence[float] | np.ndarray],
     budget: KpiBudget,
     *,
     pdr_ssms: float | None = None,
     pdr_info: float | None = None,
     deadline_v_free_mps: float | None = None,
 ) -> KpiReport:
-    """Summarize latency draws (seconds) against the budgets.
+    """Summarize latency draws (seconds; arrays or sequences of floats)
+    against the budgets. Each series' mean is exact (`exact_sum`); a series
+    that is empty, or has a value that is not finite or is past
+    +-MAX_SAMPLE_S, raises ContractError.
 
     Recognized sample keys: ``ssms_e2e`` (checked against the SSMS E2E budget),
     ``info_e2e`` (information-sharing E2E budget), ``twin_total`` and

@@ -17,7 +17,7 @@ answers which nodes an origin reaches. Scenarios derived from one another
 share their network, and so these caches.
 A network has at most MAX_NODES nodes and MAX_LINKS links. A link is at most
 MAX_LENGTH_M long, its free-flow speed at most MAX_V_FREE_MPS, and its
-capacity k_max_veh_per_m * length_m at most scenario.MAX_VEHICLES. Node
+capacity k_max_veh_per_m * length_m from 1 to scenario.MAX_VEHICLES. Node
 coordinates are at most MAX_COORD_M in absolute value.
 Node ids and link endpoints in network JSON must be JSON integers, and
 coordinates, lengths, speeds and jam densities finite JSON numbers (an integer
@@ -184,10 +184,12 @@ def _validate_topology(nodes: list[Node], links: list[Link]) -> None:
             raise ConfigError(f"{where}: free-flow speed must be within "
                               f"(0, {MAX_V_FREE_MPS:g}] m/s")
         # length_m > 0 here, so this rejects k_max <= 0 and NaN too. A
-        # capacity past the vehicle cap gates nothing, or overflows to +inf.
-        if not 0 < l.k_max_veh_per_m * l.length_m <= MAX_VEHICLES:
+        # capacity past the vehicle cap gates nothing, or overflows to +inf;
+        # one below a vehicle admits none, and a near-zero one overflows the
+        # speed law's volume / capacity.
+        if not 1 <= l.k_max_veh_per_m * l.length_m <= MAX_VEHICLES:
             raise ConfigError(f"{where}: the capacity k_max_veh_per_m * length_m "
-                              f"must be within (0, {MAX_VEHICLES}]")
+                              f"must be within [1, {MAX_VEHICLES}] vehicles")
 
 
 def traffic_density(volume: float, length_m: float) -> float:

@@ -1,6 +1,21 @@
 import json
+import warnings
 
 import pytest
+
+# When a hypothesis test fails, hypothesis imports its patch writer, whose
+# libcst import raises a DeprecationWarning (from mypy_extensions.TypedDict).
+# The suite turns that warning into an error, which ended the whole session
+# with an INTERNALERROR and hid the failing test. Importing the writer here,
+# with the warning ignored for this import only, keeps the filters as they
+# are for every test. libcst is optional: without it hypothesis never runs
+# the writer, and there is nothing to import.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from twinnav.network import network_from_dict
 from twinnav.scenario import scenario_from_dict

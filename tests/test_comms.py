@@ -1,8 +1,11 @@
+import math
 import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -10,15 +13,19 @@ from twinnav import comms
 from twinnav.comms import (
     FLOW_NAMES,
     MAX_FLOW_MS,
+    MAX_SAMPLE_S,
     MAX_SAMPLES,
     SAMPLE_BLOCK,
+    SUM_CHUNK,
     FlowLatency,
     FlowStreams,
     KpiBudget,
+    KpiRow,
     LatencyModel,
     check_deadline,
     collect_latency_samples,
     deliver,
+    exact_sum,
     kpi_report,
     sample_dt_latency,
     sample_service_latency,
@@ -266,6 +273,11 @@ SAMPLE_COUNTS = st.sampled_from(
 ) | st.integers(1, 3000)
 
 
+def as_lists(samples):
+    """The Monte-Carlo's series as lists of Python floats."""
+    return {key: series.tolist() for key, series in samples.items()}
+
+
 def stream_states(streams):
     return [streams.rng(name).getstate() for name in FLOW_NAMES + ("pdr_ssms", "pdr_info")]
 
@@ -275,7 +287,8 @@ def stream_states(streams):
 def test_block_samples_equal_per_draw_samples(overrides, seed, n):
     model = LatencyModel(flows={**LatencyModel().flows, **overrides})
     block, reference = FlowStreams(seed), FlowStreams(seed)
-    assert collect_latency_samples(model, block, n) == per_draw_samples(model, reference, n)
+    assert as_lists(collect_latency_samples(model, block, n)) == per_draw_samples(
+        model, reference, n)
     assert stream_states(block) == stream_states(reference)
     assert sample_service_latency(model, block) == sample_service_latency(model, reference)
 
@@ -308,7 +321,8 @@ def test_block_samples_equal_per_draw_samples_from_any_buffer_position(
                 rng.random()
             if gauss:
                 rng.gauss(0.0, 1.0)  # leaves the pair's second value cached
-    assert collect_latency_samples(model, block, n) == per_draw_samples(model, reference, n)
+    assert as_lists(collect_latency_samples(model, block, n)) == per_draw_samples(
+        model, reference, n)
     assert stream_states(block) == stream_states(reference)
     for name in FLOW_NAMES:
         got, ref = block.rng(name), reference.rng(name)
@@ -323,7 +337,7 @@ def test_collect_latency_samples_rejects_counts_outside_the_cap(n):
 
 
 def test_collect_latency_samples_accepts_the_cap(monkeypatch):
-    # One series keeps the output to one list of MAX_SAMPLES floats.
+    # One series keeps the output to one array of MAX_SAMPLES floats.
     monkeypatch.setattr(comms, "KPI_SERIES", {"ssms_e2e": ("i2c",)})
     samples = collect_latency_samples(LatencyModel(), FlowStreams(0), MAX_SAMPLES)
     assert len(samples["ssms_e2e"]) == MAX_SAMPLES
@@ -371,3 +385,110 @@ def test_sample_ms_equals_the_random_method(flow, seed):
         assert got == [ref.uniform(flow.min_ms, flow.max_ms) for _ in range(20)]
     assert all(type(x) is float for x in got)
     assert rng.getstate() == ref.getstate()
+
+
+# ------------------------------------------------- exact sum and the KPI report
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+SUM_SIZES = st.sampled_from(
+    [0, 1, 2, SUM_CHUNK - 1, SUM_CHUNK, SUM_CHUNK + 1, 3 * SUM_CHUNK + 1]
+) | st.integers(0, 3 * SUM_CHUNK + 1)
+SUM_VALUES = st.floats(-MAX_SAMPLE_S, MAX_SAMPLE_S) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX_SAMPLE_S, -MAX_SAMPLE_S]
+)
+
+
+@st.composite
+def sum_arrays(draw):
+    """Up to three chunks and one value: a few drawn values (subnormals,
+    signed zeros and the range limits among them), repeated, maybe beside
+    their negatives so that large values cancel, and a share of values whose
+    exponents span the accepted range."""
+    n = draw(SUM_SIZES)
+    values = draw(st.lists(SUM_VALUES, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        values += [-v for v in values]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.choice(np.array(values), n)
+    wide = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    k = int(wide.sum())
+    x[wide] = np.clip(np.ldexp(rng.uniform(-1.0, 1.0, k), rng.integers(-1100, 998, k)),
+                      -MAX_SAMPLE_S, MAX_SAMPLE_S)
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_arrays())
+def test_exact_sum_equals_fsum(x):
+    assert bits(exact_sum(x)) == bits(math.fsum(x.tolist()))
+
+
+@pytest.mark.parametrize("values", [
+    [1e290, -1e290, 1e-300],
+    [MAX_SAMPLE_S, -MAX_SAMPLE_S, 5e-324],
+    [1.0, 2.0**-53, 2.0**-106],  # a tie that the last bit breaks
+    [5e-324] * (SUM_CHUNK + 1),
+    [-0.0, -0.0],
+    [0.0, -0.0],
+    [],
+], ids=["cancel", "limits", "tie", "subnormals", "negative zeros", "mixed zeros", "empty"])
+def test_exact_sum_equals_fsum_on_hard_cases(values):
+    x = np.array(values, dtype=float)
+    assert bits(exact_sum(x)) == bits(math.fsum(values))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 math.nextafter(MAX_SAMPLE_S, math.inf), -1e301])
+def test_samples_past_the_range_are_rejected(bad):
+    x = np.full(SUM_CHUNK + 5, 0.25)
+    x[SUM_CHUNK + 2] = bad
+    with pytest.raises(ContractError):
+        exact_sum(x)
+    for samples in (x, x.tolist()):
+        with pytest.raises(ContractError, match="ssms_e2e"):
+            kpi_report({"ssms_e2e": samples}, KpiBudget())
+
+
+def test_kpi_report_takes_samples_at_the_range_limits():
+    row = kpi_report({"x": [MAX_SAMPLE_S, -MAX_SAMPLE_S]}, KpiBudget()).row("x")
+    assert (row.min_ms, row.max_ms, row.mean_ms) == (-1e303, 1e303, 0.0)
+
+
+def list_stats_row(metric, samples, budget_s):
+    """`comms._stats_row` as it was when samples were lists: the reference."""
+    if len(samples) == 0:
+        raise ContractError(f"no samples for flow {metric!r}")
+    mn, mx = min(samples), max(samples)
+    checked = {} if budget_s is None else {
+        "limit": budget_s * 1000.0, "observed": mx * 1000.0, "passed": mx <= budget_s,
+    }
+    row = KpiRow(
+        metric=metric,
+        n=len(samples),
+        min_ms=mn * 1000.0,
+        max_ms=mx * 1000.0,
+        mean_ms=math.fsum(samples) / len(samples) * 1000.0,
+        **checked,
+    )
+    return row, mn, mx
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(FLOW_NAMES), flows()), SEEDS, SAMPLE_COUNTS)
+def test_kpi_report_on_arrays_equals_the_list_report(overrides, seed, n):
+    model = LatencyModel(flows={**LatencyModel().flows, **overrides})
+    samples = collect_latency_samples(model, FlowStreams(seed), n)
+    kwargs = dict(pdr_ssms=model.pdr_ssms, pdr_info=model.pdr_info,
+                  deadline_v_free_mps=20 / 3.6)
+    got = kpi_report(samples, KpiBudget(), **kwargs)
+    with mock.patch.object(comms, "_stats_row", list_stats_row):
+        ref = kpi_report(as_lists(samples), KpiBudget(), **kwargs)
+    assert got.rows == ref.rows
+    assert got.to_csv() == ref.to_csv()
+    for r in got.rows:
+        assert all(type(v) in (int, float, bool, str, type(None))
+                   for v in (r.n, r.min_ms, r.max_ms, r.mean_ms, r.observed, r.passed))

@@ -170,7 +170,7 @@ LATENCY_CASES = {
 def test_latency_series_match_golden_digests(name):
     make_model, seed, n = LATENCY_CASES[name]
     samples = collect_latency_samples(make_model(), FlowStreams(seed), n)
-    digests = {key: hashlib.sha256(repr(series).encode()).hexdigest()
+    digests = {key: hashlib.sha256(repr(series.tolist()).encode()).hexdigest()
                for key, series in samples.items()}
     with open(os.path.join(DATA, "latency_series.json"), encoding="utf-8") as fh:
         assert digests == json.load(fh)[name]

@@ -207,7 +207,7 @@ def test_loader_rejects_link_within_end_tolerance():
     doc["links"][1]["length_m"] = END_TOLERANCE_M
     with pytest.raises(ConfigError, match=r"links\[1\].*length_m"):
         network_from_dict(doc)
-    doc["links"][1]["length_m"] = 2 * END_TOLERANCE_M
+    doc["links"][1].update(length_m=2 * END_TOLERANCE_M, k_max_veh_per_m=1e9)  # 2 vehicles
     network_from_dict(doc)
 
 
@@ -225,7 +225,7 @@ def test_run_exits_2_on_non_finite_network_number(tmp_path, capsys, case):
 
 
 # Each sets one number of link 1->2 (100 m) or of node 1 past its documented
-# range: the capacity k_max_veh_per_m * length_m at most 1e6 vehicles (the
+# range: the capacity k_max_veh_per_m * length_m from 1 to 1e6 vehicles (the
 # scenario's vehicle cap), length_m at most 1e6 m, v_free_mps at most 1e3 m/s,
 # |x_m| and |y_m| at most 1e7 m. Every value is finite, so only the ranges
 # reject them.
@@ -234,6 +234,10 @@ PAST_RANGE = {
         k_max_veh_per_m=1e308),
     "capacity just past the vehicle cap": lambda d: d["links"][0].update(
         k_max_veh_per_m=10_000.5),
+    "capacity below one vehicle": lambda d: d["links"][0].update(
+        k_max_veh_per_m=1e-305),
+    "capacity just below one vehicle": lambda d: d["links"][0].update(
+        k_max_veh_per_m=0.0099),
     "length_m 1e308": lambda d: d["links"][0].update(length_m=1e308),
     "length_m just past 1e6": lambda d: d["links"][0].update(
         length_m=1_000_000.5, k_max_veh_per_m=1e-3),
@@ -265,10 +269,11 @@ def test_loader_admits_link_numbers_at_their_range_limits():
     doc = diamond_doc()
     doc["links"][0].update(length_m=1e6, k_max_veh_per_m=1.0, v_free_mps=1e3)
     doc["links"][1].update(k_max_veh_per_m=10_000.0)  # 100 m: 1e6 vehicles
+    doc["links"][2].update(k_max_veh_per_m=0.01)  # 100 m: 1 vehicle
     doc["nodes"][0].update(x_m=1e7, y_m=-1e7)
     doc["nodes"][1].update(x_m=-1e7, y_m=1e7)
     net = network_from_dict(doc)
-    assert (net.k_max * net.lengths)[:2].tolist() == [1e6, 1e6]
+    assert (net.k_max * net.lengths)[:3].tolist() == [1e6, 1e6, 1.0]
     assert [(n.x_m, n.y_m) for n in net.nodes[:2]] == [(1e7, -1e7), (-1e7, 1e7)]
 
 

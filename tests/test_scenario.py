@@ -421,7 +421,8 @@ def test_rsu_coverage_matches_brute_force(data):
     extra = data.draw(st.integers(0, 2 * (rows - 1) * (cols - 1)))
     net_doc = generate_grid_network(
         rows=rows, cols=cols, spacing_m=data.draw(st.floats(1.0, 250.0)),
-        n_links=2 * (ortho + extra), seed=data.draw(st.integers(0, 10_000)),
+        n_links=2 * (ortho + extra), k_max_veh_per_m=1.0,  # a 1 m link holds 1 vehicle
+        seed=data.draw(st.integers(0, 10_000)),
     )
     m = rows * cols
     rsus = [{"node": data.draw(st.integers(1, m)), "radius_m": data.draw(st.floats(0.5, 1500.0))}
