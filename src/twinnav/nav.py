@@ -52,7 +52,6 @@ class Route:
     reach (so the vehicle is traversing nodes[cursor-1] -> nodes[cursor])."""
 
     nodes: list[int]
-    vehicle_id: int | str | None = None
     cursor: int = 1
 
     def __post_init__(self):
@@ -234,7 +233,7 @@ def plan_new_users(inp: PlanningInput) -> PlanOutcome:
         if found is None:
             out.unreachable.add(vid)
         else:
-            out.routes[vid] = Route(nodes=list(found.nodes), vehicle_id=vid)
+            out.routes[vid] = Route(nodes=list(found.nodes))
     return out
 
 
@@ -261,7 +260,7 @@ def replan_affected(
         if found is None:
             out.unreachable.add(vid)
         else:
-            out.routes[vid] = Route(nodes=list(found.nodes), vehicle_id=vid)
+            out.routes[vid] = Route(nodes=list(found.nodes))
     return out
 
 
@@ -323,7 +322,7 @@ def spliced_route(old: Route, replanned: Route) -> Route:
             f"expected {old.next_node}"
         )
     nodes = old.nodes[: old.cursor] + list(replanned.nodes)
-    return Route(nodes=nodes, vehicle_id=old.vehicle_id, cursor=old.cursor)
+    return Route(nodes=nodes, cursor=old.cursor)
 
 
 def request_distance(v_free_mps: float) -> float:

@@ -26,7 +26,9 @@ link or node of the network, its volume, speed_mps and density must be finite,
 non-negative JSON numbers, the volume at most scenario.MAX_VEHICLES (a boolean
 or a numeric string is not a number; every reading of a repeated link or node
 is checked, and the last counts), `occupied` a JSON boolean, `time_s`, when
-given, a finite JSON number, and `links` and `nodes`, when given, JSON arrays;
+given, a JSON number of magnitude at most 2**52 steps (2**52 * dt_s, within
+which one step always advances the clock), and `links` and `nodes`, when
+given, JSON arrays;
 anything else answers `bad_request` and leaves the twin unchanged.
 
 Sensor updates feed a live twin; a source covers exactly what it reports.
@@ -124,6 +126,11 @@ class ServiceState:
                 time_s = json_number(time_s)
             except (TypeError, ValueError) as exc:
                 raise ServiceError("bad_request", f"time_s must be a finite number ({exc})")
+            # Past 2**52 steps a float's spacing exceeds one step, and an
+            # untimed update would no longer advance the clock.
+            if abs(time_s) > 2**52 * self.dt_s:
+                raise ServiceError("bad_request", f"|time_s| must be at most "
+                                   f"2**52 * dt_s = {2**52 * self.dt_s:g}, got {time_s:g}")
 
         link_items = msg.get("links", [])
         node_items = msg.get("nodes", [])

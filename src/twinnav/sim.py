@@ -18,38 +18,38 @@ seeds every random stream (`Scenario.with_seed` sets it).
 
 No step phase loops over the vehicles ever spawned. The vehicles on the
 network live in packed engine arrays: slot k < `Engine._on` holds one
-vehicle's position, link, vid and connected flag (`Vehicle.slot` points back,
-`Engine.position` reads a position). A vehicle takes the next slot when it
-enters its first link, a transfer rewrites its slot's link and zeroes its
-position, and an arrival moves the last slot into its place. Movement writes
-only the queues and the slots: the capacity gate reads the target queue's
-length, and `Engine.link_counts` is derived from the slots' links once, at
-the end of movement. Movement advances every slot in one numpy step. Queues
-are FIFO and ordered by position, so only an open link with some vehicle at
-its end can release anyone; the transfer loop visits just those links, in
-index order (a vehicle moved in that loop lands at position 0, never at an
-end). Spawned vehicles not yet on a link wait in `Engine._waiting`, in vid
-order: movement enters them from there and planning takes its new users
-from there. Sensing and the
-full re-plan scan read the connected vehicles off the slots. Bookkeeping
-visits only closed links and the in-links of their start nodes. Every active
-event closes the links it is counted on, so only there can a vehicle
-encounter an event or be blocked. The delivered RSU readings reach the twin
-in one batched ingest and the connected vehicles' in one more. The engine
-keeps one `nav.PlannerState`: its journey-time rows are built on the first
-step that searches and then patched, on steps that search, where a link's
-time changed. A step searches when a connected user waits for a route, or a
-live route's remaining links cross a link the masked journey times put at
-+inf, unless every such pair is in the planner's no-path memo, which holds
-until the +inf link set changes. Every live connected route is checked
-against that set only on steps where it changed; otherwise only last step's
-affected routes and the vehicles that entered the network in the last
+vehicle's position, link, vid and connected flag (`Vehicle.slot` points
+back, `Engine.position` reads a position). A vehicle takes the next slot
+when it enters its first link, a transfer rewrites its slot's link and
+zeroes its position, and an arrival moves the last slot into its place.
+Movement writes only the queues and the slots: the capacity gate reads the
+target queue's length, and `Engine.link_counts` is derived from the slots'
+links once, at the end of movement. Movement advances every slot in one
+numpy step. Queues are FIFO and ordered by position, so only an open link
+with some vehicle at its end can release anyone; the transfer loop visits
+just those links, in index order (a vehicle moved in that loop lands at
+position 0, never at an end). Spawned vehicles not yet on a link wait in
+`Engine._waiting`, in vid order: movement enters them from there and
+planning takes its new users from there. Sensing and the full re-plan scan
+read the connected vehicles off the slots. Bookkeeping visits only closed
+links and the in-links of their start nodes. Every active event closes the
+links it is counted on, so only there can a vehicle encounter an event or be
+blocked. The delivered RSU readings reach the twin in one batched ingest and
+the connected vehicles' in one more, both through `Engine._ingest`. The
+engine keeps one `nav.PlannerState`: its journey-time rows are built on the
+first step that searches and then patched, on steps that search, where a
+link's time changed. A step searches when a connected user waits for a
+route, or a live route's remaining links cross a link the masked journey
+times put at +inf, unless every such pair is in the planner's no-path memo,
+which holds until the +inf link set changes. Every live connected route is
+checked against that set only on steps where it changed; otherwise only last
+step's affected routes and the vehicles that entered the network in the last
 movement are. Shortest-distance trees cached on the network decide which
 destinations a spawn may draw and give unconnected vehicles their static
 routes, so runs on one network (a sweep) search each origin once. RSU
-coverage is decided once per engine, by `Scenario.rsu_coverage`. A step still
-does O(links) work in numpy (link speeds, masked journey times, the head and
-closed-link scans).
+coverage is decided once per engine, by `Scenario.rsu_coverage`. A step
+still does O(links) work in numpy (link speeds, masked journey times, the
+head and closed-link scans).
 
 The engine writes no files: observers read it through `on_step` after each
 step's bookkeeping (see `Engine`), and `journal_writer` writes the journals.
@@ -69,13 +69,14 @@ from . import nav
 from .comms import FlowStreams, check_deadline, deliver, sample_service_latency
 from .errors import ConfigError
 from .network import END_TOLERANCE_M, link_speeds
-from .scenario import Scenario, EventSpec
+from .scenario import Scenario
 from .twin import TwinState
 
 CAV = "cav"
 UNCONNECTED = "unconnected"
 _END_EPS = END_TOLERANCE_M  # every link is longer (the loader checks)
 _CAP_EPS = 1e-9
+_NO_NODES = np.empty(0, dtype=np.intp)  # the node ids of a vehicle batch
 
 
 @dataclass(slots=True)
@@ -236,9 +237,12 @@ class Engine:
         sc = self.scenario
         net = self.net
         dt = self.dt
-        specs: list[EventSpec] = list(sc.events)
-        if sc.events_random is not None and sc.events_random.count:
-            er = sc.events_random
+        # (kind, link index, node, onset_s, end_s, density) of every event.
+        raw = [(spec.kind, None if spec.link is None else net.link_index[spec.link],
+                spec.node, spec.onset_s, spec.end_s, spec.density)
+               for spec in sc.events]
+        er = sc.events_random
+        if er is not None and er.count:
             rng = random.Random(f"{self.seed}/events")
             kinds = [rng.choice(er.kinds) for _ in range(er.count)]
             # The scenario checked that the count fits: the last draws of a
@@ -249,23 +253,17 @@ class Engine:
                 if surplus > 0:
                     for k in [k for k, x in enumerate(kinds) if x == kind][-surplus:]:
                         kinds[k] = other
-            n_acc = kinds.count("accident")
-            n_gat = kinds.count("gathering")
-            acc_links = rng.sample(range(net.link_count), n_acc)
-            gat_nodes = rng.sample(range(1, net.node_count + 1), n_gat)
+            acc_links = iter(rng.sample(range(net.link_count), kinds.count("accident")))
+            gat_nodes = iter(rng.sample(range(1, net.node_count + 1),
+                                        kinds.count("gathering")))
             lo, hi = sc.onset_window()
-            it_acc, it_gat = iter(acc_links), iter(gat_nodes)
             for kind in kinds:
                 onset = rng.uniform(lo, hi)
                 end = None if er.duration_s is None else onset + er.duration_s
                 if kind == "accident":
-                    pair = net.links[next(it_acc)].pair
-                    specs.append(EventSpec(kind=kind, link=pair, onset_s=onset,
-                                           end_s=end, density=er.density))
+                    raw.append((kind, next(acc_links), None, onset, end, er.density))
                 else:
-                    specs.append(EventSpec(kind=kind, node=next(it_gat),
-                                           onset_s=onset, end_s=end,
-                                           density=er.density))
+                    raw.append((kind, None, next(gat_nodes), onset, end, er.density))
         t_end = sc.sim.t_sim_s
 
         def to_step(t: float) -> int:
@@ -274,22 +272,11 @@ class Engine:
             # and keeps the quotient inside float range.
             return int(round(min(max(t, 0.0), t_end) / dt))
 
-        out = []
-        for spec in specs:
-            link_idx = (
-                self.net.link_index[spec.link] if spec.link is not None else None
-            )
-            out.append(
-                ActiveEvent(
-                    kind=spec.kind,
-                    link_idx=link_idx,
-                    node=spec.node,
-                    onset_step=to_step(spec.onset_s),
-                    end_step=None if spec.end_s is None else to_step(spec.end_s),
-                    density=spec.density,
-                )
-            )
-        return out
+        return [ActiveEvent(kind=kind, link_idx=link_idx, node=node,
+                            onset_step=to_step(onset),
+                            end_step=None if end is None else to_step(end),
+                            density=density)
+                for kind, link_idx, node, onset, end, density in raw]
 
     # ------------------------------------------------------------- step phases
 
@@ -319,7 +306,7 @@ class Engine:
                 entry_step=step,
             )
             if klass == UNCONNECTED:
-                veh.route = nav.Route(nodes=nodes, vehicle_id=vid)
+                veh.route = nav.Route(nodes=nodes)
             self.vehicles.append(veh)
             self._waiting.append(veh)
 
@@ -354,8 +341,6 @@ class Engine:
         model = self.scenario.latency
         ssms_rng = self.streams.rng("pdr_ssms")
         info_rng = self.streams.rng("pdr_info")
-        empty_i = np.empty(0, dtype=int)
-        empty_f = np.empty(0)
         # One batch for the delivered RSUs, then one for the delivered vehicle
         # readings. Readers of one link or node report its same true state,
         # so duplicate indices write equal values.
@@ -368,18 +353,8 @@ class Engine:
                 rsu_links.append(link_idx)
                 rsu_nodes.append(node_idx)
         if rsu_ids:
-            li = np.concatenate(rsu_links)
-            ni = np.concatenate(rsu_nodes)
-            self.twin.ingest_arrays(
-                ("rsu", rsu_ids),
-                li,
-                self.link_counts[li],
-                self.speeds[li],
-                occupied[li],
-                ni,
-                self.truth_density[ni],
-                now,
-            )
+            self._ingest(("rsu", rsu_ids), np.concatenate(rsu_links),
+                         np.concatenate(rsu_nodes), occupied, now)
         # One delivery draw per connected vehicle on a link, in vid order.
         n = self._on
         vehicles = self.vehicles
@@ -390,17 +365,15 @@ class Engine:
                 cav_ids.append(vid)
                 cav_links.append(vehicles[vid - 1].link_idx)
         if cav_ids:
-            li = np.array(cav_links, dtype=int)
-            self.twin.ingest_arrays(
-                ("cav", cav_ids),
-                li,
-                self.link_counts[li],
-                self.speeds[li],
-                occupied[li],
-                empty_i,
-                empty_f,
-                now,
-            )
+            self._ingest(("cav", cav_ids), np.array(cav_links, dtype=np.intp),
+                         _NO_NODES, occupied, now)
+
+    def _ingest(self, sources: tuple[str, list[int]], li: np.ndarray,
+                ni: np.ndarray, occupied: np.ndarray, now: float) -> None:
+        """Hand the twin this step's truth at link indices `li` and node ids
+        `ni`, as read by `sources` (kind, [id, ...])."""
+        self.twin.ingest_arrays(sources, li, self.link_counts[li], self.speeds[li],
+                                occupied[li], ni, self.truth_density[ni], now)
 
     def _detect(self, step: int) -> None:
         # Flagged elements stay until their scheduled cause ends; elements with

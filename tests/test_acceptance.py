@@ -106,9 +106,9 @@ def test_c3_event_triggered_replanning():
         )
         masked = mask_events(matrix, set(), {(2, 4)})
         routes = {
-            "affected": Route(nodes=[1, 2, 4], vehicle_id="affected", cursor=1),
-            "passed": Route(nodes=[1, 2, 4], vehicle_id="passed", cursor=2),
-            "clear": Route(nodes=[1, 3, 4], vehicle_id="clear", cursor=1),
+            "affected": Route(nodes=[1, 2, 4], cursor=1),
+            "passed": Route(nodes=[1, 2, 4], cursor=2),
+            "clear": Route(nodes=[1, 3, 4], cursor=1),
         }
         out = replan_affected(PlanningInput(matrix=masked), routes)
         assert set(out.routes) == {"affected"}

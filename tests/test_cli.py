@@ -7,7 +7,7 @@ from twinnav import cli, sweep
 from twinnav.cli import main
 from twinnav.comms import MAX_SAMPLES, collect_latency_samples
 
-from conftest import diamond_doc, write_json
+from conftest import diamond_doc, grid_nodes, write_json
 
 
 def scenario_file(tmp_path, **overrides):
@@ -62,6 +62,19 @@ def test_error_message_escapes_control_characters(tmp_path, capsys, network_file
     err = capsys.readouterr().err
     assert err.endswith("\n") and err[:-1].isprintable(), repr(err)
     assert f"cannot read network file {tmp_path}{os.sep}{shown}: " in err
+
+
+def test_run_exits_2_when_no_origin_destination_pair_is_reachable(tmp_path, capsys):
+    # Two nodes and no link: every spawn draw fails, and the run stops with a
+    # ConfigError instead of simulating vehicles that cannot move.
+    sc = scenario_file(tmp_path, network={
+        "nodes": grid_nodes([(1, 0, 0), (2, 100, 0)]), "links": []}, sensing={})
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", sc, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: could not draw a reachable origin-destination pair; "
+        "the network is too disconnected\n")
+    assert not (out / "metrics.csv").exists()
 
 
 def test_run_seed_determinism_byte_identical(tmp_path):

@@ -201,7 +201,7 @@ def test_plan_new_users_same_od_same_route():
 
 def test_replan_affected_diamond():
     masked = mask_events(diamond_matrix(), set(), {(2, 4)})
-    routes = {1: Route(nodes=[1, 2, 4], vehicle_id=1, cursor=1)}
+    routes = {1: Route(nodes=[1, 2, 4], cursor=1)}
     out = replan_affected(PlanningInput(matrix=masked), routes)
     assert list(out.routes[1].nodes) == [2, 3, 4]
 
@@ -209,8 +209,8 @@ def test_replan_affected_diamond():
 def test_replan_skips_unaffected_and_passed_users():
     masked = mask_events(diamond_matrix(), set(), {(2, 4)})
     routes = {
-        1: Route(nodes=[1, 3, 4], vehicle_id=1, cursor=1),  # avoids the closure
-        2: Route(nodes=[1, 2, 4], vehicle_id=2, cursor=2),  # already on (2,4)
+        1: Route(nodes=[1, 3, 4], cursor=1),  # avoids the closure
+        2: Route(nodes=[1, 2, 4], cursor=2),  # already on (2,4)
     }
     out = replan_affected(PlanningInput(matrix=masked), routes)
     assert out.routes == {} and out.unreachable == set()
@@ -219,7 +219,7 @@ def test_replan_skips_unaffected_and_passed_users():
 def test_replan_unreachable_keeps_old_route():
     # Mask every link into 4: the user cannot be re-routed.
     masked = mask_events(diamond_matrix(), {4}, set())
-    routes = {3: Route(nodes=[1, 2, 4], vehicle_id=3, cursor=1)}
+    routes = {3: Route(nodes=[1, 2, 4], cursor=1)}
     out = replan_affected(PlanningInput(matrix=masked), routes)
     assert out.unreachable == {3} and out.routes == {}
 
@@ -228,9 +228,9 @@ def test_replan_minimality_random():
     rng = random.Random(99)
     m = diamond_matrix()
     all_routes = {
-        1: Route(nodes=[1, 2, 4], vehicle_id=1, cursor=1),
-        2: Route(nodes=[1, 3, 4], vehicle_id=2, cursor=1),
-        3: Route(nodes=[1, 2, 3, 4], vehicle_id=3, cursor=2),
+        1: Route(nodes=[1, 2, 4], cursor=1),
+        2: Route(nodes=[1, 3, 4], cursor=1),
+        3: Route(nodes=[1, 2, 3, 4], cursor=2),
     }
     for _ in range(50):
         ev_links = {p for p in ((1, 2), (2, 4), (1, 3), (3, 4), (2, 3))
@@ -283,7 +283,7 @@ def test_journey_rows_plan_like_the_dense_matrix(data):
             [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]))
         nodes = list(dijkstra_fastest(free_flow, start, end).nodes)
         cursor = data.draw(st.integers(1, len(nodes) - 1))
-        routes[vid] = Route(nodes=nodes, vehicle_id=vid, cursor=cursor)
+        routes[vid] = Route(nodes=nodes, cursor=cursor)
     assert replan_affected(PlanningInput(matrix=sparse), routes) == \
         replan_affected(PlanningInput(matrix=dense), routes)
 
@@ -425,15 +425,15 @@ def test_remembered_pairs_are_not_searched(monkeypatch):
     inp = PlanningInput(matrix=masked, new_users={1: (1, 4), 2: (1, 4), 3: (1, 3)})
     assert plan_new_users(inp).unreachable == {1, 2}
     assert searches == [(1, 4), (1, 3)] and inp.no_path == {(1, 4)}
-    routes = {4: Route(nodes=[1, 2, 4], vehicle_id=4), 5: Route(nodes=[1, 3, 4], vehicle_id=5)}
+    routes = {4: Route(nodes=[1, 2, 4]), 5: Route(nodes=[1, 3, 4])}
     searches.clear()
     out = replan_affected(PlanningInput(matrix=masked, no_path={(2, 4)}), routes)
     assert out.unreachable == {4, 5} and searches == [(3, 4)]
 
 
 def test_spliced_route_keeps_history():
-    old = Route(nodes=[1, 2, 4], vehicle_id=9, cursor=1)
-    new = Route(nodes=[2, 3, 4], vehicle_id=9)
+    old = Route(nodes=[1, 2, 4], cursor=1)
+    new = Route(nodes=[2, 3, 4])
     merged = spliced_route(old, new)
     assert merged.nodes == [1, 2, 3, 4] and merged.cursor == 1
 

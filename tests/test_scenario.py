@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,8 @@ from twinnav import sweep
 from twinnav.cli import main
 from twinnav.errors import ConfigError
 from twinnav.netgen import generate_grid_network
-from twinnav.scenario import load_scenario, scenario_from_dict
-from twinnav.sim import Engine
+from twinnav.scenario import EventSpec, load_scenario, scenario_from_dict
+from twinnav.sim import ActiveEvent, Engine
 
 from conftest import diamond_doc, write_json
 
@@ -350,18 +351,81 @@ def test_random_events_that_cannot_fit_fail_at_load():
             scenario_from_dict(minimal_doc(events_random=er))
 
 
+def reference_events(sc):
+    """The engine's events built the earlier way, in two steps: random
+    accidents become EventSpecs on node pairs, then every spec's pair is
+    looked up again as a link index. Same draws, in the same order."""
+    net, dt = sc.network, sc.sim.dt_s
+    specs = list(sc.events)
+    er = sc.events_random
+    if er is not None and er.count:
+        rng = random.Random(f"{sc.sim.seed}/events")
+        kinds = [rng.choice(er.kinds) for _ in range(er.count)]
+        for kind, other, room in (("accident", "gathering", net.link_count),
+                                  ("gathering", "accident", net.node_count)):
+            surplus = kinds.count(kind) - room
+            if surplus > 0:
+                for k in [k for k, x in enumerate(kinds) if x == kind][-surplus:]:
+                    kinds[k] = other
+        n_acc = kinds.count("accident")
+        n_gat = kinds.count("gathering")
+        acc_links = rng.sample(range(net.link_count), n_acc)
+        gat_nodes = rng.sample(range(1, net.node_count + 1), n_gat)
+        lo, hi = sc.onset_window()
+        it_acc, it_gat = iter(acc_links), iter(gat_nodes)
+        for kind in kinds:
+            onset = rng.uniform(lo, hi)
+            end = None if er.duration_s is None else onset + er.duration_s
+            if kind == "accident":
+                specs.append(EventSpec(kind=kind, link=net.links[next(it_acc)].pair,
+                                       onset_s=onset, end_s=end, density=er.density))
+            else:
+                specs.append(EventSpec(kind=kind, node=next(it_gat), onset_s=onset,
+                                       end_s=end, density=er.density))
+    t_end = sc.sim.t_sim_s
+
+    def to_step(t):
+        return int(round(min(max(t, 0.0), t_end) / dt))
+
+    return [ActiveEvent(kind=spec.kind,
+                        link_idx=None if spec.link is None else net.link_index[spec.link],
+                        node=spec.node, onset_step=to_step(spec.onset_s),
+                        end_step=None if spec.end_s is None else to_step(spec.end_s),
+                        density=spec.density)
+            for spec in specs]
+
+
 def test_random_events_that_fit_load_for_every_seed():
     """A count up to links + nodes fits whatever kinds the seed draws: the
-    surplus of one kind becomes the other."""
-    for count in (6, 9):
-        sc = scenario_from_dict(minimal_doc(events_random={"count": count}))
+    surplus of one kind becomes the other. The events equal the two-step
+    reference's, field by field."""
+    for count, duration in ((6, None), (9, 15.0)):
+        sc = scenario_from_dict(minimal_doc(events_random={
+            "count": count, "duration_s": duration, "density": 0.8}))
         for seed in range(20):
-            events = Engine(sc.with_seed(seed)).events
+            seeded = sc.with_seed(seed)
+            events = Engine(seeded).events
             links = [ev.link_idx for ev in events if ev.kind == "accident"]
             nodes = [ev.node for ev in events if ev.kind == "gathering"]
             assert len(events) == count
             assert len(set(links)) == len(links) <= 5
             assert len(set(nodes)) == len(nodes) <= 4
+            assert events == reference_events(seeded)
+
+
+def test_explicit_events_match_the_reference():
+    sc = scenario_from_dict(minimal_doc(events=[
+        {"kind": "accident", "link": [2, 4], "onset_s": 4.4, "end_s": None},
+        {"kind": "gathering", "node": 3, "onset_s": -5, "end_s": 500, "density": 0.9},
+        {"kind": "accident", "link": [2, 3], "onset_s": 10.5, "end_s": 20.6},
+    ]))
+    events = Engine(sc).events
+    assert events == reference_events(sc)
+    assert [(ev.link_idx, ev.node, ev.onset_step, ev.end_step) for ev in events] == [
+        (sc.network.link_index[(2, 4)], None, 4, None),
+        (None, 3, 0, 60),
+        (sc.network.link_index[(2, 3)], None, 10, 21),
+    ]
 
 
 def test_sweep_rejects_an_event_count_that_cannot_fit_before_any_run(monkeypatch):

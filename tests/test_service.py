@@ -375,6 +375,7 @@ BAD_UPDATES = {
     "NaN time": {"time_s": math.nan, "links": [reading()]},
     "time as a string": {"time_s": "12", "links": [reading()]},
     "time past float range": {"time_s": 10**400, "links": [reading()]},
+    "time past the clock's resolution": {"time_s": 1e17, "links": [reading()]},
     "volume past float range": {"links": [reading(volume=10**400)]},
     "density past float range": {"nodes": [{"id": 3, "density": 10**400}]},
     "NaN volume": {"links": [reading(volume=math.nan)]},
@@ -442,6 +443,27 @@ def test_volume_past_the_vehicle_cap_is_rejected_before_it_reaches_the_planner()
                                "links": [reading(volume=MAX_VEHICLES)]})
     assert state.twin.link_volume[state.net.link_index[(1, 2)]] == MAX_VEHICLES
     assert state.plan_route(ROUTE)["status"] == "ok"
+
+
+def test_a_time_past_the_clock_resolution_cannot_stall_detection():
+    """Past 2**52 steps one step no longer advances a float clock: accepted,
+    an update at 1e17 s would hold the clock there, and untimed slow readings
+    would never flag their link."""
+    state = diamond_state()
+    with pytest.raises(ServiceError) as err:
+        state.apply_sensor_update(slow_link_update(1e17))
+    assert err.value.code == "bad_request"
+    untimed = slow_link_update(None)
+    del untimed["time_s"]
+    for _ in range(30):
+        state.apply_sensor_update(untimed)
+    assert state.clock_s == 30.0
+    assert state.twin.event_link_pairs() == {(1, 2)}
+    # At the bound itself, one step still advances the clock.
+    edge = diamond_state()
+    edge.apply_sensor_update(slow_link_update(2.0**52 * edge.dt_s))
+    edge.apply_sensor_update(untimed)
+    assert edge.clock_s == 2.0**52 * edge.dt_s + edge.dt_s
 
 
 def spy_ingest(state):
