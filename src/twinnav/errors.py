@@ -1,8 +1,11 @@
 """Exception types, the JSON rules, and the one reader of each input:
-`decode_json` decodes every file and service line, and `json_field` reads each
-field of a scenario block and the network document's top level, naming the
-file, the block and the key when the field's rule rejects it."""
+`decode_json` decodes every file and service line; `json_field` reads one
+field, naming the file, the block and the key when the field's rule rejects
+it; `json_fields` reads a whole block by its table of key rules, so a key
+outside the table is an error; and `json_params` builds a parameter class
+from a block, each field not given left at the class's default."""
 
+import dataclasses
 import json
 import math
 
@@ -52,22 +55,20 @@ def json_str(value) -> str:
     return value
 
 
-_REQUIRED = object()
-
-
-def json_field(doc: dict, key: str, read, where: str, default=_REQUIRED):
+def json_field(doc: dict, key: str, read, where: str):
     """`doc[key]` as `read` takes it: a JSON rule, or a block type (dict for
-    an object, list for an array), which returns the value itself. A missing
-    key gives `default`, as is; without one it is an error. ConfigError
-    `where: key: reason` when `doc` is not an object, the key is missing, or
-    `read` rejects the value."""
+    an object, list for an array), which returns the value itself.
+    ConfigError `where: key: reason` when `doc` is not an object, the key is
+    missing, or `read` rejects the value."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {doc!r:.40}")
     if key not in doc:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    value = doc[key]
+        raise ConfigError(f"{where}: missing required key {key!r}")
+    return _read(doc[key], read, key, where)
+
+
+def _read(value, read, key: str, where: str):
+    """`value`, the value of `key`, as `read` takes it (see `json_field`)."""
     try:
         if read is dict or read is list:
             if not isinstance(value, read):
@@ -79,9 +80,31 @@ def json_field(doc: dict, key: str, read, where: str, default=_REQUIRED):
         raise ConfigError(f"{where}: {key}: {exc}") from exc
 
 
+def json_fields(doc, where: str, **rules) -> dict:
+    """The keys the object `doc` gives, each read by its rule in `rules` as
+    `json_field` reads it. ConfigError `where: unknown keys [...]` for a key
+    outside `rules`, so a misspelled key is an error, not a default."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {doc!r:.40}")
+    if not doc.keys() <= rules.keys():
+        raise ConfigError(f"{where}: unknown keys {sorted(doc.keys() - rules.keys())}")
+    return {key: _read(value, rules[key], key, where) for key, value in doc.items()}
+
+
+def json_params(cls, doc, where: str, **rules):
+    """`cls` built (`build_params`) from the fields the object `doc` gives,
+    read by `json_fields`; a JSON key is the name of its field."""
+    return build_params(cls, where, **json_fields(doc, where, **rules))
+
+
 def build_params(cls, where: str, **fields):
-    """`cls(**fields)`, its range-check error (ConfigError or ValueError)
-    re-raised as ConfigError `where: reason`."""
+    """`cls(**fields)`, each field not given left at its class default:
+    ConfigError `where: missing required key 'k'` for a field with no
+    default, and its range-check error (ConfigError or ValueError) re-raised
+    as ConfigError `where: reason`."""
+    for f in dataclasses.fields(cls):
+        if f.name not in fields and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where}: missing required key {f.name!r}")
     try:
         return cls(**fields)
     except (ConfigError, ValueError) as exc:

@@ -222,19 +222,24 @@ def mask_events(
     return masked
 
 
-def plan_new_users(inp: PlanningInput) -> PlanOutcome:
-    """Initial fastest routes for entering users; users with no finite path are
-    flagged unreachable and left unrouted."""
-    rows = _as_rows(inp.matrix)
+def _plan_pairs(rows, no_path: set, pairs: dict) -> PlanOutcome:
+    """One search per `vid -> (start, destination)` in `pairs`, in vid
+    order: the fastest route, or the vid flagged unreachable."""
     out = PlanOutcome()
-    for vid in sorted(inp.new_users):
-        position, destination = inp.new_users[vid]
-        found = fastest_unless_cut_off(rows, position, destination, inp.no_path)
+    for vid in sorted(pairs):
+        start, destination = pairs[vid]
+        found = fastest_unless_cut_off(rows, start, destination, no_path)
         if found is None:
             out.unreachable.add(vid)
         else:
             out.routes[vid] = Route(nodes=list(found.nodes))
     return out
+
+
+def plan_new_users(inp: PlanningInput) -> PlanOutcome:
+    """Initial fastest routes for entering users; users with no finite path are
+    flagged unreachable and left unrouted."""
+    return _plan_pairs(_as_rows(inp.matrix), inp.no_path, inp.new_users)
 
 
 def replan_affected(
@@ -244,24 +249,14 @@ def replan_affected(
 
     The new route starts at the current link's downstream node (decisions take
     effect at the next intersection). Users whose destination became
-    unreachable are flagged and keep their old route.
+    unreachable are flagged and keep their old route; a user whose only
+    remaining link is the committed final one is not re-planned.
     """
     rows = _as_rows(inp.matrix)
-    out = PlanOutcome()
-    for vid in sorted(routes):
-        route = routes[vid]
-        if not any(rows[a][b] == INF for a, b in route.remaining_links()):
-            continue
-        start = route.next_node
-        destination = route.destination
-        if start == destination:
-            continue  # only the committed final link remains
-        found = fastest_unless_cut_off(rows, start, destination, inp.no_path)
-        if found is None:
-            out.unreachable.add(vid)
-        else:
-            out.routes[vid] = Route(nodes=list(found.nodes))
-    return out
+    return _plan_pairs(rows, inp.no_path, {
+        vid: (r.next_node, r.destination) for vid, r in routes.items()
+        if r.next_node != r.destination
+        and any(rows[a][b] == INF for a, b in r.remaining_links())})
 
 
 class PlannerState:

@@ -2,13 +2,14 @@
 document. See README for the full schema. Paths inside the file resolve
 relative to the file's directory. Ids and counts (event nodes and links, RSU
 nodes, sim.seed, traffic.n_vel, events_random.count) must be JSON integers,
-and every other number a finite JSON number (`errors.json_number`). Every
-field is read by the one field reader, `errors.json_field`, so an error names
-the file, the block and the key; `errors.build_params` builds each parameter
-class and names the block of its range error.
+and every other number a finite JSON number (`errors.json_number`). Each
+block is read by one call of `errors.json_fields` or `errors.json_params`
+with its table of keys, so a key the block does not know is an error, and an
+error names the file, the block and the key.
 
-The parameter classes check their own ranges, so the loader and the
-`Scenario.with_*` helpers share one check each. `Scenario` itself checks that
+The parameter classes own their defaults and check their own ranges, so the
+loader and the `Scenario.with_*` helpers share one check each; the loader
+checks only that a node or link is in the network. `Scenario` itself checks that
 its random events fit: no more than the links and nodes their kinds can use,
 in a non-empty onset window; a sweep builds every point, and so runs this
 check, before its first run. Five caps bound one run: MAX_STEPS steps,
@@ -28,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .comms import FlowLatency, LatencyModel, DEFAULT_FLOWS
-from .errors import ConfigError, build_params, json_field, json_int, json_number, \
-    json_str, read_json
+from .errors import ConfigError, build_params, json_fields, json_int, json_number, \
+    json_params, json_str, read_json
 from .network import TrafficNetwork, load_network, network_from_dict
 from .twin import EventThresholds
 
@@ -54,6 +55,19 @@ class EventSpec:
     onset_s: float = 0.0
     end_s: float | None = None  # None: never clears within the run
     density: float = DEFAULT_GATHERING_DENSITY
+
+    def __post_init__(self):
+        if self.kind not in EVENT_KINDS:
+            raise ConfigError(f"kind must be one of {EVENT_KINDS}, got {self.kind!r}")
+        place, other = ("node", "link") if self.kind == "gathering" else ("link", "node")
+        if getattr(self, place) is None:
+            raise ConfigError(f"missing required key {place!r}")
+        if getattr(self, other) is not None:
+            raise ConfigError(f"kind {self.kind!r} takes a {place} and no {other}")
+        if self.end_s is not None and self.end_s < self.onset_s:
+            raise ConfigError("end_s precedes onset_s")
+        if self.density < 0:
+            raise ConfigError(f"density must be >= 0, got {self.density}")
 
 
 @dataclass(frozen=True)
@@ -83,12 +97,16 @@ class RsuSpec:
     node: int
     radius_m: float
 
+    def __post_init__(self):
+        if self.radius_m <= 0:
+            raise ConfigError("radius_m must be > 0")
+
 
 @dataclass(frozen=True)
 class SimParams:
     dt_s: float
     t_sim_s: float
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
         if self.dt_s <= 0:
@@ -216,124 +234,88 @@ def _node_pair(value) -> tuple[int, int]:
     return json_int(value[0]), json_int(value[1])
 
 
+def _array(value) -> tuple:
+    """A JSON array, as a tuple."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {value!r:.40}")
+    return tuple(value)
+
+
 def _parse_event(item: dict, k: int, net: TrafficNetwork, where: str) -> EventSpec:
     w = f"{where}: events[{k}]"
-    kind = json_field(item, "kind", json_str, w)
-    if kind not in EVENT_KINDS:
-        raise ConfigError(f"{w}: kind must be one of {EVENT_KINDS}, got {kind!r}")
-    onset = json_field(item, "onset_s", json_number, w, 0.0)
-    end_s = json_field(item, "end_s", _number_or_null, w, None)
-    density = json_field(item, "density", json_number, w, DEFAULT_GATHERING_DENSITY)
-    if end_s is not None and end_s < onset:
-        raise ConfigError(f"{w}: end_s precedes onset_s")
-    if density < 0:
-        raise ConfigError(f"{w}: density must be >= 0, got {density}")
-    if kind == "gathering":
-        node = json_field(item, "node", json_int, w)
-        if node not in net.node_by_id:
-            raise ConfigError(f"{w}: unknown node {node}")
-        return EventSpec(kind=kind, node=node, onset_s=onset, end_s=end_s, density=density)
-    pair = json_field(item, "link", _node_pair, w)
-    if net.link_between(*pair) is None:
-        raise ConfigError(f"{w}: no link {pair[0]}->{pair[1]} in the network")
-    return EventSpec(kind=kind, link=pair, onset_s=onset, end_s=end_s, density=density)
+    ev = json_params(EventSpec, item, w, kind=json_str, node=json_int, link=_node_pair,
+                     onset_s=json_number, end_s=_number_or_null, density=json_number)
+    if ev.node is not None and ev.node not in net.node_by_id:
+        raise ConfigError(f"{w}: unknown node {ev.node}")
+    if ev.link is not None and net.link_between(*ev.link) is None:
+        raise ConfigError(f"{w}: no link {ev.link[0]}->{ev.link[1]} in the network")
+    return ev
 
 
-def _parse_latency(doc: dict, source: str) -> LatencyModel:
-    where = f"{source}: latency"
-    unknown = set(doc) - set(DEFAULT_FLOWS) - {"pdr_ssms", "pdr_info"}
-    if unknown:
-        raise ConfigError(f"{source}: unknown latency keys {sorted(unknown)}")
-    flows = dict(DEFAULT_FLOWS)
-    for name in DEFAULT_FLOWS:
-        if name in doc:
-            spec = json_field(doc, name, dict, where)
-            w = f"{where}.{name}"
-            flows[name] = build_params(
-                FlowLatency, w,
-                min_ms=json_field(spec, "min_ms", json_number, w),
-                max_ms=json_field(spec, "max_ms", json_number, w),
-                dist=json_field(spec, "dist", json_str, w, "uniform"),
-                mean_ms=json_field(spec, "mean_ms", json_number, w, None))
-    return build_params(
-        LatencyModel, source,
-        flows=flows,
-        pdr_ssms=json_field(doc, "pdr_ssms", json_number, where, 0.9953),
-        pdr_info=json_field(doc, "pdr_info", json_number, where, 1.0))
+def _parse_latency(doc: dict, where: str) -> LatencyModel:
+    fields = json_fields(doc, where, pdr_ssms=json_number, pdr_info=json_number,
+                         **dict.fromkeys(DEFAULT_FLOWS, dict))
+    flows = {name: json_params(FlowLatency, fields.pop(name), f"{where}.{name}",
+                               min_ms=json_number, max_ms=json_number, dist=json_str,
+                               mean_ms=json_number) if name in fields else flow
+             for name, flow in DEFAULT_FLOWS.items()}
+    return build_params(LatencyModel, where, flows=flows, **fields)
 
 
 def scenario_from_dict(
     doc: dict, base_dir: str = ".", source: str = "<scenario>"
 ) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{source}: top level must be a JSON object")
+    top = json_fields(doc, source, network=dict, network_file=json_str, sim=dict,
+                      traffic=dict, events=list, events_random=dict, sensing=dict,
+                      thresholds=dict, latency=dict)
+    for key in ("sim", "traffic") if "network" in top else ("network_file", "sim", "traffic"):
+        if key not in top:
+            raise ConfigError(f"{source}: missing required key {key!r}")
 
-    if "network" in doc:
-        net = network_from_dict(doc["network"], source=f"{source}: network")
+    if "network" in top:
+        net = network_from_dict(top["network"], source=f"{source}: network")
     else:
-        rel = json_field(doc, "network_file", json_str, source)
-        net = load_network(os.path.join(base_dir, rel))
+        net = load_network(os.path.join(base_dir, top["network_file"]))
 
-    sim_doc = json_field(doc, "sim", dict, source)
-    w = f"{source}: sim"
-    sim = build_params(
-        SimParams, source,
-        dt_s=json_field(sim_doc, "dt_s", json_number, w),
-        t_sim_s=json_field(sim_doc, "t_sim_s", json_number, w),
-        seed=json_field(sim_doc, "seed", json_int, w, 0))
+    sim = json_params(SimParams, top["sim"], f"{source}: sim",
+                      dt_s=json_number, t_sim_s=json_number, seed=json_int)
 
-    tr_doc = json_field(doc, "traffic", dict, source)
     w = f"{source}: traffic"
-    traffic = build_params(
-        TrafficParams, source,
-        n_vel=json_field(tr_doc, "n_vel", json_int, w),
-        p_user=json_field(tr_doc, "p_user", json_number, w),
-        spawn_window_frac=json_field(json_field(tr_doc, "spawn", dict, w, {}),
-                                     "window_frac", json_number, f"{w}.spawn", 0.8))
+    tr = json_fields(top["traffic"], w, n_vel=json_int, p_user=json_number, spawn=dict)
+    spawn = json_fields(tr.pop("spawn", {}), f"{w}.spawn", window_frac=json_number)
+    traffic = build_params(TrafficParams, w, **tr,
+                           **{f"spawn_{key}": value for key, value in spawn.items()})
 
-    if "events" in doc and "events_random" in doc:
+    if "events" in top and "events_random" in top:
         raise ConfigError(f"{source}: give events or events_random, not both")
-    items = json_field(doc, "events", list, source, [])
+    items = top.get("events", [])
     if len(items) > MAX_EVENTS:
         raise ConfigError(f"{source}: {len(items)} events, more than {MAX_EVENTS}")
     events = tuple(_parse_event(item, k, net, source) for k, item in enumerate(items))
     events_random = None
-    if "events_random" in doc:
-        er = json_field(doc, "events_random", dict, source)
-        w = f"{source}: events_random"
-        events_random = build_params(
-            RandomEvents, source,
-            count=json_field(er, "count", json_int, w),
-            kinds=tuple(json_field(er, "kinds", list, w, EVENT_KINDS)),
-            onset_min_s=json_field(er, "onset_min_s", json_number, w, None),
-            onset_max_s=json_field(er, "onset_max_s", json_number, w, None),
-            duration_s=json_field(er, "duration_s", _number_or_null, w, None),
-            density=json_field(er, "density", json_number, w, DEFAULT_GATHERING_DENSITY))
+    if "events_random" in top:
+        events_random = json_params(
+            RandomEvents, top["events_random"], f"{source}: events_random",
+            count=json_int, kinds=_array, onset_min_s=json_number,
+            onset_max_s=json_number, duration_s=_number_or_null, density=json_number)
 
-    sensing = json_field(doc, "sensing", dict, source, {})
-    rsu_docs = json_field(sensing, "rsus", list, f"{source}: sensing", [])
+    sensing = json_fields(top.get("sensing", {}), f"{source}: sensing", rsus=list)
+    rsu_docs = sensing.get("rsus", [])
     if len(rsu_docs) > MAX_RSUS:
         raise ConfigError(f"{source}: {len(rsu_docs)} RSUs, more than {MAX_RSUS}")
     rsus = []
     for k, item in enumerate(rsu_docs):
         w = f"{source}: sensing.rsus[{k}]"
-        rsu = RsuSpec(node=json_field(item, "node", json_int, w),
-                      radius_m=json_field(item, "radius_m", json_number, w))
+        rsu = json_params(RsuSpec, item, w, node=json_int, radius_m=json_number)
         if rsu.node not in net.node_by_id:
             raise ConfigError(f"{w}: unknown node {rsu.node}")
-        if rsu.radius_m <= 0:
-            raise ConfigError(f"{w}: radius_m must be > 0")
         rsus.append(rsu)
 
-    th_doc = json_field(doc, "thresholds", dict, source, {})
-    w = f"{source}: thresholds"
-    thresholds = build_params(
-        EventThresholds, w,
-        density_threshold=json_field(th_doc, "density_threshold", json_number, w, 0.5),
-        speed_threshold=json_field(th_doc, "speed_threshold", json_number, w, 0.5),
-        accident_window_s=json_field(th_doc, "accident_window_s", json_number, w, 10.0))
-
-    latency = _parse_latency(json_field(doc, "latency", dict, source, {}), source)
+    thresholds = json_params(
+        EventThresholds, top.get("thresholds", {}), f"{source}: thresholds",
+        density_threshold=json_number, speed_threshold=json_number,
+        accident_window_s=json_number)
+    latency = _parse_latency(top.get("latency", {}), f"{source}: latency")
     return Scenario(network=net, sim=sim, traffic=traffic, events=events,
                     events_random=events_random, rsus=tuple(rsus),
                     thresholds=thresholds, latency=latency, source_path=source)

@@ -410,8 +410,7 @@ class Engine:
         affected = {v.vid: v.route for v in hits}
         no_path = planner.no_path
         if all(pair in no_path for pair in new_users.values()) and all(
-            r.next_node == r.destination or (r.next_node, r.destination) in no_path
-            for r in affected.values()
+            (r.next_node, r.destination) in no_path for r in affected.values()
         ):
             return  # no search this step, so no rows
         inp = nav.PlanningInput(matrix=planner.rows(), new_users=new_users,

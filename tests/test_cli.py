@@ -9,6 +9,9 @@ from twinnav.comms import MAX_SAMPLES, collect_latency_samples
 
 from conftest import diamond_doc, grid_nodes, write_json
 
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "scenarios")
+
 
 def scenario_file(tmp_path, **overrides):
     doc = {
@@ -74,6 +77,21 @@ def test_run_exits_2_when_no_origin_destination_pair_is_reachable(tmp_path, caps
     assert capsys.readouterr().err == (
         "error: could not draw a reachable origin-destination pair; "
         "the network is too disconnected\n")
+    assert not (out / "metrics.csv").exists()
+
+
+def test_run_exits_2_on_a_misspelled_scenario_key(tmp_path, capsys):
+    # A key no block reads is an error, not a run without it: this run would
+    # otherwise have no events and seed 0.
+    with open(os.path.join(SCENARIOS, "demo.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["network_file"] = os.path.join(SCENARIOS, doc["network_file"])
+    doc["events_randm"] = doc.pop("events_random")
+    doc["sim"]["sed"] = doc["sim"].pop("seed")
+    sc = write_json(tmp_path / "scenario.json", doc)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", sc, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {sc}: unknown keys ['events_randm']\n"
     assert not (out / "metrics.csv").exists()
 
 

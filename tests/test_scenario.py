@@ -66,7 +66,7 @@ def test_scenario_missing_network_file(tmp_path):
         (lambda d: d["traffic"].update(p_user=1.5), "p_user"),
         (lambda d: d["traffic"].update(n_vel=-1), "n_vel"),
         (lambda d: d.update(events=[], events_random={"count": 1}), "not both"),
-        (lambda d: d.update(latency={"warp_drive": {}}), "unknown latency"),
+        (lambda d: d.update(latency={"warp_drive": {}}), "latency: unknown keys"),
         (lambda d: d.update(thresholds={"speed_threshold": -2}), "thresholds"),
         # Past a cap: a run of any of these would not end in reasonable time.
         pytest.param(lambda d: d["sim"].update(t_sim_s=1e308), "steps",
@@ -605,14 +605,17 @@ JSON_VALUES = (0, -1, 1, 2, 0.5, -0.5, 1.5, 1e-9, 1e308, -1e308, 10**400, 2**63,
 
 @st.composite
 def mutated_demo_docs(draw):
-    """The inlined demo document, or the committed one for its network_file
-    key, with one mutation: a leaf replaced by one of JSON_VALUES, a key or
-    list item deleted, or a value wrapped in a list."""
+    """(op, document): the inlined demo document, or the committed one for
+    its network_file key, with one mutation: a leaf replaced by one of
+    JSON_VALUES, a key or list item deleted, a value wrapped in a list, or an
+    object key renamed by appending "_"."""
     part = draw(st.sampled_from(sorted(DEMO_PATHS)))
     doc = copy.deepcopy(FILE_DEMO_DOC if part == "network_file" else DEMO_DOC)
     paths = DEMO_PATHS[part]
-    op = draw(st.sampled_from(["replace", "delete", "wrap"]))
-    path, _ = draw(st.sampled_from([p for p in paths if p[1] or op != "replace"]))
+    op = draw(st.sampled_from(["replace", "delete", "wrap", "rename"]))
+    path, _ = draw(st.sampled_from([
+        (p, leaf) for p, leaf in paths
+        if (leaf or op != "replace") and (isinstance(p[-1], str) or op != "rename")]))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -621,9 +624,11 @@ def mutated_demo_docs(draw):
         parent[key] = draw(st.sampled_from(JSON_VALUES))
     elif op == "delete":
         del parent[key]
-    else:
+    elif op == "wrap":
         parent[key] = [parent[key]]
-    return doc
+    else:
+        parent[key + "_"] = parent.pop(key)
+    return op, doc
 
 
 class StopRun(Exception):
@@ -637,13 +642,17 @@ def stop_after_20_steps(eng, step):
 
 @settings(max_examples=150, deadline=None)
 @given(mutated_demo_docs())
-def test_a_mutated_demo_document_is_rejected_or_runs(doc):
+def test_a_mutated_demo_document_is_rejected_or_runs(case):
     """Bad input fails at load with ConfigError, or during the run with
-    ConfigError; no other exception and no numpy warning."""
+    ConfigError; no other exception and no numpy warning. A misspelled key
+    (a renamed one) always fails at load: every block names the keys it
+    reads, and every network item key is required."""
+    op, doc = case
     try:
         sc = scenario_from_dict(doc, base_dir=SCENARIOS, source="demo")
     except ConfigError:
         return
+    assert op != "rename", "a renamed key loaded"
     try:
         Engine(sc, on_step=stop_after_20_steps).run()
     except (ConfigError, StopRun):

@@ -39,6 +39,9 @@ def start_service():
 
 
 class Client:
+    """A line-delimited JSON connection to a route service; a context
+    manager, so a failing assertion inside its block still closes it."""
+
     def __init__(self, port):
         self.sock = socket.create_connection(("127.0.0.1", port), timeout=5)
         self.file = self.sock.makefile("rwb")
@@ -61,6 +64,12 @@ class Client:
         self.file.close()
         self.sock.close()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
 
 def slow_link_update(time_s, pair=(1, 2), speed=0.1):
     return {
@@ -75,77 +84,72 @@ def slow_link_update(time_s, pair=(1, 2), speed=0.1):
 
 
 def test_route_request_avoids_reported_event_link(server):
-    c = Client(server.port)
-    # Ten seconds of slow, occupied readings flag the link as an accident.
-    for t in (0.0, 5.0, 10.0):
-        c.send(slow_link_update(t))
-    reply = c.request(
-        {"type": "route_request", "vehicle": "car-1", "position": 1,
-         "destination": 4}
-    )
-    assert reply["type"] == "route_response"
-    assert reply["status"] == "ok"
-    hops = list(zip(reply["route"], reply["route"][1:]))
-    assert (1, 2) not in hops
-    assert reply["route"][0] == 1 and reply["route"][-1] == 4
-    c.close()
+    with Client(server.port) as c:
+        # Ten seconds of slow, occupied readings flag the link as an accident.
+        for t in (0.0, 5.0, 10.0):
+            c.send(slow_link_update(t))
+        reply = c.request(
+            {"type": "route_request", "vehicle": "car-1", "position": 1,
+             "destination": 4}
+        )
+        assert reply["type"] == "route_response"
+        assert reply["status"] == "ok"
+        hops = list(zip(reply["route"], reply["route"][1:]))
+        assert (1, 2) not in hops
+        assert reply["route"][0] == 1 and reply["route"][-1] == 4
 
 
 def test_gathering_update_masks_node(server):
-    c = Client(server.port)
-    c.send(
-        {
-            "type": "sensor_update",
-            "source": {"kind": "rsu", "id": 1},
-            "time_s": 1.0,
-            "nodes": [{"id": 2, "density": 1.5}],
-        }
-    )
-    reply = c.request(
-        {"type": "route_request", "vehicle": "car-2", "position": 1,
-         "destination": 4}
-    )
-    assert reply["status"] == "ok"
-    assert 2 not in reply["route"]
-    c.close()
+    with Client(server.port) as c:
+        c.send(
+            {
+                "type": "sensor_update",
+                "source": {"kind": "rsu", "id": 1},
+                "time_s": 1.0,
+                "nodes": [{"id": 2, "density": 1.5}],
+            }
+        )
+        reply = c.request(
+            {"type": "route_request", "vehicle": "car-2", "position": 1,
+             "destination": 4}
+        )
+        assert reply["status"] == "ok"
+        assert 2 not in reply["route"]
 
 
 def test_identical_requests_identical_responses(server):
-    c = Client(server.port)
-    msg = {"type": "route_request", "vehicle": "x", "position": 1,
-           "destination": 4}
-    assert c.request(msg) == c.request(msg)
-    c.close()
+    with Client(server.port) as c:
+        msg = {"type": "route_request", "vehicle": "x", "position": 1,
+               "destination": 4}
+        assert c.request(msg) == c.request(msg)
 
 
 def test_degenerate_request(server):
-    c = Client(server.port)
-    reply = c.request(
-        {"type": "route_request", "vehicle": "x", "position": 2,
-         "destination": 2}
-    )
-    assert reply == {
-        "type": "error",
-        "code": "degenerate_request",
-        "detail": reply["detail"],
-    }
-    c.close()
+    with Client(server.port) as c:
+        reply = c.request(
+            {"type": "route_request", "vehicle": "x", "position": 2,
+             "destination": 2}
+        )
+        assert reply == {
+            "type": "error",
+            "code": "degenerate_request",
+            "detail": reply["detail"],
+        }
 
 
 ROUTE = {"type": "route_request", "vehicle": "x", "position": 1, "destination": 4}
 
 
 def test_garbage_line_keeps_connection(server):
-    c = Client(server.port)
-    c.send_raw(b"{not json")
-    assert c.recv()["code"] == "parse"
-    # Connection still serves requests afterwards.
-    reply = c.request(
-        {"type": "route_request", "vehicle": "x", "position": 1,
-         "destination": 4}
-    )
-    assert reply["type"] == "route_response"
-    c.close()
+    with Client(server.port) as c:
+        c.send_raw(b"{not json")
+        assert c.recv()["code"] == "parse"
+        # Connection still serves requests afterwards.
+        reply = c.request(
+            {"type": "route_request", "vehicle": "x", "position": 1,
+             "destination": 4}
+        )
+        assert reply["type"] == "route_response"
 
 
 # Lines the JSON decoder rejects with an error other than a syntax error: the
@@ -160,30 +164,28 @@ UNDECODABLE_LINES = {
 
 @pytest.mark.parametrize("case", sorted(UNDECODABLE_LINES))
 def test_undecodable_line_answers_parse_and_keeps_connection(server, case):
-    c = Client(server.port)
-    c.send_raw(UNDECODABLE_LINES[case])
-    assert c.recv()["code"] == "parse"
-    assert c.request(ROUTE)["type"] == "route_response"
-    c.close()
+    with Client(server.port) as c:
+        c.send_raw(UNDECODABLE_LINES[case])
+        assert c.recv()["code"] == "parse"
+        assert c.request(ROUTE)["type"] == "route_response"
 
 
 def test_over_long_line_answers_one_error_and_keeps_connection(server):
-    c = Client(server.port)
-    route = {"type": "route_request", "vehicle": "x", "position": 1, "destination": 4}
-    # A well-formed request, but longer than the cap: it is not served.
-    long = dict(route, vehicle="x" * (service.MAX_LINE_BYTES + 10))
-    c.send(long)
-    reply = c.recv()
-    assert reply["type"] == "error" and reply["code"] == "line_too_long"
-    assert c.request(route)["type"] == "route_response"
-    # A line at the cap, its newline included, is still read whole.
-    line = json.dumps(dict(route, vehicle="")).encode("utf-8")
-    pad = service.MAX_LINE_BYTES - len(line) - 1
-    at_cap = json.dumps(dict(route, vehicle="y" * pad)).encode("utf-8")
-    assert len(at_cap) + 1 == service.MAX_LINE_BYTES
-    c.send_raw(at_cap)
-    assert c.recv()["vehicle"] == "y" * pad
-    c.close()
+    with Client(server.port) as c:
+        route = {"type": "route_request", "vehicle": "x", "position": 1, "destination": 4}
+        # A well-formed request, but longer than the cap: it is not served.
+        long = dict(route, vehicle="x" * (service.MAX_LINE_BYTES + 10))
+        c.send(long)
+        reply = c.recv()
+        assert reply["type"] == "error" and reply["code"] == "line_too_long"
+        assert c.request(route)["type"] == "route_response"
+        # A line at the cap, its newline included, is still read whole.
+        line = json.dumps(dict(route, vehicle="")).encode("utf-8")
+        pad = service.MAX_LINE_BYTES - len(line) - 1
+        at_cap = json.dumps(dict(route, vehicle="y" * pad)).encode("utf-8")
+        assert len(at_cap) + 1 == service.MAX_LINE_BYTES
+        c.send_raw(at_cap)
+        assert c.recv()["vehicle"] == "y" * pad
 
 
 def handler_threads():
@@ -195,23 +197,20 @@ def test_a_connection_past_the_limit_is_answered_busy_and_closed(monkeypatch):
     srv = start_service()
     try:
         before = handler_threads()
-        first = Client(srv.port)
-        assert first.request(ROUTE)["type"] == "route_response"
-        handlers = handler_threads() - before
-        assert len(handlers) == 1 and srv.open_connections == 1
-        second = Client(srv.port)
-        assert second.recv()["code"] == "busy"
-        assert second.file.readline() == b""  # closed by the server
-        second.close()
-        assert handler_threads() - before == handlers  # no thread for the second
-        first.close()
+        with Client(srv.port) as first:
+            assert first.request(ROUTE)["type"] == "route_response"
+            handlers = handler_threads() - before
+            assert len(handlers) == 1 and srv.open_connections == 1
+            with Client(srv.port) as second:
+                assert second.recv()["code"] == "busy"
+                assert second.file.readline() == b""  # closed by the server
+            assert handler_threads() - before == handlers  # no thread for the second
         for t in handlers:
             t.join(timeout=5)
             assert not t.is_alive()
         assert srv.open_connections == 0
-        third = Client(srv.port)  # the freed place is served
-        assert third.request(ROUTE)["type"] == "route_response"
-        third.close()
+        with Client(srv.port) as third:  # the freed place is served
+            assert third.request(ROUTE)["type"] == "route_response"
     finally:
         srv.shutdown()
         srv.server_close()
@@ -222,13 +221,12 @@ def test_an_idle_connection_is_closed(monkeypatch):
     srv = start_service()
     try:
         before = handler_threads()
-        c = Client(srv.port)
-        assert c.request(ROUTE)["type"] == "route_response"
-        handlers = handler_threads() - before
-        c.file.write(b'{"type": "route_req')  # no newline ever follows
-        c.file.flush()
-        assert c.file.readline() == b""  # closed by the server
-        c.close()
+        with Client(srv.port) as c:
+            assert c.request(ROUTE)["type"] == "route_response"
+            handlers = handler_threads() - before
+            c.file.write(b'{"type": "route_req')  # no newline ever follows
+            c.file.flush()
+            assert c.file.readline() == b""  # closed by the server
         for t in handlers:
             t.join(timeout=5)
             assert not t.is_alive()
@@ -239,66 +237,62 @@ def test_an_idle_connection_is_closed(monkeypatch):
 
 
 def test_unknown_type(server):
-    c = Client(server.port)
-    assert c.request({"type": "teleport"})["code"] == "unknown_type"
-    c.close()
+    with Client(server.port) as c:
+        assert c.request({"type": "teleport"})["code"] == "unknown_type"
 
 
 def test_bad_requests(server):
-    c = Client(server.port)
-    assert c.request({"type": "route_request", "vehicle": "x"})["code"] == "bad_request"
-    assert (
-        c.request(
-            {"type": "route_request", "vehicle": "x", "position": 1,
-             "destination": 99}
-        )["code"]
-        == "bad_request"
-    )
-    assert (
-        c.request(
-            {"type": "route_request", "vehicle": "x", "position": math.inf,
-             "destination": 4}
-        )["code"]
-        == "bad_request"
-    )
-    assert (
-        c.request(
-            {"type": "sensor_update", "source": {"kind": "rsu", "id": 0},
-             "links": [{"from": 9, "to": 1, "volume": 1, "speed_mps": 1,
-                        "occupied": True}]}
-        )["code"]
-        == "bad_request"
-    )
-    # Node ids are JSON integers: no truncation of floats, no bools.
-    for position, destination in ((1.7, 4), (True, 4), (1, 4.0), (1, "4")):
-        reply = c.request({"type": "route_request", "vehicle": "x",
-                           "position": position, "destination": destination})
-        assert reply["code"] == "bad_request", (position, destination)
-    c.close()
+    with Client(server.port) as c:
+        assert c.request({"type": "route_request", "vehicle": "x"})["code"] == "bad_request"
+        assert (
+            c.request(
+                {"type": "route_request", "vehicle": "x", "position": 1,
+                 "destination": 99}
+            )["code"]
+            == "bad_request"
+        )
+        assert (
+            c.request(
+                {"type": "route_request", "vehicle": "x", "position": math.inf,
+                 "destination": 4}
+            )["code"]
+            == "bad_request"
+        )
+        assert (
+            c.request(
+                {"type": "sensor_update", "source": {"kind": "rsu", "id": 0},
+                 "links": [{"from": 9, "to": 1, "volume": 1, "speed_mps": 1,
+                            "occupied": True}]}
+            )["code"]
+            == "bad_request"
+        )
+        # Node ids are JSON integers: no truncation of floats, no bools.
+        for position, destination in ((1.7, 4), (True, 4), (1, 4.0), (1, "4")):
+            reply = c.request({"type": "route_request", "vehicle": "x",
+                               "position": position, "destination": destination})
+            assert reply["code"] == "bad_request", (position, destination)
 
 
 def test_unreachable_destination(server):
-    c = Client(server.port)
-    reply = c.request(
-        {"type": "route_request", "vehicle": "x", "position": 4,
-         "destination": 1}
-    )
-    assert reply["status"] == "unreachable" and reply["route"] == []
-    c.close()
+    with Client(server.port) as c:
+        reply = c.request(
+            {"type": "route_request", "vehicle": "x", "position": 4,
+             "destination": 1}
+        )
+        assert reply["status"] == "unreachable" and reply["route"] == []
 
 
 def test_response_latency_p50(server):
-    c = Client(server.port)
-    msg = {"type": "route_request", "vehicle": "x", "position": 1,
-           "destination": 4}
-    times = []
-    for _ in range(30):
-        t0 = time.perf_counter()
-        c.request(msg)
-        times.append(time.perf_counter() - t0)
-    times.sort()
-    assert times[len(times) // 2] < 0.050
-    c.close()
+    with Client(server.port) as c:
+        msg = {"type": "route_request", "vehicle": "x", "position": 1,
+               "destination": 4}
+        times = []
+        for _ in range(30):
+            t0 = time.perf_counter()
+            c.request(msg)
+            times.append(time.perf_counter() - t0)
+        times.sort()
+        assert times[len(times) // 2] < 0.050
 
 
 # ------------------------------------------------- flag clearing, bad readings
@@ -511,19 +505,18 @@ def test_repeated_readings_keep_the_last_at_first_arrival():
 
 @pytest.mark.parametrize("case", sorted(BAD_UPDATES))
 def test_bad_reading_rejected_and_twin_unchanged(server, case):
-    c = Client(server.port)
-    route = {"type": "route_request", "vehicle": "x", "position": 1, "destination": 4}
-    c.send(slow_link_update(5.0))
-    assert c.request(route)["type"] == "route_response"  # the update is applied
-    before = twin_view(server.state)
-    msg = {"type": "sensor_update", "source": {"kind": "rsu", "id": 0}, "time_s": 7.0}
-    msg.update(BAD_UPDATES[case])
-    c.send(msg)  # json.dumps writes NaN and Infinity as Python's json reads them
-    c.send(route)
-    assert c.recv()["code"] == "bad_request"
-    assert c.recv()["type"] == "route_response"
-    assert twin_view(server.state) == before
-    c.close()
+    with Client(server.port) as c:
+        route = {"type": "route_request", "vehicle": "x", "position": 1, "destination": 4}
+        c.send(slow_link_update(5.0))
+        assert c.request(route)["type"] == "route_response"  # the update is applied
+        before = twin_view(server.state)
+        msg = {"type": "sensor_update", "source": {"kind": "rsu", "id": 0}, "time_s": 7.0}
+        msg.update(BAD_UPDATES[case])
+        c.send(msg)  # json.dumps writes NaN and Infinity as Python's json reads them
+        c.send(route)
+        assert c.recv()["code"] == "bad_request"
+        assert c.recv()["type"] == "route_response"
+        assert twin_view(server.state) == before
 
 
 # ------------------------------------------------------- fuzzed message stream
