@@ -1,9 +1,9 @@
 """Exception types, the JSON rules, and the one reader of each input:
-`decode_json` decodes every file and service line; `json_field` reads one
-field, naming the file, the block and the key when the field's rule rejects
-it; `json_fields` reads a whole block by its table of key rules, so a key
-outside the table is an error; and `json_params` builds a parameter class
-from a block, each field not given left at the class's default."""
+`decode_json` decodes every file and service line; `json_fields` reads a
+block by its table of key rules, naming the file, the block and the key when
+a rule rejects a value, so a key outside the table is an error; and
+`json_params` builds a parameter class from a block, each field not given
+left at the class's default."""
 
 import dataclasses
 import json
@@ -55,20 +55,10 @@ def json_str(value) -> str:
     return value
 
 
-def json_field(doc: dict, key: str, read, where: str):
-    """`doc[key]` as `read` takes it: a JSON rule, or a block type (dict for
-    an object, list for an array), which returns the value itself.
-    ConfigError `where: key: reason` when `doc` is not an object, the key is
-    missing, or `read` rejects the value."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {doc!r:.40}")
-    if key not in doc:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return _read(doc[key], read, key, where)
-
-
 def _read(value, read, key: str, where: str):
-    """`value`, the value of `key`, as `read` takes it (see `json_field`)."""
+    """`value`, the value of `key`, as `read` takes it: a JSON rule, or a
+    block type (dict for an object, list for an array), which returns the
+    value itself. ConfigError `where: key: reason` when `read` rejects it."""
     try:
         if read is dict or read is list:
             if not isinstance(value, read):
@@ -81,9 +71,9 @@ def _read(value, read, key: str, where: str):
 
 
 def json_fields(doc, where: str, **rules) -> dict:
-    """The keys the object `doc` gives, each read by its rule in `rules` as
-    `json_field` reads it. ConfigError `where: unknown keys [...]` for a key
-    outside `rules`, so a misspelled key is an error, not a default."""
+    """The keys the object `doc` gives, each read by its rule in `rules`
+    (`_read`). ConfigError `where: unknown keys [...]` for a key outside
+    `rules`, so a misspelled key is an error, not a default."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {doc!r:.40}")
     if not doc.keys() <= rules.keys():

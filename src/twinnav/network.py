@@ -2,10 +2,13 @@
 
 Node ids are dense integers 1..M; links are indexed 0..L-1 in file order, and
 per-link quantities (lengths, volumes, speeds, journey times) are arrays in
-that order. The speed-density law has one implementation, `_speed_law`,
-elementwise on arrays; `link_speeds` and the scalar `journey_speed` call it.
-Likewise the journey-time law, `_journey_time_law`, serves `link_journey_times`
-and the scalar `journey_time`.
+that order. A network keeps no `Node` or `Link` item: `TrafficNetwork` checks
+them and fills its columns in one pass, the arrays, `pairs`, `link_index`
+(pair -> index), `in_links` and `coords` (node id -> (x_m, y_m)).
+The speed-density law has one implementation, `_speed_law`, elementwise on
+arrays; `link_speeds` and the scalar `journey_speed` call it. Likewise the
+journey-time law, `_journey_time_law`, serves `link_journey_times` and the
+scalar `journey_time`.
 The planner reads per-node rows (`TrafficNetwork.link_rows`): rows[u][v] is
 the value of link u->v, one small mapping per node keyed by its out-neighbors,
 so the rows are the graph and planning costs O(L) per snapshot instead of
@@ -17,8 +20,10 @@ answers which nodes an origin reaches. Scenarios derived from one another
 share their network, and so these caches.
 A network has at most MAX_NODES nodes and MAX_LINKS links. A link is at most
 MAX_LENGTH_M long, its free-flow speed at most MAX_V_FREE_MPS, and its
-capacity k_max_veh_per_m * length_m from 1 to scenario.MAX_VEHICLES. Node
-coordinates are at most MAX_COORD_M in absolute value.
+capacity k_max_veh_per_m * length_m from 1 to MAX_VEHICLES (a run's vehicle
+cap, kept here for `scenario` to import). Node coordinates are at most
+MAX_COORD_M in absolute value. The network document has the keys `nodes` and
+`links` and no other; its items are read by hand, and may carry extra keys.
 Node ids and link endpoints in network JSON must be JSON integers, and
 coordinates, lengths, speeds and jam densities finite JSON numbers (an integer
 or a float; not a boolean or a string).
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DegenerateRouteRequest, json_field, \
+from .errors import ConfigError, ContractError, DegenerateRouteRequest, json_fields, \
     json_int, json_number, read_json
 
 INF = math.inf
@@ -48,6 +53,9 @@ END_TOLERANCE_M = 1e-9
 # work per link.
 MAX_NODES = 10_000
 MAX_LINKS = 100_000
+# Most vehicles in one run (the scenario's traffic.n_vel cap), and so the
+# largest link capacity and sensed volume that mean anything.
+MAX_VEHICLES = 1_000_000
 
 # Upper ranges of a link's length and free-flow speed, far above any
 # committed network's (~141 m and ~15 m/s at most).
@@ -85,26 +93,57 @@ class TrafficNetwork:
     """Immutable directed road graph with per-link arrays for vectorized math."""
 
     def __init__(self, nodes: list[Node], links: list[Link]):
-        _validate_topology(nodes, links)
-        self.nodes = list(nodes)
-        self.links = list(links)
-        self.node_count = len(nodes)
+        if not nodes:
+            raise ConfigError("network has no nodes")
+        m = len(nodes)
+        ids = sorted(n.node_id for n in nodes)
+        if ids != list(range(1, m + 1)):
+            raise ConfigError(f"node ids must be dense 1..{m}, got "
+                              + (f"{ids[:5]}..." if m > 5 else f"{ids}"))
+        self.node_count = m
         self.link_count = len(links)
-        self.node_by_id = {n.node_id: n for n in nodes}
+        self.coords: dict[int, tuple[float, float]] = {}
+        for n in nodes:
+            if not (abs(n.x_m) <= MAX_COORD_M and abs(n.y_m) <= MAX_COORD_M):
+                raise ConfigError(f"node {n.node_id}: x_m and y_m must be within "
+                                  f"[-{MAX_COORD_M:g}, {MAX_COORD_M:g}]")
+            self.coords[n.node_id] = (n.x_m, n.y_m)
 
+        self.link_index: dict[tuple[int, int], int] = {}
+        self.in_links: list[list[int]] = [[] for _ in range(m + 1)]
+        for k, l in enumerate(links):
+            u, v = pair = l.from_node, l.to_node
+            # Comparisons are False for NaN: one test per value rejects NaN,
+            # infinite, non-positive and too large numbers. length_m > 0 when
+            # the capacity is tested, so that test rejects k_max <= 0 and NaN
+            # too. A capacity past the vehicle cap gates nothing, or overflows
+            # to +inf; one below a vehicle admits none, and a near-zero one
+            # overflows the speed law's volume / capacity.
+            if u not in self.coords or v not in self.coords:
+                fault = "endpoint not a known node id"
+            elif u == v:
+                fault = "self-links are not allowed"
+            elif pair in self.link_index:
+                fault = "duplicate link for this ordered pair"
+            elif not END_TOLERANCE_M < l.length_m <= MAX_LENGTH_M:
+                fault = f"length_m must be within ({END_TOLERANCE_M}, {MAX_LENGTH_M:g}]"
+            elif not 0 < l.v_free_mps <= MAX_V_FREE_MPS:
+                fault = f"free-flow speed must be within (0, {MAX_V_FREE_MPS:g}] m/s"
+            elif not 1 <= l.k_max_veh_per_m * l.length_m <= MAX_VEHICLES:
+                fault = (f"the capacity k_max_veh_per_m * length_m must be within "
+                         f"[1, {MAX_VEHICLES}] vehicles")
+            else:
+                self.link_index[pair] = k
+                self.in_links[v].append(k)
+                continue
+            raise ConfigError(f"links[{k}] ({u}->{v}): {fault}")
+
+        self.pairs = list(self.link_index)  # link order; pairs are unique
         self.lengths = np.array([l.length_m for l in links], dtype=float)
         self.v_free = np.array([l.v_free_mps for l in links], dtype=float)
         self.k_max = np.array([l.k_max_veh_per_m for l in links], dtype=float)
-        self.from_ids = np.array([l.from_node for l in links], dtype=int)
-        self.to_ids = np.array([l.to_node for l in links], dtype=int)
-
-        self.link_index: dict[tuple[int, int], int] = {
-            l.pair: i for i, l in enumerate(links)
-        }
-        self.pairs = list(self.link_index)  # link order; pairs are unique
-        self.in_links: list[list[int]] = [[] for _ in range(self.node_count + 1)]
-        for i, l in enumerate(links):
-            self.in_links[l.to_node].append(i)
+        self.from_ids = np.array([u for u, _ in self.pairs], dtype=int)
+        self.to_ids = np.array([v for _, v in self.pairs], dtype=int)
         self._length_rows: list[dict[int, float]] | None = None
         self._static_preds: dict[int, list[int]] = {}
 
@@ -138,58 +177,6 @@ class TrafficNetwork:
         if not pred[dest]:  # node ids start at 1: no predecessor, no path
             return None
         return nav.tree_path(pred, origin, dest)
-
-    def link_between(self, from_node: int, to_node: int) -> Link | None:
-        idx = self.link_index.get((from_node, to_node))
-        return self.links[idx] if idx is not None else None
-
-    def node_distance_m(self, a: int, b: int) -> float:
-        na, nb = self.node_by_id[a], self.node_by_id[b]
-        return math.hypot(na.x_m - nb.x_m, na.y_m - nb.y_m)
-
-
-def _validate_topology(nodes: list[Node], links: list[Link]) -> None:
-    from .scenario import MAX_VEHICLES  # scenario imports this module
-
-    if not nodes:
-        raise ConfigError("network has no nodes")
-    ids = sorted(n.node_id for n in nodes)
-    if ids != list(range(1, len(nodes) + 1)):
-        raise ConfigError(
-            f"node ids must be dense 1..{len(nodes)}, got {ids[:5]}..."
-            if len(ids) > 5
-            else f"node ids must be dense 1..{len(nodes)}, got {ids}"
-        )
-    for n in nodes:
-        if not (abs(n.x_m) <= MAX_COORD_M and abs(n.y_m) <= MAX_COORD_M):
-            raise ConfigError(f"node {n.node_id}: x_m and y_m must be within "
-                              f"[-{MAX_COORD_M:g}, {MAX_COORD_M:g}]")
-    id_set = set(ids)
-    seen_pairs: set[tuple[int, int]] = set()
-    for k, l in enumerate(links):
-        where = f"links[{k}] ({l.from_node}->{l.to_node})"
-        if l.from_node not in id_set or l.to_node not in id_set:
-            raise ConfigError(f"{where}: endpoint not a known node id")
-        if l.from_node == l.to_node:
-            raise ConfigError(f"{where}: self-links are not allowed")
-        if l.pair in seen_pairs:
-            raise ConfigError(f"{where}: duplicate link for this ordered pair")
-        seen_pairs.add(l.pair)
-        # Comparisons are False for NaN: one test per value rejects NaN,
-        # infinite, non-positive and too large numbers.
-        if not END_TOLERANCE_M < l.length_m <= MAX_LENGTH_M:
-            raise ConfigError(f"{where}: length_m must be within "
-                              f"({END_TOLERANCE_M}, {MAX_LENGTH_M:g}]")
-        if not 0 < l.v_free_mps <= MAX_V_FREE_MPS:
-            raise ConfigError(f"{where}: free-flow speed must be within "
-                              f"(0, {MAX_V_FREE_MPS:g}] m/s")
-        # length_m > 0 here, so this rejects k_max <= 0 and NaN too. A
-        # capacity past the vehicle cap gates nothing, or overflows to +inf;
-        # one below a vehicle admits none, and a near-zero one overflows the
-        # speed law's volume / capacity.
-        if not 1 <= l.k_max_veh_per_m * l.length_m <= MAX_VEHICLES:
-            raise ConfigError(f"{where}: the capacity k_max_veh_per_m * length_m "
-                              f"must be within [1, {MAX_VEHICLES}] vehicles")
 
 
 def traffic_density(volume: float, length_m: float) -> float:
@@ -239,7 +226,7 @@ def link_journey_times(net: TrafficNetwork, volumes: np.ndarray) -> np.ndarray:
 def build_journey_matrix(net: TrafficNetwork, volumes) -> np.ndarray:
     """Journey-time matrix indexed by node id; +inf where no traversable link.
 
-    `volumes` holds one vehicle count per link, ordered like `net.links`.
+    `volumes` holds one vehicle count per link, in link order.
     """
     vols = np.asarray(volumes, dtype=float)
     if vols.shape != (net.link_count,):
@@ -254,8 +241,11 @@ def build_journey_matrix(net: TrafficNetwork, volumes) -> np.ndarray:
 
 
 def network_from_dict(doc: dict, source: str = "network") -> TrafficNetwork:
-    raw_nodes = json_field(doc, "nodes", list, source)
-    raw_links = json_field(doc, "links", list, source)
+    top = json_fields(doc, source, nodes=list, links=list)
+    for key in ("nodes", "links"):
+        if key not in top:
+            raise ConfigError(f"{source}: missing required key {key!r}")
+    raw_nodes, raw_links = top["nodes"], top["links"]
     if not raw_nodes:
         raise ConfigError(f"{source}: nodes: expected a non-empty array")
     for what, items, cap in (("nodes", raw_nodes, MAX_NODES),

@@ -9,20 +9,21 @@ error names the file, the block and the key.
 
 The parameter classes own their defaults and check their own ranges, so the
 loader and the `Scenario.with_*` helpers share one check each; the loader
-checks only that a node or link is in the network. `Scenario` itself checks that
-its random events fit: no more than the links and nodes their kinds can use,
-in a non-empty onset window; a sweep builds every point, and so runs this
-check, before its first run. Five caps bound one run: MAX_STEPS steps,
-MAX_VEHICLES vehicles, MAX_SPAWN_RATE spawns a step (`Scenario.spawn_rate`,
-the engine's Poisson rate), MAX_EVENTS explicit events and MAX_RSUS RSUs;
-the network loader caps nodes and links. Random events take the explicit
-events' ranges: no negative duration or density. The scenario owns the run
-seed (`sim.seed`, set by `with_seed`). `Scenario.rsu_coverage` is the one
-place that decides what an RSU covers.
+checks only that a node or link is in the network. `Scenario` itself checks
+that its random events fit: no more than the links and nodes their kinds can
+use, in a non-empty onset window; a sweep builds every point, and so runs
+this check, before its first run. Five caps bound one run: MAX_STEPS steps,
+MAX_VEHICLES vehicles (defined in `network`), MAX_SPAWN_RATE spawns a step
+(`Scenario.spawn_rate`, the engine's Poisson rate), MAX_EVENTS explicit
+events and MAX_RSUS RSUs; the network loader caps nodes and links. Random
+events take the explicit events' ranges: no negative duration or density.
+The scenario owns the run seed (`sim.seed`, set by `with_seed`).
+`Scenario.rsu_coverage` is the one place that decides what an RSU covers.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -31,7 +32,7 @@ import numpy as np
 from .comms import FlowLatency, LatencyModel, DEFAULT_FLOWS
 from .errors import ConfigError, build_params, json_fields, json_int, json_number, \
     json_params, json_str, read_json
-from .network import TrafficNetwork, load_network, network_from_dict
+from .network import MAX_VEHICLES, TrafficNetwork, load_network, network_from_dict
 from .twin import EventThresholds
 
 EVENT_KINDS = ("accident", "gathering")
@@ -41,7 +42,6 @@ DEFAULT_GATHERING_DENSITY = 1.0  # persons/m^2 of an active gathering
 # numpy work per link, and each vehicle one object, so past these a run would
 # not end in reasonable time or memory.
 MAX_STEPS = 1_000_000  # t_sim_s / dt_s
-MAX_VEHICLES = 1_000_000  # traffic.n_vel
 MAX_SPAWN_RATE = 10_000  # mean spawns per step while the spawn window is open
 MAX_EVENTS = 10_000  # explicit events; each step walks every event
 MAX_RSUS = 10_000  # sensing.rsus; coverage costs one distance per RSU and node
@@ -208,15 +208,15 @@ class Scenario:
     def rsu_coverage(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per RSU in file order, the sorted indices of the links it covers and
         the sorted ids of the nodes it covers. An RSU covers the nodes within
-        its radius (`node_distance_m`, a node on the radius included) and the
-        links whose both endpoints it covers."""
+        its radius (Euclidean, a node on the radius included) and the links
+        whose both endpoints it covers."""
         net = self.network
         out = []
         for rsu in self.rsus:
             covered = np.zeros(net.node_count + 1, dtype=bool)
-            for n in net.nodes:
-                covered[n.node_id] = (
-                    net.node_distance_m(rsu.node, n.node_id) <= rsu.radius_m)
+            x0, y0 = net.coords[rsu.node]
+            for n, (x, y) in net.coords.items():
+                covered[n] = math.hypot(x0 - x, y0 - y) <= rsu.radius_m
             out.append((np.flatnonzero(covered[net.from_ids] & covered[net.to_ids]),
                         np.flatnonzero(covered)))
         return out
@@ -245,9 +245,9 @@ def _parse_event(item: dict, k: int, net: TrafficNetwork, where: str) -> EventSp
     w = f"{where}: events[{k}]"
     ev = json_params(EventSpec, item, w, kind=json_str, node=json_int, link=_node_pair,
                      onset_s=json_number, end_s=_number_or_null, density=json_number)
-    if ev.node is not None and ev.node not in net.node_by_id:
+    if ev.node is not None and not 1 <= ev.node <= net.node_count:
         raise ConfigError(f"{w}: unknown node {ev.node}")
-    if ev.link is not None and net.link_between(*ev.link) is None:
+    if ev.link is not None and ev.link not in net.link_index:
         raise ConfigError(f"{w}: no link {ev.link[0]}->{ev.link[1]} in the network")
     return ev
 
@@ -307,7 +307,7 @@ def scenario_from_dict(
     for k, item in enumerate(rsu_docs):
         w = f"{source}: sensing.rsus[{k}]"
         rsu = json_params(RsuSpec, item, w, node=json_int, radius_m=json_number)
-        if rsu.node not in net.node_by_id:
+        if not 1 <= rsu.node <= net.node_count:
             raise ConfigError(f"{w}: unknown node {rsu.node}")
         rsus.append(rsu)
 

@@ -210,7 +210,7 @@ class ServiceState:
             raise ServiceError(
                 "bad_request", f"route_request needs vehicle, position, destination ({exc})"
             )
-        if position not in self.net.node_by_id or destination not in self.net.node_by_id:
+        if not (1 <= position <= self.net.node_count and 1 <= destination <= self.net.node_count):
             raise ServiceError("bad_request", "position or destination is not a node")
         if position == destination:
             raise ServiceError(

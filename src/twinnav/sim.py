@@ -440,8 +440,8 @@ class Engine:
         next intersection, and a stopped vehicle has unlimited time."""
         net = self.net
         if veh.link_idx is None:
-            first = net.link_between(route.nodes[0], route.nodes[1])
-            return check_deadline(t_svc, first.v_free_mps)
+            first = net.link_index[(route.nodes[0], route.nodes[1])]
+            return check_deadline(t_svc, net.v_free.item(first))
         v_now = self.speeds[veh.link_idx]
         return v_now <= 0 or \
             t_svc <= (net.lengths[veh.link_idx] - self.position(veh)) / v_now

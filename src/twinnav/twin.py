@@ -80,11 +80,11 @@ class TwinState:
         self.run_heap: list[tuple[float, int]] = []
 
     def event_link_pairs(self) -> set[tuple[int, int]]:
-        links = self.net.links
-        return {links[i].pair for i in self.event_links}
+        pairs = self.net.pairs
+        return {pairs[i] for i in self.event_links}
 
     def volumes(self) -> np.ndarray:
-        """Last-known vehicle count per link, ordered like net.links."""
+        """Last-known vehicle count per link, in link order."""
         return self.link_volume.copy()
 
     def ingest_arrays(
@@ -145,9 +145,9 @@ class TwinState:
 
     def snapshot_dict(self) -> dict:
         """Compact JSON-ready view (nonzero volumes, observed densities)."""
-        links = self.net.links
+        pairs = self.net.pairs
         vols = {
-            f"{links[i].from_node}-{links[i].to_node}": self.link_volume[i]
+            f"{pairs[i][0]}-{pairs[i][1]}": self.link_volume[i]
             for i in np.nonzero(self.link_volume)[0]
         }
         dens = {

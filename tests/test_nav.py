@@ -266,7 +266,7 @@ def test_journey_rows_plan_like_the_dense_matrix(data):
     sparse = net.link_rows(masked_journey_times(net, volumes, event_nodes, event_links))
     dense = mask_events(
         build_journey_matrix(net, volumes), event_nodes,
-        {net.links[i].pair for i in event_links},
+        {net.pairs[i] for i in event_links},
     )
     assert all(sparse[u][v] == dense[u, v] for u, v in net.pairs)
     for start in range(1, m + 1):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,12 +7,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinnav.cli import main
 from twinnav.errors import ConfigError, ContractError
 from twinnav.network import (
     END_TOLERANCE_M,
     INF,
+    MAX_COORD_M,
+    MAX_LENGTH_M,
+    MAX_V_FREE_MPS,
+    MAX_VEHICLES,
     SPEED_FLOOR_MPS,
     Link,
     Node,
@@ -102,7 +108,8 @@ def test_build_journey_matrix_matches_per_link_recomputation():
     net = network_from_dict(diamond_doc())
     volumes = [3, 7, 0, 12, 5]
     m = build_journey_matrix(net, volumes)
-    for l, x in zip(net.links, volumes):
+    for i, x in enumerate(volumes):
+        l = Link(*net.pairs[i], net.lengths.item(i), net.v_free.item(i), net.k_max.item(i))
         assert m[l.from_node, l.to_node] == journey_time(l, x)
     finite = np.isfinite(m).sum()
     assert finite == net.link_count
@@ -134,6 +141,8 @@ def test_network_validation_errors():
         TrafficNetwork([Node(1, 0, 0), Node(3, 1, 0)], [])
     with pytest.raises(ConfigError, match="endpoint"):
         TrafficNetwork(nodes, [Link(1, 9, 10, 10, 0.2)])
+    with pytest.raises(ConfigError, match="network has no nodes"):
+        TrafficNetwork([], [])
 
 
 def test_loader_roundtrip_and_kmh(tmp_path):
@@ -147,7 +156,7 @@ def test_loader_roundtrip_and_kmh(tmp_path):
     p = tmp_path / "net.json"
     p.write_text(json.dumps(doc))
     net = load_network(str(p))
-    assert net.links[0].v_free_mps == pytest.approx(10.0)
+    assert net.v_free[0] == pytest.approx(10.0)
 
 
 def test_loader_rejects_both_speed_keys():
@@ -274,7 +283,7 @@ def test_loader_admits_link_numbers_at_their_range_limits():
     doc["nodes"][1].update(x_m=-1e7, y_m=1e7)
     net = network_from_dict(doc)
     assert (net.k_max * net.lengths)[:3].tolist() == [1e6, 1e6, 1.0]
-    assert [(n.x_m, n.y_m) for n in net.nodes[:2]] == [(1e7, -1e7), (-1e7, 1e7)]
+    assert [net.coords[n] for n in (1, 2)] == [(1e7, -1e7), (-1e7, 1e7)]
 
 
 @pytest.mark.parametrize("case", sorted(PAST_RANGE))
@@ -326,6 +335,204 @@ def test_run_exits_2_on_a_network_past_the_node_cap(tmp_path, capsys):
     })
     assert main(["run", "--scenario", sc, "--out", str(tmp_path / "out")]) == 2
     assert "more than 10000" in capsys.readouterr().err
+
+
+def test_loader_rejects_an_unknown_document_key():
+    doc = diamond_doc()
+    doc["linkz"] = []
+    with pytest.raises(ConfigError, match=re.escape("net: unknown keys ['linkz']")):
+        network_from_dict(doc, source="net")
+
+
+@pytest.mark.parametrize("mutate, pattern", [
+    (lambda d: d.pop("nodes"), "net: missing required key 'nodes'"),
+    (lambda d: d.pop("links"), "net: missing required key 'links'"),
+    (lambda d: d.update(links={}), "net: links: expected a JSON array"),
+    (lambda d: d.update(nodes=[]), "net: nodes: expected a non-empty array"),
+], ids=["no nodes key", "no links key", "links not an array", "no nodes"])
+def test_loader_rejects_a_malformed_document(mutate, pattern):
+    doc = diamond_doc()
+    mutate(doc)
+    with pytest.raises(ConfigError, match=re.escape(pattern)):
+        network_from_dict(doc, source="net")
+    with pytest.raises(ConfigError, match="net: expected a JSON object"):
+        network_from_dict([doc], source="net")
+
+
+def test_loader_admits_extra_keys_in_items():
+    # Converters may tag items with fields of their own; only the document's
+    # top level has a closed key set.
+    doc = diamond_doc()
+    doc["nodes"][0]["name"] = "depot"
+    doc["links"][0]["osm_way"] = 42
+    net = network_from_dict(doc)
+    assert net.node_count == 4 and net.link_count == 5
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["file", "inline"])
+def test_run_exits_2_on_an_unknown_network_key(tmp_path, capsys, inline):
+    net = diamond_doc()
+    net["name"] = "x"
+    sc = {"sim": {"dt_s": 1.0, "t_sim_s": 60.0, "seed": 3},
+          "traffic": {"n_vel": 5, "p_user": 0.5}}
+    if inline:
+        sc["network"] = net
+        where = "network"
+    else:
+        sc["network_file"] = "net.json"
+        where = write_json(tmp_path / "net.json", net)
+    path = write_json(tmp_path / "scenario.json", sc)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"{where}: unknown keys ['name']\n")
+    assert not (out / "metrics.csv").exists()
+
+
+def reference_validate(nodes, links):
+    """The checks the constructor made in a separate pass before it checked
+    while it filled the columns; the reference for their order and text."""
+    if not nodes:
+        raise ConfigError("network has no nodes")
+    ids = sorted(n.node_id for n in nodes)
+    if ids != list(range(1, len(nodes) + 1)):
+        raise ConfigError(
+            f"node ids must be dense 1..{len(nodes)}, got {ids[:5]}..."
+            if len(ids) > 5
+            else f"node ids must be dense 1..{len(nodes)}, got {ids}"
+        )
+    for n in nodes:
+        if not (abs(n.x_m) <= MAX_COORD_M and abs(n.y_m) <= MAX_COORD_M):
+            raise ConfigError(f"node {n.node_id}: x_m and y_m must be within "
+                              f"[-{MAX_COORD_M:g}, {MAX_COORD_M:g}]")
+    id_set = set(ids)
+    seen_pairs = set()
+    for k, l in enumerate(links):
+        where = f"links[{k}] ({l.from_node}->{l.to_node})"
+        if l.from_node not in id_set or l.to_node not in id_set:
+            raise ConfigError(f"{where}: endpoint not a known node id")
+        if l.from_node == l.to_node:
+            raise ConfigError(f"{where}: self-links are not allowed")
+        if l.pair in seen_pairs:
+            raise ConfigError(f"{where}: duplicate link for this ordered pair")
+        seen_pairs.add(l.pair)
+        if not END_TOLERANCE_M < l.length_m <= MAX_LENGTH_M:
+            raise ConfigError(f"{where}: length_m must be within "
+                              f"({END_TOLERANCE_M}, {MAX_LENGTH_M:g}]")
+        if not 0 < l.v_free_mps <= MAX_V_FREE_MPS:
+            raise ConfigError(f"{where}: free-flow speed must be within "
+                              f"(0, {MAX_V_FREE_MPS:g}] m/s")
+        if not 1 <= l.k_max_veh_per_m * l.length_m <= MAX_VEHICLES:
+            raise ConfigError(f"{where}: the capacity k_max_veh_per_m * length_m "
+                              f"must be within [1, {MAX_VEHICLES}] vehicles")
+
+
+def reference_columns(nodes, links):
+    """What the constructor built from items that pass the checks, as it
+    built it from its kept `Node` and `Link` lists."""
+    in_links = [[] for _ in range(len(nodes) + 1)]
+    for i, l in enumerate(links):
+        in_links[l.to_node].append(i)
+    return {
+        "coords": {n.node_id: (n.x_m, n.y_m) for n in nodes},
+        "link_index": {l.pair: i for i, l in enumerate(links)},
+        "pairs": [l.pair for l in links],
+        "in_links": in_links,
+        "lengths": np.array([l.length_m for l in links], dtype=float),
+        "v_free": np.array([l.v_free_mps for l in links], dtype=float),
+        "k_max": np.array([l.k_max_veh_per_m for l in links], dtype=float),
+        "from_ids": np.array([l.from_node for l in links], dtype=int),
+        "to_ids": np.array([l.to_node for l in links], dtype=int),
+    }
+
+
+# Each plants one fault in valid items: (nodes, links, draw) -> (nodes, links).
+# A fault that finds no item to change (no links) leaves the items valid.
+def _plant_on_link(change):
+    def plant(nodes, links, draw):
+        if not links:
+            return nodes, links
+        k = draw(st.integers(0, len(links) - 1))
+        links = list(links)
+        links[k] = dataclasses.replace(links[k], **change(nodes, links, draw))
+        return nodes, links
+    return plant
+
+
+def _plant_node_id(nodes, links, draw):
+    k = draw(st.integers(0, len(nodes) - 1))
+    nodes = list(nodes)
+    nodes[k] = dataclasses.replace(nodes[k], node_id=draw(st.integers(-1, len(nodes) + 2)))
+    return nodes, links
+
+
+def _plant_coord(nodes, links, draw):
+    k = draw(st.integers(0, len(nodes) - 1))
+    value = draw(st.sampled_from([math.nan, math.inf, -2e7, 1.0000001e7, 1e308]))
+    nodes = list(nodes)
+    nodes[k] = dataclasses.replace(nodes[k], **{draw(st.sampled_from(["x_m", "y_m"])): value})
+    return nodes, links
+
+
+FAULTS = {
+    "node id": _plant_node_id,
+    "coordinate": _plant_coord,
+    "unknown endpoint": _plant_on_link(lambda nodes, links, draw: {
+        draw(st.sampled_from(["from_node", "to_node"])):
+            draw(st.sampled_from([0, -3, len(nodes) + 1]))}),
+    "self-link": _plant_on_link(lambda nodes, links, draw: {
+        "to_node": draw(st.sampled_from(links)).from_node}),
+    "duplicate": _plant_on_link(lambda nodes, links, draw: dict(zip(
+        ("from_node", "to_node"), draw(st.sampled_from(links)).pair))),
+}
+# Each is past the range of every link number: of the capacity too, as the
+# valid lengths are 20 to 500 m.
+BAD_NUMBERS = st.sampled_from([math.nan, 0.0, -1.0, math.inf, 1e-12, 1e-3, 1e5, 2e6, 1e308])
+LINK_NUMBERS = ["length_m", "v_free_mps", "k_max_veh_per_m"]
+FAULTS.update({f"bad {name}": _plant_on_link(
+    lambda nodes, links, draw, name=name: {name: draw(BAD_NUMBERS)}) for name in LINK_NUMBERS})
+# Two or three numbers of one link, so the order of their checks shows.
+FAULTS["bad numbers"] = _plant_on_link(lambda nodes, links, draw: draw(
+    st.dictionaries(st.sampled_from(LINK_NUMBERS), BAD_NUMBERS, min_size=2)))
+
+
+@st.composite
+def network_items(draw):
+    """Valid `Node` and `Link` lists in random order, then up to three
+    planted faults."""
+    m = draw(st.integers(2, 6) | st.just(1))
+    ids = draw(st.permutations(range(1, m + 1)))
+    coord = st.floats(-MAX_COORD_M, MAX_COORD_M)
+    nodes = [Node(i, draw(coord), draw(coord)) for i in ids]
+    all_pairs = [(u, v) for u in range(1, m + 1) for v in range(1, m + 1) if u != v]
+    pairs = draw(st.lists(st.sampled_from(all_pairs), unique=True, min_size=1,
+                          max_size=10)) if all_pairs else []
+    links = [Link(u, v, draw(st.floats(20.0, 500.0)), draw(st.floats(1.0, 30.0)),
+                  draw(st.floats(0.05, 0.5))) for u, v in pairs]
+    for fault in draw(st.lists(st.sampled_from(sorted(FAULTS)), max_size=3)):
+        nodes, links = FAULTS[fault](nodes, links, draw)
+    return nodes, links
+
+
+@settings(max_examples=500, deadline=None)
+@given(network_items())
+def test_constructor_checks_and_builds_like_the_reference(items):
+    nodes, links = items
+    try:
+        reference_validate(nodes, links)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            TrafficNetwork(nodes, links)
+        assert str(got.value) == str(exc)
+        return
+    net = TrafficNetwork(nodes, links)
+    assert (net.node_count, net.link_count) == (len(nodes), len(links))
+    for name, want in reference_columns(nodes, links).items():
+        have = getattr(net, name)
+        if isinstance(want, np.ndarray):
+            assert have.dtype == want.dtype and np.array_equal(have, want), name
+        else:
+            assert have == want, name
 
 
 def test_loader_syntax_error_has_line(tmp_path):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +311,19 @@ def test_event_location_must_match_kind():
         scenario_from_dict(
             minimal_doc(events=[{"kind": "accident", "link": [4, 1]}])
         )
+    with pytest.raises(ConfigError, match=re.escape(
+            "events[0]: kind must be one of ('accident', 'gathering'), got 'flood'")):
+        scenario_from_dict(minimal_doc(events=[{"kind": "flood", "node": 1}]))
+    with pytest.raises(ConfigError, match=re.escape(
+            "events[0]: kind 'accident' takes a link and no node")):
+        scenario_from_dict(
+            minimal_doc(events=[{"kind": "accident", "link": [1, 2], "node": 1}])
+        )
+    with pytest.raises(ConfigError, match=re.escape(
+            "events[0]: kind 'gathering' takes a node and no link")):
+        scenario_from_dict(
+            minimal_doc(events=[{"kind": "gathering", "node": 2, "link": [1, 2]}])
+        )
     with pytest.raises(ConfigError, match="unknown node"):
         scenario_from_dict(
             minimal_doc(events=[{"kind": "gathering", "node": 99}])
@@ -377,7 +391,7 @@ def reference_events(sc):
             onset = rng.uniform(lo, hi)
             end = None if er.duration_s is None else onset + er.duration_s
             if kind == "accident":
-                specs.append(EventSpec(kind=kind, link=net.links[next(it_acc)].pair,
+                specs.append(EventSpec(kind=kind, link=net.pairs[next(it_acc)],
                                        onset_s=onset, end_s=end, density=er.density))
             else:
                 specs.append(EventSpec(kind=kind, node=next(it_gat), onset_s=onset,
@@ -455,7 +469,7 @@ def test_rsu_validation_and_coverage():
     # Nodes within 150 m of node 1: 1 itself plus 2 and 3 (141.4 m away).
     assert node_ids.tolist() == [1, 2, 3]
     # Links need both endpoints covered.
-    assert [sc.network.links[i].pair for i in link_idx] == [(1, 2), (1, 3), (2, 3)]
+    assert [sc.network.pairs[i] for i in link_idx] == [(1, 2), (1, 3), (2, 3)]
 
     with pytest.raises(ConfigError, match="unknown node"):
         scenario_from_dict(minimal_doc(sensing={"rsus": [{"node": 77, "radius_m": 5}]}))

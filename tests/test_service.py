@@ -170,6 +170,27 @@ def test_undecodable_line_answers_parse_and_keeps_connection(server, case):
         assert c.request(ROUTE)["type"] == "route_response"
 
 
+@pytest.mark.parametrize("line", [b"[1]", b"5", b'"route_request"', b"null"],
+                         ids=["array", "number", "string", "null"])
+def test_a_line_not_an_object_answers_parse_and_keeps_connection(server, line):
+    with Client(server.port) as c:
+        c.send_raw(line)
+        reply = c.recv()
+        assert reply == {"type": "error", "code": "parse",
+                         "detail": "message must be a JSON object"}
+        assert c.request(ROUTE)["type"] == "route_response"
+
+
+def test_a_blank_line_gets_no_reply(server):
+    with Client(server.port) as c:
+        c.send_raw(b"")
+        c.send_raw(b" \t ")
+        # Had either blank line been answered, that reply would come first.
+        assert c.request(ROUTE)["type"] == "route_response"
+        c.send_raw(b"")
+        assert c.request(dict(ROUTE, vehicle="y"))["vehicle"] == "y"
+
+
 def test_over_long_line_answers_one_error_and_keeps_connection(server):
     with Client(server.port) as c:
         route = {"type": "route_request", "vehicle": "x", "position": 1, "destination": 4}
@@ -396,6 +417,8 @@ BAD_UPDATES = {
     "links not an array": {"links": 5},
     "nodes not an array": {"nodes": 5},
     "source without id": {"source": {"kind": "rsu"}, "links": [reading(volume=3)]},
+    "unknown source kind": {"source": {"kind": "bus", "id": 0}, "links": [reading()]},
+    "source not an object": {"source": ["rsu", 0], "links": [reading()]},
     "volume as a string": {"links": [reading(volume="3")]},
     "boolean volume": {"links": [reading(volume=True)]},
     "speed as a string": {"links": [reading(speed_mps="0.1")]},

@@ -408,8 +408,8 @@ class ReferenceEngine(Engine):
             t_svc = sample_service_latency(latency, self.streams, self.single_v2c)
             if not deliver(latency.pdr_info, self.streams.rng("pdr_info")):
                 continue
-            first = net.link_between(route.nodes[0], route.nodes[1])
-            if not check_deadline(t_svc, first.v_free_mps):
+            first = net.link_index[(route.nodes[0], route.nodes[1])]
+            if not check_deadline(t_svc, net.v_free.item(first)):
                 continue
             veh.route = route
             self._journal_route(veh, "new")
