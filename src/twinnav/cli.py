@@ -86,25 +86,16 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_values(param: str, raw: str):
-    try:
-        if param == "events":
-            return tuple(int(v) for v in raw.split(","))
-        return tuple(float(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad --values list {raw!r}: {exc}") from exc
-
-
 def cmd_sweep(args) -> int:
     scenario = _load(args.scenario, args.seed)
-    spec = SweepSpec(
-        base=scenario,
-        param=args.param,
-        values=_parse_values(args.param, args.values),
-        seeds_per_point=args.seeds,
-    )
+    kind = SWEEP_PARAMS[args.param][0]
+    try:
+        values = tuple(kind(v) for v in args.values.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad --values list {args.values!r}: {exc}") from exc
+    spec = SweepSpec(base=scenario, param=args.param, values=values,
+                     seeds_per_point=args.seeds)
     rows = run_sweep(spec, single_v2c=args.svc_single_v2c)
-    os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "sweep.csv"), sweep_csv(rows))
     print(f"wrote {os.path.join(args.out, 'sweep.csv')} ({len(rows)} rows)")
     return EXIT_OK
@@ -128,7 +119,6 @@ def cmd_kpi(args) -> int:
     )
     print(report.render_text(), end="")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _write(os.path.join(args.out, "kpi.csv"), report.to_csv())
     return EXIT_OK if report.all_passed else EXIT_RUNTIME
 
@@ -215,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except KeyboardInterrupt:
         return EXIT_RUNTIME
-    except Exception as exc:  # pragma: no cover - last-resort diagnostics
+    except Exception as exc:  # last-resort diagnostics
         log.exception("unhandled failure")
         print(f"runtime failure: {_escape_unprintable(str(exc))}", file=sys.stderr)
         return EXIT_RUNTIME

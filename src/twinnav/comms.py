@@ -58,17 +58,6 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .nav import REQUEST_COEF
 
-FLOW_NAMES = (
-    "rsu_detect",
-    "i2c",
-    "v2c",
-    "cloud_monitor",
-    "cloud_plan",
-    "localization",
-    "route_load",
-)
-_STREAM_NAMES = FLOW_NAMES + ("pdr_ssms", "pdr_info")
-
 # The two service totals, as the flows they add up in order.
 TWIN_FLOWS = ("rsu_detect", "i2c")
 SERVICE_FLOWS = ("localization", "route_load", "cloud_monitor", "cloud_plan", "v2c", "v2c")
@@ -154,6 +143,8 @@ DEFAULT_FLOWS: dict[str, FlowLatency] = {
     "localization": FlowLatency(2.56, 10.13),
     "route_load": FlowLatency(500.97, 501.35),
 }
+FLOW_NAMES = tuple(DEFAULT_FLOWS)
+_STREAM_NAMES = FLOW_NAMES + ("pdr_ssms", "pdr_info")
 
 
 @dataclass(frozen=True)

@@ -147,17 +147,22 @@ def _search(rows, start: int, target: int | None = None):
     return dist, pred
 
 
+def check_endpoints(n_ids: int, start: int, end: int) -> None:
+    """The endpoint contract of every route search over node ids 1..n_ids: equal
+    ids raise DegenerateRouteRequest, then an id out of range ContractError."""
+    if start == end:
+        raise DegenerateRouteRequest(f"start and destination are both {start}")
+    if not (1 <= start <= n_ids and 1 <= end <= n_ids):
+        raise ContractError(f"node ids must be in 1..{n_ids}")
+
+
 def dijkstra_fastest(matrix, start: int, end: int) -> PathResult | None:
     """Minimum-total-weight node sequence from start to end, or None when every
     path is +inf. Ties break deterministically: the frontier pops by
     (cost, node id) and equal-cost predecessors prefer the lower node id.
     `matrix` is per-node rows or a dense matrix indexed by node id.
     """
-    if start == end:
-        raise DegenerateRouteRequest(f"start and destination are both {start}")
-    n_ids = len(matrix) - 1
-    if not (1 <= start <= n_ids and 1 <= end <= n_ids):
-        raise ContractError(f"node ids must be in 1..{n_ids}")
+    check_endpoints(len(matrix) - 1, start, end)
     dist, pred = _search(_as_rows(matrix), start, end)
     if dist[end] == INF:
         return None

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DegenerateRouteRequest, json_fields, \
-    json_int, json_number, read_json
+from .errors import ConfigError, ContractError, json_fields, json_int, json_number, \
+    read_json
 
 INF = math.inf
 # A vehicle this close to a link's end counts as at the end. Every link must be
@@ -164,10 +164,7 @@ class TrafficNetwork:
         Raises like `nav.dijkstra_fastest` on equal or out-of-range ids."""
         from . import nav  # nav imports this module
 
-        if origin == dest:
-            raise DegenerateRouteRequest(f"start and destination are both {origin}")
-        if not (1 <= origin <= self.node_count and 1 <= dest <= self.node_count):
-            raise ContractError(f"node ids must be in 1..{self.node_count}")
+        nav.check_endpoints(self.node_count, origin, dest)
         pred = self._static_preds.get(origin)
         if pred is None:
             if self._length_rows is None:

@@ -44,7 +44,7 @@ DEFAULT_GATHERING_DENSITY = 1.0  # persons/m^2 of an active gathering
 MAX_STEPS = 1_000_000  # t_sim_s / dt_s
 MAX_SPAWN_RATE = 10_000  # mean spawns per step while the spawn window is open
 MAX_EVENTS = 10_000  # explicit events; each step walks every event
-MAX_RSUS = 10_000  # sensing.rsus; coverage costs one distance per RSU and node
+MAX_RSUS = 10_000  # sensing.rsus; coverage costs one numpy pass over the nodes per RSU
 
 
 @dataclass(frozen=True)
@@ -209,14 +209,19 @@ class Scenario:
         """Per RSU in file order, the sorted indices of the links it covers and
         the sorted ids of the nodes it covers. An RSU covers the nodes within
         its radius (Euclidean, a node on the radius included) and the links
-        whose both endpoints it covers."""
+        whose both endpoints it covers. One np.hypot per RSU measures all nodes;
+        math.hypot, which it may miss by an ulp, decides within 4 ulps of the radius."""
         net = self.network
+        xy = np.full((net.node_count + 1, 2), np.nan)  # no node 0: nan covers nothing
+        xy[list(net.coords)] = list(net.coords.values())
         out = []
         for rsu in self.rsus:
-            covered = np.zeros(net.node_count + 1, dtype=bool)
-            x0, y0 = net.coords[rsu.node]
-            for n, (x, y) in net.coords.items():
-                covered[n] = math.hypot(x0 - x, y0 - y) <= rsu.radius_m
+            r = rsu.radius_m
+            dx, dy = (xy[rsu.node] - xy).T
+            dist = np.hypot(dx, dy)
+            covered = dist <= r
+            for n in np.flatnonzero(np.abs(dist - r) <= 4 * np.spacing(r)).tolist():
+                covered[n] = math.hypot(dx[n], dy[n]) <= r
             out.append((np.flatnonzero(covered[net.from_ids] & covered[net.to_ids]),
                         np.flatnonzero(covered)))
         return out

@@ -11,7 +11,11 @@ from .errors import ConfigError
 from .scenario import Scenario
 from .sim import MetricsSummary, run
 
-SWEEP_PARAMS = ("p_user", "events")
+# Each sweep parameter: the type of its values, and the Scenario method that sets one.
+SWEEP_PARAMS = {
+    "p_user": (float, Scenario.with_p_user),
+    "events": (int, Scenario.with_event_count),
+}
 
 
 def derive_seed(base_seed: int, point_index: int, replicate: int) -> int:
@@ -29,7 +33,7 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.param not in SWEEP_PARAMS:
-            raise ConfigError(f"sweep param must be one of {SWEEP_PARAMS}")
+            raise ConfigError(f"sweep param must be one of {tuple(SWEEP_PARAMS)}")
         if not self.values:
             raise ConfigError("sweep needs a non-empty value list")
         if self.seeds_per_point < 1:
@@ -42,12 +46,6 @@ class SweepRow:
     value: float
     seed: str  # seed integer, or "agg" for the per-value aggregate
     metrics: MetricsSummary
-
-
-def _apply(base: Scenario, param: str, value) -> Scenario:
-    if param == "p_user":
-        return base.with_p_user(float(value))
-    return base.with_event_count(int(value))
 
 
 def _aggregate(param: str, value, rows: list[SweepRow]) -> SweepRow:
@@ -70,7 +68,8 @@ def run_sweep(spec: SweepSpec, *, single_v2c: bool = False) -> list[SweepRow]:
     rows: list[SweepRow] = []
     base_seed = spec.base.sim.seed
     # Every value is checked before the first run.
-    scenarios = [_apply(spec.base, spec.param, value) for value in spec.values]
+    kind, setter = SWEEP_PARAMS[spec.param]
+    scenarios = [setter(spec.base, kind(value)) for value in spec.values]
     for k, (value, scenario) in enumerate(zip(spec.values, scenarios)):
         point_rows = []
         for r in range(spec.seeds_per_point):

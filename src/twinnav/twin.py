@@ -4,7 +4,8 @@ the event sets produced by threshold detection on incoming sensor readings.
 The twin only ever sees what its sources deliver: what a source covers and
 whether its packet arrives are decided before the twin is called
 (`Scenario.rsu_coverage`, `comms.deliver`). Undelivered readings leave the
-previous (stale) values in place; links never observed report a volume of 0.
+previous (stale) values in place; links never observed report a volume of 0,
+and nodes never observed a density of NaN.
 Speed-threshold comparisons happen as readings arrive (the state tracks, per
 link, when the current uninterrupted slow-and-occupied run started), so a
 TwinState is bound to the thresholds it was created with; the detectors read
@@ -66,8 +67,7 @@ class TwinState:
         self.net = net
         self.thresholds = thresholds
         self.link_volume = np.zeros(net.link_count)
-        self.node_density = np.zeros(net.node_count + 1)
-        self.node_observed = np.zeros(net.node_count + 1, dtype=bool)
+        self.node_density = np.full(net.node_count + 1, np.nan)  # nan: never observed
         # Start time of the current uninterrupted slow+occupied run, else nan.
         self.low_speed_since = np.full(net.link_count, np.nan)
         self.event_nodes: set[int] = set()
@@ -116,7 +116,6 @@ class TwinState:
                 self._push_runs(link_idx[opened], now)
         if node_idx.size:
             self.node_density[node_idx] = densities
-            self.node_observed[node_idx] = True
             self.pending_nodes.append(node_idx)
         kind, source_ids = sources
         for sid in source_ids:
@@ -152,7 +151,7 @@ class TwinState:
         }
         dens = {
             str(n): float(self.node_density[n])
-            for n in np.nonzero(self.node_observed)[0]
+            for n in np.flatnonzero(~np.isnan(self.node_density))
         }
         return {
             "volumes": vols,

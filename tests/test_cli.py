@@ -252,6 +252,48 @@ def test_serve_rejects_a_port_out_of_range(tmp_path, monkeypatch, capsys, port):
     assert served == []  # rejected while the arguments are parsed
 
 
+def test_an_unknown_log_level_is_reported_and_the_command_runs(tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.setenv("SMDT_LOG", "loud")
+    assert main(["kpi", "--scenario", scenario_file(tmp_path), "--samples", "100"]) == 0
+    assert capsys.readouterr().err.startswith(
+        "SMDT_LOG must be one of ['debug', 'error', 'info', 'warning']\n")
+
+
+@pytest.mark.parametrize("param, values, err", [
+    ("p_user", "0.1,x", "error: bad --values list '0.1,x': "
+                        "could not convert string to float: 'x'\n"),
+    ("events", "1.5", "error: bad --values list '1.5': "
+                      "invalid literal for int() with base 10: '1.5'\n"),
+], ids=["p_user", "events"])
+def test_sweep_rejects_values_of_the_wrong_type(tmp_path, monkeypatch, capsys, param,
+                                                values, err):
+    runs = []
+    monkeypatch.setattr(sweep, "run", lambda *a, **kw: runs.append(a))
+    out = tmp_path / "s"
+    args = ["sweep", "--param", param, f"--values={values}", "--out", str(out)]
+    assert main(args + ["--scenario", scenario_file(tmp_path)]) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists() and runs == []
+    # The scenario is read before the values, so its error is the one shown.
+    assert main(args + ["--scenario", str(tmp_path / "nope.json")]) == 2
+    assert "nope.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failure, err", [
+    (RuntimeError("boom\x00"), "runtime failure: boom\\x00\n"),
+    (KeyboardInterrupt(), ""),
+], ids=["exception", "interrupt"])
+def test_a_runtime_failure_exits_3(tmp_path, monkeypatch, capsys, failure, err):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["run", "--scenario", scenario_file(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == err
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

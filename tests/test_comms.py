@@ -101,6 +101,8 @@ def test_check_deadline():
     assert not check_deadline(0.95, 5.556)
     assert check_deadline(0.0, 1.0)
     assert service_deadline_s(20 / 3.6) == pytest.approx(0.91111, abs=1e-5)
+    with pytest.raises(ContractError, match="v_free must be > 0"):
+        service_deadline_s(0.0)
 
 
 def test_check_deadline_monotone():
@@ -169,6 +171,8 @@ def test_flow_latency_validation():
         LatencyModel(pdr_info=-0.1)
     with pytest.raises(ConfigError):
         LatencyModel(flows={"i2c": FlowLatency(0, 1)})
+    with pytest.raises(ConfigError, match=r"unknown flows: \['warp'\]"):
+        LatencyModel(flows=dict(LatencyModel().flows, warp=FlowLatency(0, 1)))
 
 
 def test_kpi_report_budgets():
@@ -187,6 +191,8 @@ def test_kpi_report_budgets():
     assert report.row("ssms_reliability").passed  # 0.9953 > 0.95
     assert report.row("twin_before_service").passed
     assert report.all_passed
+    with pytest.raises(KeyError):
+        report.row("nope")
     csv = report.to_csv()
     assert csv.splitlines()[0] == "metric,n,min_ms,max_ms,mean_ms,limit,observed,pass"
     assert report.render_text()

@@ -436,6 +436,8 @@ def test_spliced_route_keeps_history():
     new = Route(nodes=[2, 3, 4])
     merged = spliced_route(old, new)
     assert merged.nodes == [1, 2, 3, 4] and merged.cursor == 1
+    with pytest.raises(ContractError, match="starts at 3, expected 2"):
+        spliced_route(old, Route(nodes=[3, 4]))
 
 
 def test_route_validation():
@@ -454,3 +456,5 @@ def test_request_distance_reference_values():
     assert request_distance(5.556) == pytest.approx(5.062, abs=1e-3)
     assert request_distance(0.0) == 0.0
     assert request_distance(10.0) == pytest.approx(16.40, abs=1e-2)
+    with pytest.raises(ContractError, match="non-negative"):
+        request_distance(-1.0)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from twinnav.cli import main
 from twinnav.errors import ConfigError, ContractError
+from twinnav.netgen import generate_grid_network
 from twinnav.network import (
     END_TOLERANCE_M,
     INF,
@@ -324,6 +325,19 @@ def test_loader_admits_the_network_caps():
 def test_loader_rejects_a_network_past_a_cap(n_nodes, n_links, pattern):
     with pytest.raises(ConfigError, match=pattern):
         network_from_dict(sized_network_doc(n_nodes, n_links))
+
+
+@pytest.mark.parametrize("n_links, pattern", [
+    (25, "n_links must be even"),
+    (22, "n_links too small: the orthogonal grid alone needs 24"),
+    (42, "n_links too large: at most 40 available"),
+], ids=["odd", "too small", "too large"])
+def test_generate_grid_network_rejects_a_link_count(n_links, pattern):
+    # A 3x3 grid has 12 orthogonal and 8 diagonal node pairs.
+    generate_grid_network(rows=3, cols=3, n_links=24)
+    generate_grid_network(rows=3, cols=3, n_links=40)
+    with pytest.raises(ConfigError, match=pattern):
+        generate_grid_network(rows=3, cols=3, n_links=n_links)
 
 
 def test_run_exits_2_on_a_network_past_the_node_cap(tmp_path, capsys):

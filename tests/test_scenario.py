@@ -64,6 +64,8 @@ def test_scenario_missing_network_file(tmp_path):
         (lambda d: d.pop("sim"), "sim"),
         (lambda d: d["sim"].update(t_sim_s=60.5), "multiple"),
         (lambda d: d["sim"].update(dt_s=0.0), "dt_s"),
+        pytest.param(lambda d: d["sim"].update(t_sim_s=0), "t_sim_s must be > 0",
+                     id="t_sim_s 0"),
         (lambda d: d["traffic"].update(p_user=1.5), "p_user"),
         (lambda d: d["traffic"].update(n_vel=-1), "n_vel"),
         (lambda d: d.update(events=[], events_random={"count": 1}), "not both"),
@@ -87,6 +89,10 @@ def test_scenario_missing_network_file(tmp_path):
         pytest.param(lambda d: d.update(sensing={"rsus": [{"node": 2, "radius_m": 1.0}]
                                                  * 10_000 + ["not an RSU"]}),
                      "10001 RSUs, more than 10000", id="one RSU past the cap"),
+        pytest.param(lambda d: d["traffic"].update(spawn={"window_frac": 0}),
+                     r"window_frac must be in \(0, 1\]", id="window_frac 0"),
+        pytest.param(lambda d: d["traffic"].update(spawn={"window_frac": 1.5}),
+                     r"window_frac must be in \(0, 1\]", id="window_frac 1.5"),
         pytest.param(lambda d: d["traffic"].update(spawn={"window_frac": 1e-320}),
                      "spawn rate", id="window_frac 1e-320"),
         pytest.param(lambda d: d["traffic"].update(n_vel=300_001, spawn={"window_frac": 0.5}),
@@ -99,6 +105,9 @@ def test_scenario_missing_network_file(tmp_path):
         pytest.param(lambda d: d.update(events=[{"kind": "gathering", "node": 2,
                                                  "density": -1}]),
                      "density", id="negative event density"),
+        pytest.param(lambda d: d.update(events=[{"kind": "accident", "link": [1, 2, 3]}]),
+                     r"events\[0\]: link: expected a \[from, to\] pair",
+                     id="event link of three ids"),
     ],
 )
 def test_scenario_validation_errors(mutate, pattern):
@@ -462,6 +471,17 @@ def test_sweep_of_the_event_count_needs_events_random_before_any_run(monkeypatch
     assert runs == []
 
 
+@pytest.mark.parametrize("param, values, seeds, pattern", [
+    ("speed", (1.0,), 1, r"sweep param must be one of \('p_user', 'events'\)$"),
+    ("p_user", (), 1, "sweep needs a non-empty value list"),
+    ("p_user", (0.5,), 0, "seeds_per_point must be >= 1"),
+], ids=["unknown param", "no values", "no seeds"])
+def test_sweep_spec_validation(param, values, seeds, pattern):
+    base = scenario_from_dict(minimal_doc())
+    with pytest.raises(ConfigError, match=pattern):
+        sweep.SweepSpec(base=base, param=param, values=values, seeds_per_point=seeds)
+
+
 def test_rsu_validation_and_coverage():
     doc = minimal_doc(sensing={"rsus": [{"node": 1, "radius_m": 150.0}]})
     sc = scenario_from_dict(doc)
@@ -521,6 +541,29 @@ def test_rsu_coverage_matches_brute_force(data):
         assert node_ids.tolist() == nodes
     assert other in coverage[-2][1]
     assert other not in coverage[-1][1]
+
+
+def test_rsu_coverage_on_the_radius_follows_math_hypot():
+    """np.hypot returns one ulp more than math.hypot for the distances from
+    node 8 to nodes 29, 50 and 159 of this grid. A radius of exactly the
+    math.hypot distance covers the node, and one ulp less does not."""
+    net_doc = generate_grid_network(rows=20, cols=20, spacing_m=37.3, n_links=1520,
+                                    k_max_veh_per_m=1.0, seed=1)
+    xy = {n["id"]: (n["x_m"], n["y_m"]) for n in net_doc["nodes"]}
+    rsus = []
+    for node in (29, 50, 159):
+        exact = math.hypot(xy[8][0] - xy[node][0], xy[8][1] - xy[node][1])
+        rsus += [{"node": 8, "radius_m": exact},
+                 {"node": 8, "radius_m": math.nextafter(exact, 0.0)}]
+    sc = scenario_from_dict(minimal_doc(network=net_doc, sensing={"rsus": rsus}))
+    coverage = sc.rsu_coverage()
+    for k, node in enumerate((29, 50, 159)):
+        assert node in coverage[2 * k][1]
+        assert node not in coverage[2 * k + 1][1]
+    for rsu, (link_idx, node_ids) in zip(rsus, coverage):
+        links, nodes = brute_force_coverage(net_doc, rsu["node"], rsu["radius_m"])
+        assert link_idx.tolist() == links
+        assert node_ids.tolist() == nodes
 
 
 # Each turns the text of a scenario or network file, whose one number is the

@@ -152,6 +152,22 @@ def test_garbage_line_keeps_connection(server):
         assert reply["type"] == "route_response"
 
 
+def test_a_handler_failure_answers_internal_and_keeps_connection(server, monkeypatch):
+    plan_route, calls = ServiceState.plan_route, []
+
+    def fail_once(state, msg):
+        calls.append(msg)
+        if len(calls) == 1:
+            raise RuntimeError("boom")
+        return plan_route(state, msg)
+
+    monkeypatch.setattr(ServiceState, "plan_route", fail_once)
+    with Client(server.port) as c:
+        assert c.request(ROUTE) == {"type": "error", "code": "internal", "detail": "boom"}
+        assert c.request(ROUTE)["type"] == "route_response"
+    assert len(calls) == 2
+
+
 # Lines the JSON decoder rejects with an error other than a syntax error: the
 # position is an integer literal past CPython's 4300-digit limit.
 UNDECODABLE_LINES = {
@@ -736,7 +752,7 @@ def reference_update(twin, clock, msg):
 
 def twin_law_view(twin):
     return (twin.link_volume.tobytes(), twin.low_speed_since.tobytes(),
-            twin.node_density.tobytes(), twin.node_observed.tobytes(),
+            twin.node_density.tobytes(),
             set(twin.event_nodes), set(twin.event_links), dict(twin.last_update))
 
 

@@ -187,7 +187,7 @@ def test_thresholds_validate():
 def full_scan_gathering(state):
     """Gathering detection over every observed node."""
     threshold = state.thresholds.density_threshold
-    mask = state.node_observed & (state.node_density > threshold)
+    mask = state.node_density > threshold  # nan (never observed) compares False
     flagged = {int(n) for n in np.nonzero(mask)[0]}
     state.event_nodes |= flagged
     return flagged
